@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .core import Dataset, Scenario, SchemeId, SchemeParams
+from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Dataset, Scenario, SchemeId, SchemeParams
 from .errors import CbBenchError
 from .io import (
     BenchmarkConfig,
@@ -39,24 +40,52 @@ from .synthdata import SynthConfig, generate, unprotected_scores
 __all__ = ["main", "run_benchmark"]
 
 
+# flag spellings that differ from the SchemeParams field name
+_PARAM_FLAG_NAMES = {"output_length": "length"}
+
+
+def _seed(text: str) -> int:
+    """argparse type of the seed flags: an unsigned 64-bit integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 2**64)")
+    return value
+
+
 def _param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scheme parameters")
-    group.add_argument("--length", type=int, default=256, help="protected output length")
-    group.add_argument("--iom-k", type=int, default=16, help="index-of-max alphabet size")
-    group.add_argument("--iom-p", type=int, default=2, help="permutation factors (iom-urp)")
-    group.add_argument("--mlp-layers", type=int, default=2, help="mlp-hash layer count")
-    group.add_argument("--bloom-word-bits", type=int, default=4, help="bits per bloom column")
-    group.add_argument("--bloom-block-cols", type=int, default=16, help="columns per bloom block")
+    for f in fields(SchemeParams):
+        name = _PARAM_FLAG_NAMES.get(f.name, f.name)
+        group.add_argument(
+            "--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(), type=int,
+            default=f.default, help=f.metadata["help"],
+        )
 
 
 def _params_from_args(args: argparse.Namespace) -> SchemeParams:
-    return SchemeParams(
-        output_length=args.length,
-        iom_k=args.iom_k,
-        iom_p=args.iom_p,
-        mlp_layers=args.mlp_layers,
-        bloom_word_bits=args.bloom_word_bits,
-        bloom_block_cols=args.bloom_block_cols,
+    return SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
+
+
+def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str):
+    """Subcommand with the flags a KeyPolicy is built from, bar the scheme
+    parameters, which the caller adds last so the usage line keeps its order."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--templates", required=True)
+    p.add_argument("--scheme", required=True)
+    p.add_argument("--scenario", default=default, choices=scenarios)
+    p.add_argument("--master-seed", type=_seed, default=42)
+    return p
+
+
+def _policy_from_args(args: argparse.Namespace) -> KeyPolicy:
+    return KeyPolicy(
+        args.master_seed,
+        Scenario.from_name(args.scenario),
+        SchemeId.from_name(args.scheme),
+        _params_from_args(args),
     )
 
 
@@ -73,40 +102,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("protect", help="protect a template CSV under one scheme/scenario")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--scenario", default="normal", choices=[s.value for s in Scenario])
-    p.add_argument("--master-seed", type=int, default=42)
+    p = _policy_parser(sub, "protect", "protect a template CSV under one scheme/scenario",
+                       [s.value for s in Scenario], "normal")
     p.add_argument("--out", required=True)
     _param_flags(p)
 
-    p = sub.add_parser("eval-perf", help="EER / FNMR@FMR / DET for one scheme and scenario")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--scenario", default="normal", choices=["normal", "stolen"])
-    p.add_argument("--master-seed", type=int, default=42)
+    p = _policy_parser(sub, "eval-perf", "EER / FNMR@FMR / DET for one scheme and scenario",
+                       ["normal", "stolen"], "normal")
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
 
-    p = sub.add_parser("eval-unlink", help="unlinkability for one scheme (sample-specific keys)")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--scenario", default="sample-specific",
-                   choices=[s.value for s in Scenario])
-    p.add_argument("--master-seed", type=int, default=42)
+    p = _policy_parser(sub, "eval-unlink", "unlinkability for one scheme (sample-specific keys)",
+                       [s.value for s in Scenario], "sample-specific")
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
 
-    p = sub.add_parser("eval-irrev", help="mutual information for one scheme and scenario")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--scenario", default="normal", choices=["normal", "stolen"])
-    p.add_argument("--master-seed", type=int, default=42)
+    p = _policy_parser(sub, "eval-irrev", "mutual information for one scheme and scenario",
+                       ["normal", "stolen"], "normal")
     p.add_argument("--r", type=int, default=100, help="reduced feature count for both sets")
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
@@ -114,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the full benchmark described by a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None, help="override the config output_dir")
-    p.add_argument("--seed", type=int, default=None, help="override the config master_seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config master_seed")
 
     return parser
 
@@ -133,16 +149,6 @@ def _perf_block(scores) -> dict:
         "fnmr_at_fmr_1pct": fnmr_at_fmr(curve, 0.01),
         "fnmr_at_fmr_0p1pct": fnmr_at_fmr(curve, 0.001),
     }
-
-
-_LENGTH_UNIT = {
-    SchemeId.BIOHASH: "bits",
-    SchemeId.MLP_HASH: "bits",
-    SchemeId.RAND_HASH: "bits",
-    SchemeId.IOM_GRP: "codes",
-    SchemeId.IOM_URP: "codes",
-    SchemeId.BLOOM_FILTER: "bits",
-}
 
 
 def _config_echo(config: BenchmarkConfig) -> dict:
@@ -165,22 +171,27 @@ def _config_echo(config: BenchmarkConfig) -> dict:
 
 
 def run_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> tuple[dict, list[Path]]:
-    """Run every benchmark cell and return (report dict, written DET paths).
+    """Run every benchmark cell, write ``report.json`` and return (report
+    dict, written paths: the DET CSVs, then the report).
 
     Per scheme: DET/EER/FNMR and mutual information for each configured
     scenario (normal/stolen), plus one sample-specific unlinkability pass.
-    On failure, files written so far are removed and the raised error names
-    the failing cell.
+    On any failure, the report write included, files written so far are
+    removed and the error is re-raised; a failing cell's error names it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        return _run_benchmark_cells(config, out_dir, written), written
+        report = _run_benchmark_cells(config, out_dir, written)
+        report_path = out_dir / "report.json"
+        written.append(report_path)
+        write_report(report, report_path)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
         raise
+    return report, written
 
 
 def _run_benchmark_cells(
@@ -199,9 +210,8 @@ def _run_benchmark_cells(
             scenario = Scenario.from_name(scenario_name)
             try:
                 policy = KeyPolicy(config.master_seed, scenario, scheme, spec.params)
-                scores = run_scenario(ds, policy)
-                perf = _perf_block(scores)
                 y = protected_matrix(ds, policy)
+                perf = _perf_block(run_scenario(ds, policy, protected=y))
                 irrev = mutual_information(x, y, config.mi_components)
                 det_path = out_dir / f"det_{scheme.value}_{scenario.value}.csv"
                 write_det_points(perf["curve"], det_path)
@@ -224,7 +234,7 @@ def _run_benchmark_cells(
                 "r_used": irrev.r_used,
                 "near_deterministic": irrev.near_deterministic,
                 "realized_length": int(y.shape[1]),
-                "length_unit": _LENGTH_UNIT[scheme],
+                "length_unit": "codes" if _PAYLOAD_FOR_SCHEME[scheme] is CodeVector else "bits",
                 "det_csv": det_path.name,
             }
             if scheme is SchemeId.RAND_HASH:
@@ -296,12 +306,7 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_protect(args: argparse.Namespace) -> int:
     ds = read_templates(args.templates)
-    policy = KeyPolicy(
-        args.master_seed,
-        Scenario.from_name(args.scenario),
-        SchemeId.from_name(args.scheme),
-        _params_from_args(args),
-    )
+    policy = _policy_from_args(args)
     y = protected_matrix(ds, policy)
     with _open_write(Path(args.out)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -314,12 +319,7 @@ def _cmd_protect(args: argparse.Namespace) -> int:
 
 def _cmd_eval_perf(args: argparse.Namespace) -> int:
     ds = read_templates(args.templates)
-    policy = KeyPolicy(
-        args.master_seed,
-        Scenario.from_name(args.scenario),
-        SchemeId.from_name(args.scheme),
-        _params_from_args(args),
-    )
+    policy = _policy_from_args(args)
     perf = _perf_block(run_scenario(ds, policy))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,17 +333,14 @@ def _cmd_eval_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_unlink(args: argparse.Namespace) -> int:
-    scenario = Scenario.from_name(args.scenario)
-    if scenario is not Scenario.SAMPLE_SPECIFIC:
+    if args.scenario != Scenario.SAMPLE_SPECIFIC.value:
         print(
             f"error: unlinkability requires the sample-specific scenario, got {args.scenario!r}",
             file=sys.stderr,
         )
         return 1
     ds = read_templates(args.templates)
-    policy = KeyPolicy(
-        args.master_seed, scenario, SchemeId.from_name(args.scheme), _params_from_args(args)
-    )
+    policy = _policy_from_args(args)
     report = unlinkability(run_scenario(ds, policy), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,12 +358,7 @@ def _cmd_eval_unlink(args: argparse.Namespace) -> int:
 
 def _cmd_eval_irrev(args: argparse.Namespace) -> int:
     ds = read_templates(args.templates)
-    policy = KeyPolicy(
-        args.master_seed,
-        Scenario.from_name(args.scenario),
-        SchemeId.from_name(args.scheme),
-        _params_from_args(args),
-    )
+    policy = _policy_from_args(args)
     x = ds.feature_matrix()
     y = protected_matrix(ds, policy)
     report = mutual_information(x, y, args.r)
@@ -403,15 +395,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config.master_seed = args.seed
     out_dir = Path(args.out_dir if args.out_dir is not None else config.output_dir)
-    written: list[Path] = []
     try:
         report, written = run_benchmark(config, out_dir)
-        report_path = out_dir / "report.json"
-        write_report(report, report_path)
-        written.append(report_path)
     except CbBenchError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
         print(f"error: bench: {exc}", file=sys.stderr)
         return 1
     for cell in report["cells"]:
@@ -421,7 +407,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     for row in report["unlinkability"]:
         print(f"{row['scheme']:12s} sample-specific d_sys={row['d_sys']:.4f}")
-    print(f"report written to {report_path}")
+    print(f"report written to {written[-1]}")
     return 0
 
 

@@ -66,14 +66,14 @@ class SchemeParams:
     """Transform hyperparameters. ``output_length`` is the common protected
     length: binary schemes emit that many bits, the index-of-max schemes that
     many codes; the Bloom scheme's storage length follows from its block
-    structure instead."""
+    structure instead. All fields are integers, described by ``help`` metadata."""
 
-    output_length: int = 256
-    iom_k: int = 16
-    iom_p: int = 2
-    mlp_layers: int = 2
-    bloom_word_bits: int = 4
-    bloom_block_cols: int = 16
+    output_length: int = field(default=256, metadata={"help": "protected output length"})
+    iom_k: int = field(default=16, metadata={"help": "index-of-max alphabet size"})
+    iom_p: int = field(default=2, metadata={"help": "permutation factors (iom-urp)"})
+    mlp_layers: int = field(default=2, metadata={"help": "mlp-hash layer count"})
+    bloom_word_bits: int = field(default=4, metadata={"help": "bits per bloom column"})
+    bloom_block_cols: int = field(default=16, metadata={"help": "columns per bloom block"})
 
     def __post_init__(self) -> None:
         if self.output_length < 8:
@@ -141,12 +141,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.templates)
 
+    def subject_rows(self) -> dict[str, list[int]]:
+        """Each subject's row indices in dataset order, subjects in first-appearance order."""
+        rows: dict[str, list[int]] = {}
+        for i, t in enumerate(self.templates):
+            rows.setdefault(t.subject_id, []).append(i)
+        return rows
+
     def subjects(self) -> list[str]:
         """Distinct subject ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for t in self.templates:
-            seen.setdefault(t.subject_id, None)
-        return list(seen)
+        return list(self.subject_rows())
 
     def feature_matrix(self) -> np.ndarray:
         """Stack all feature vectors into a (samples x dimension) matrix."""
@@ -164,13 +168,11 @@ def validate_dataset(ds: Dataset) -> list[str]:
     if ds.dimension < 2:
         issues.append(f"dimension must be >= 2, got {ds.dimension}")
     seen: set[tuple[str, str]] = set()
-    per_subject: dict[str, int] = {}
     for t in ds.templates:
         ident = (t.subject_id, t.sample_id)
         if ident in seen:
             issues.append(f"duplicate (subject, sample) pair {ident}")
         seen.add(ident)
-        per_subject[t.subject_id] = per_subject.get(t.subject_id, 0) + 1
         if t.dimension != ds.dimension:
             issues.append(
                 f"subject {t.subject_id} sample {t.sample_id}: dimension "
@@ -182,9 +184,9 @@ def validate_dataset(ds: Dataset) -> list[str]:
                 f"subject {t.subject_id} sample {t.sample_id}: non-finite feature "
                 f"at index {int(idx)}"
             )
-    for subject, count in per_subject.items():
-        if count < 2:
-            issues.append(f"subject {subject} has only {count} sample(s); need >= 2")
+    for subject, rows in ds.subject_rows().items():
+        if len(rows) < 2:
+            issues.append(f"subject {subject} has only {len(rows)} sample(s); need >= 2")
     return issues
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,16 +216,37 @@ def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
     )
 
 
-_PARAM_KEYS = {
-    "output_length", "iom_k", "iom_p", "mlp_layers", "bloom_word_bits", "bloom_block_cols",
+_PARAM_KEYS = {f.name for f in fields(SchemeParams)}
+# JSON types a config value of each kind may have (a bool is never a number)
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
 
 
-def _parse_params(data: dict, where: str) -> SchemeParams:
-    unknown = set(data) - _PARAM_KEYS
+def _check(value, kind: type, what: str):
+    """Return ``value`` if it is of the JSON kind; else raise ParseError naming ``what``."""
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ParseError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _check_seed(value, what: str) -> int:
+    if not 0 <= _check(value, int, what) < 2**64:
+        raise ParseError(f"{what} must be in [0, 2**64), got {value}")
+    return value
+
+
+def _parse_params(data, where: str, base: SchemeParams) -> SchemeParams:
+    """``base`` with the integer overrides in ``data`` applied."""
+    unknown = set(_check(data, dict, where)) - _PARAM_KEYS
     if unknown:
         raise ParseError(f"{where}: unknown parameter(s) {sorted(unknown)}")
-    return SchemeParams(**data)
+    return replace(base, **{k: _check(v, int, f"{where}.{k}") for k, v in data.items()})
 
 
 def load_config(path: str | Path) -> BenchmarkConfig:
@@ -233,7 +254,8 @@ def load_config(path: str | Path) -> BenchmarkConfig:
 
     Scheme entries are either a bare name ("biohash") or an object
     {"name": ..., "params": {...}}; a top-level "params" object supplies
-    defaults for schemes without their own.
+    defaults for schemes without their own. A value of the wrong JSON type
+    raises ParseError naming its key.
     """
     path = Path(path)
     try:
@@ -253,44 +275,53 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     unknown = set(data) - known_keys
     if unknown:
         raise ParseError(f"{path}: unknown config key(s) {sorted(unknown)}")
+    master_seed = _check_seed(data.get("master_seed", 42), f"{path}: master_seed")
 
-    base_params = _parse_params(data.get("params", {}), f"{path}: params")
+    base_params = _parse_params(data.get("params", {}), f"{path}: params", SchemeParams())
 
     schemes: list[SchemeSpec] = []
-    for entry in data.get("schemes", []):
+    for entry in _check(data.get("schemes", []), list, f"{path}: schemes"):
         if isinstance(entry, str):
             schemes.append(SchemeSpec(SchemeId.from_name(entry), base_params))
-        elif isinstance(entry, dict) and "name" in entry:
-            overrides = dict(entry.get("params", {}))
+        elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
             merged = _parse_params(
-                {**{k: getattr(base_params, k) for k in _PARAM_KEYS}, **overrides},
-                f"{path}: scheme {entry['name']}",
+                entry.get("params", {}), f"{path}: scheme {entry['name']} params", base_params
             )
             schemes.append(SchemeSpec(SchemeId.from_name(entry["name"]), merged))
         else:
             raise ParseError(f"{path}: scheme entries must be names or objects with 'name'")
 
+    scenarios = _check(data.get("scenarios", []), list, f"{path}: scenarios")
+    for s in scenarios:
+        _check(s, str, f"{path}: scenarios entry")
+
     synthetic = None
     if "synthetic" in data:
-        syn = data["synthetic"]
+        where = f"{path}: synthetic"
+        syn = _check(data["synthetic"], dict, where)
         try:
             synthetic = SynthConfig(
-                subjects=syn["subjects"],
-                samples_per_subject=syn["samples_per_subject"],
-                dimension=syn["dimension"],
-                noise_sigma=syn["noise_sigma"],
-                seed=syn.get("seed", data.get("master_seed", 42)),
+                subjects=_check(syn["subjects"], int, f"{where}.subjects"),
+                samples_per_subject=_check(
+                    syn["samples_per_subject"], int, f"{where}.samples_per_subject"
+                ),
+                dimension=_check(syn["dimension"], int, f"{where}.dimension"),
+                noise_sigma=_check(syn["noise_sigma"], float, f"{where}.noise_sigma"),
+                seed=_check_seed(syn.get("seed", master_seed), f"{where}.seed"),
             )
         except KeyError as exc:
             raise ParseError(f"{path}: synthetic config missing key {exc}") from None
 
+    templates = data.get("templates")
     return BenchmarkConfig(
         schemes=schemes,
-        scenarios=list(data.get("scenarios", [])),
-        master_seed=int(data.get("master_seed", 42)),
-        unlinkability_bins=int(data.get("unlinkability_bins", 100)),
-        mi_components=int(data.get("mi_components", 100)),
+        scenarios=scenarios,
+        master_seed=master_seed,
+        unlinkability_bins=_check(
+            data.get("unlinkability_bins", 100), int, f"{path}: unlinkability_bins"
+        ),
+        mi_components=_check(data.get("mi_components", 100), int, f"{path}: mi_components"),
         synthetic=synthetic,
-        templates_path=data.get("templates"),
+        templates_path=None if templates is None else _check(templates, str, f"{path}: templates"),
         output_dir=str(data.get("output_dir", ".")),
     )

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Scenario
+from .core import Scenario
 from .errors import InvalidArgumentError
 from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit, pca_transform
-from .protocol import KeyPolicy, ScoreSet, derive_key
-from .schemes import TransformInstance, instantiate, protect
+from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
 
 __all__ = [
     "DetCurve",
@@ -203,19 +202,3 @@ def mutual_information(x: np.ndarray, y: np.ndarray, r: int = 100) -> Irreversib
         r_used=r_used,
         near_deterministic=mi >= _NEAR_DETERMINISTIC_NATS_PER_DIM * r_used,
     )
-
-
-def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
-    """Protect the whole dataset under the policy and stack the payloads as
-    real-valued rows (bits as 0/1, codes as integers, Bloom blocks
-    concatenated): the attacker's view of the protected database."""
-    instances: dict[int, TransformInstance] = {}
-    rows = []
-    for t in ds.templates:
-        key = derive_key(policy, t.subject_id, t.sample_id)
-        inst = instances.get(key.seed)
-        if inst is None:
-            inst = instantiate(key, ds.dimension)
-            instances[key.seed] = inst
-        rows.append(protect(t, inst).to_real_vector())
-    return np.vstack(rows)

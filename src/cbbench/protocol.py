@@ -17,9 +17,12 @@ import numpy as np
 
 from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, Template
 from .errors import InvalidArgumentError
-from .schemes import TransformInstance, compare, instantiate, protect
+from .schemes import instantiate, protect, similarities
 
-__all__ = ["KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "run_scenario"]
+__all__ = [
+    "KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "protected_matrix",
+    "run_scenario",
+]
 
 _STOLEN_LABEL = b"stolen-token"
 _ID_SEPARATOR = b"\x1f"  # keeps ("ab", "c") distinct from ("a", "bc")
@@ -39,6 +42,12 @@ class KeyPolicy:
     scenario: Scenario
     scheme_id: SchemeId
     params: SchemeParams = field(default_factory=SchemeParams)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidArgumentError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
+            )
 
 
 def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> SchemeKey:
@@ -62,21 +71,18 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
 
 def mated_pairs(ds: Dataset) -> list[tuple[Template, Template]]:
     """All unordered within-subject sample pairs, in dataset order."""
-    by_subject: dict[str, list[Template]] = {}
-    for t in ds.templates:
-        by_subject.setdefault(t.subject_id, []).append(t)
-    pairs: list[tuple[Template, Template]] = []
-    for templates in by_subject.values():
-        pairs.extend(itertools.combinations(templates, 2))
-    return pairs
+    t = ds.templates
+    return [
+        (t[i], t[j])
+        for rows in ds.subject_rows().values()
+        for i, j in itertools.combinations(rows, 2)
+    ]
 
 
 def nonmated_pairs(ds: Dataset) -> list[tuple[Template, Template]]:
     """All unordered subject pairs, first sample of each subject."""
-    firsts: dict[str, Template] = {}
-    for t in ds.templates:
-        firsts.setdefault(t.subject_id, t)
-    return list(itertools.combinations(firsts.values(), 2))
+    firsts = [ds.templates[rows[0]] for rows in ds.subject_rows().values()]
+    return list(itertools.combinations(firsts, 2))
 
 
 @dataclass
@@ -102,42 +108,57 @@ class ScoreSet:
                 raise InvalidArgumentError(f"{name} scores must be finite and within [0, 1]")
 
 
-def run_scenario(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> ScoreSet:
-    """Protect every template once under its scenario-derived key and score
-    the mated and non-mated pair lists.
+def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.ndarray:
+    """Protect the whole dataset under the policy and stack the payloads as
+    real-valued rows in dataset order (bits as 0/1, codes as integers, Bloom
+    blocks concatenated): the attacker's view of the protected database.
 
-    Transform instances are cached per derived seed and protected templates
-    per (subject, sample); with ``workers > 1`` comparisons run on a thread
-    pool. Results are identical either way.
+    Each derived key is instantiated once, protects its rows and is dropped,
+    so at most ``workers`` instances are alive; with ``workers > 1`` keys are
+    spread over a thread pool. Results are identical either way.
     """
-    instances: dict[int, TransformInstance] = {}
-    protected: dict[tuple[str, str], object] = {}
+    groups: dict[SchemeKey, list[int]] = {}
+    for i, t in enumerate(ds.templates):
+        groups.setdefault(derive_key(policy, t.subject_id, t.sample_id), []).append(i)
+    vectors: list[np.ndarray | None] = [None] * len(ds)
 
-    for t in ds.templates:
-        key = derive_key(policy, t.subject_id, t.sample_id)
-        inst = instances.get(key.seed)
-        if inst is None:
-            inst = instantiate(key, ds.dimension)
-            instances[key.seed] = inst
-        protected[(t.subject_id, t.sample_id)] = protect(t, inst)
+    def protect_group(key: SchemeKey) -> None:
+        inst = instantiate(key, ds.dimension)
+        for i in groups[key]:
+            vectors[i] = protect(ds.templates[i], inst).to_real_vector()
 
-    def score(pair: tuple[Template, Template]) -> float:
-        a, b = pair
-        return compare(
-            protected[(a.subject_id, a.sample_id)],
-            protected[(b.subject_id, b.sample_id)],
-        )
-
-    m_pairs = mated_pairs(ds)
-    nm_pairs = nonmated_pairs(ds)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            mated = list(pool.map(score, m_pairs, chunksize=64))
-            nonmated = list(pool.map(score, nm_pairs, chunksize=64))
+            list(pool.map(protect_group, groups))
     else:
-        mated = [score(p) for p in m_pairs]
-        nonmated = [score(p) for p in nm_pairs]
+        list(map(protect_group, groups))
+    return np.vstack(vectors)
+
+
+def run_scenario(
+    ds: Dataset, policy: KeyPolicy, workers: int = 1, protected: np.ndarray | None = None
+) -> ScoreSet:
+    """Score the mated and non-mated pairs of the dataset protected under the
+    policy, each row against all later rows of the pair list at once with the
+    formulas of ``compare`` (so scores equal pair-by-pair comparison).
+
+    ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
+    has; without it the matrix is computed here, on ``workers`` threads.
+    """
+    y = protected_matrix(ds, policy, workers) if protected is None else protected
+    if y.shape[0] != len(ds):
+        raise InvalidArgumentError(f"protected matrix has {y.shape[0]} rows, expected {len(ds)}")
+
+    def one_vs_later(rows: list[int]) -> np.ndarray:
+        parts = [
+            similarities(policy.scheme_id, policy.params, y[i], y[rows[a + 1 :]])
+            for a, i in enumerate(rows[:-1])
+        ]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    subject_rows = list(ds.subject_rows().values())
     return ScoreSet(
-        mated=np.array(mated), nonmated=np.array(nonmated),
+        mated=np.concatenate([one_vs_later(rows) for rows in subject_rows]),
+        nonmated=one_vs_later([rows[0] for rows in subject_rows]),
         scheme_id=policy.scheme_id, scenario=policy.scenario,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _PAYLOAD_FOR_SCHEME,
     BitString,
     BloomSet,
     CodeVector,
@@ -43,6 +44,7 @@ __all__ = [
     "iom_urp_protect",
     "randhash_protect",
     "compare",
+    "similarities",
     "chance_level",
 ]
 
@@ -287,12 +289,42 @@ def protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
     return _PROTECT_FOR_SCHEME[inst.scheme_id](t, inst)
 
 
+def _bit_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - Hamming distance / length, bit row ``a`` against each row of ``b``."""
+    return 1.0 - np.count_nonzero(a != b, axis=-1) / a.shape[-1]
+
+
+def _code_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fraction of equal codes, code row ``a`` against each row of ``b``."""
+    return np.count_nonzero(a == b, axis=-1) / a.shape[-1]
+
+
+def _bloom_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - mean over blocks of |A xor B| / (|A| + |B|), (B, F) blocks ``a`` against each
+    entry of ``b``; the mean runs along contiguous rows, summing as a lone (B,) array would."""
+    sym_diff = np.count_nonzero(a != b, axis=-1).astype(np.float64)
+    total = (np.count_nonzero(a, axis=-1) + np.count_nonzero(b, axis=-1)).astype(np.float64)
+    dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
+    return 1.0 - dissim.mean(axis=-1)
+
+
+def similarities(scheme_id: SchemeId, params, row: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``compare`` of one protected template against each of ``rows``, all in
+    the ``to_real_vector`` layout of a protected matrix (not range-checked)."""
+    payload = _PAYLOAD_FOR_SCHEME[scheme_id]
+    if payload is BloomSet:
+        f = 2**params.bloom_word_bits
+        return _bloom_similarity(row.reshape(-1, f), rows.reshape(rows.shape[0], -1, f))
+    return (_code_similarity if payload is CodeVector else _bit_similarity)(row, rows)
+
+
 def compare(a: ProtectedTemplate, b: ProtectedTemplate) -> float:
     """Similarity in [0, 1] between two protected templates of one scheme.
 
     BitString: 1 - Hamming distance / length. CodeVector: fraction of equal
     codes. BloomSet: 1 - mean over blocks of |A xor B| / (|A| + |B|) with
-    popcounts; an empty block pair contributes dissimilarity 0.
+    popcounts; an empty block pair contributes dissimilarity 0. Uses the
+    kernels of ``similarities``, so both give bit-identical scores.
     """
     if a.scheme_id is not b.scheme_id:
         raise InvalidArgumentError(
@@ -302,19 +334,15 @@ def compare(a: ProtectedTemplate, b: ProtectedTemplate) -> float:
     if isinstance(pa, BitString) and isinstance(pb, BitString):
         if len(pa) != len(pb):
             raise InvalidArgumentError(f"bit lengths differ: {len(pa)} vs {len(pb)}")
-        hamming = int(np.count_nonzero(pa.bits != pb.bits))
-        return as_score(1.0 - hamming / len(pa))
+        return as_score(_bit_similarity(pa.bits, pb.bits[None])[0])
     if isinstance(pa, CodeVector) and isinstance(pb, CodeVector):
         if len(pa) != len(pb) or pa.k != pb.k:
             raise InvalidArgumentError("code vectors have mismatched shape or alphabet")
-        return as_score(int(np.count_nonzero(pa.codes == pb.codes)) / len(pa))
+        return as_score(_code_similarity(pa.codes, pb.codes[None])[0])
     if isinstance(pa, BloomSet) and isinstance(pb, BloomSet):
         if pa.blocks.shape != pb.blocks.shape:
             raise InvalidArgumentError("bloom block shapes differ")
-        sym_diff = np.count_nonzero(pa.blocks != pb.blocks, axis=1).astype(np.float64)
-        total = (pa.blocks.sum(axis=1) + pb.blocks.sum(axis=1)).astype(np.float64)
-        dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
-        return as_score(1.0 - float(dissim.mean()))
+        return as_score(_bloom_similarity(pa.blocks, pb.blocks[None])[0])
     raise InvalidArgumentError("payload variants differ")
 
 

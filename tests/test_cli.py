@@ -7,6 +7,15 @@ from cbbench.io import read_det_points
 from cbbench.metrics import eer
 
 
+SMALL_SYNTHETIC = {
+    "subjects": 6,
+    "samples_per_subject": 3,
+    "dimension": 16,
+    "noise_sigma": 0.35,
+    "seed": 5,
+}
+
+
 def small_config(tmp_path, **overrides):
     cfg = {
         "master_seed": 11,
@@ -15,13 +24,7 @@ def small_config(tmp_path, **overrides):
         "params": {"output_length": 32, "iom_k": 8},
         "unlinkability_bins": 10,
         "mi_components": 4,
-        "synthetic": {
-            "subjects": 6,
-            "samples_per_subject": 3,
-            "dimension": 16,
-            "noise_sigma": 0.35,
-            "seed": 5,
-        },
+        "synthetic": SMALL_SYNTHETIC,
         "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
@@ -192,6 +195,44 @@ class TestBench:
         assert not list(out_dir.glob("*.csv"))
         assert not (out_dir / "report.json").exists()
 
+    def test_failed_report_write_removes_det_files(self, tmp_path, monkeypatch, capsys):
+        def fail(report, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("cbbench.cli.write_report", fail)
+        cfg = small_config(tmp_path)
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("det_*.csv"))
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch):
+        # wrap instantiate wherever a cbbench module binds it by name
+        import sys
+        from collections import Counter
+
+        from cbbench import schemes
+        from cbbench.cli import run_benchmark
+        from cbbench.io import load_config
+
+        original = schemes.instantiate
+        calls = Counter()
+
+        def counting(key, d):
+            calls[(key.scheme_id, key.seed)] += 1
+            return original(key, d)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "cbbench" or name.startswith("cbbench."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out")
+        # per scheme: 6 subject keys (normal), 1 shared key (stolen) and
+        # 18 sample keys (sample-specific), each instantiated exactly once
+        assert len(calls) == 2 * (6 + 1 + 18)
+        assert set(calls.values()) == {1}
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o1")]) == 0
@@ -219,3 +260,43 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error" in err and "t.csv" in err
+
+
+def _run(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, culprit",
+    [
+        (EVAL_PERF + ["--master-seed", "-1"], 2, "--master-seed"),
+        (EVAL_PERF + ["--master-seed", str(2**64)], 2, "--master-seed"),
+        (["bench", "--config", "{config}", "--seed", "-1"], 2, "--seed"),
+        (["bench", "--config", "{config:master_seed}"], 1, "master_seed"),
+        (["bench", "--config", "{config:subjects}"], 1, "subjects"),
+        (["bench", "--config", "{config:output_length}"], 1, "output_length"),
+        (["bench", "--config", "{config:scenarios}"], 1, "scenarios"),
+    ],
+    ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
+         "config-subjects-str", "config-param-str", "config-scenarios-str"],
+)
+def test_bad_input_exits_without_traceback(tmp_path, capsys, argv, code, culprit):
+    configs = {
+        "{config}": {},
+        "{config:master_seed}": {"master_seed": "abc"},
+        "{config:subjects}": {"synthetic": {**SMALL_SYNTHETIC, "subjects": "3"}},
+        "{config:output_length}": {"params": {"output_length": "64"}},
+        "{config:scenarios}": {"scenarios": "normal"},
+    }
+    argv = [str(small_config(tmp_path, **configs[a])) if a in configs else a for a in argv]
+    assert _run(argv) == code
+    err = capsys.readouterr().err
+    assert culprit in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

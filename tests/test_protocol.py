@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cbbench.core import Scenario, SchemeId, SchemeParams
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template
 from cbbench.errors import InvalidArgumentError
+from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, mated_pairs, nonmated_pairs, run_scenario
 from cbbench.synthdata import SynthConfig, generate
 
@@ -38,6 +39,11 @@ class TestDeriveKey:
     def test_identity_concatenation_unambiguous(self):
         p = policy(Scenario.SAMPLE_SPECIFIC)
         assert derive_key(p, "ab", "c") != derive_key(p, "a", "bc")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_master_seed_rejected(self, seed):
+        with pytest.raises(InvalidArgumentError):
+            policy(Scenario.NORMAL, seed=seed)
 
     def test_stable_derivation_constant(self):
         # locked value: BLAKE2b-64 over big-endian seed and identity material;
@@ -138,13 +144,17 @@ class TestRunScenario:
         assert np.array_equal(serial.mated, parallel.mated)
         assert np.array_equal(serial.nonmated, parallel.nonmated)
 
-    def test_caching_never_alters_results(self):
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_caching_never_alters_results(self, scheme, scenario):
         # score every pair without any instance/protection reuse and compare
-        # against the cached run_scenario path
+        # against the single-pass run_scenario path, with and without a
+        # protected matrix handed in
+        from cbbench.metrics import protected_matrix
         from cbbench.schemes import compare, instantiate, protect
 
         ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
-        p = policy(Scenario.NORMAL)
+        p = policy(scenario, scheme=scheme)
 
         def uncached_score(a, b):
             pa = protect(a, instantiate(derive_key(p, a.subject_id, a.sample_id), ds.dimension))
@@ -153,9 +163,92 @@ class TestRunScenario:
 
         mated = np.sort([uncached_score(a, b) for a, b in mated_pairs(ds)])
         nonmated = np.sort([uncached_score(a, b) for a, b in nonmated_pairs(ds)])
-        cached = run_scenario(ds, p)
-        assert np.array_equal(cached.mated, mated)
-        assert np.array_equal(cached.nonmated, nonmated)
+        for cached in (run_scenario(ds, p), run_scenario(ds, p, protected=protected_matrix(ds, p))):
+            assert np.array_equal(cached.mated, mated)
+            assert np.array_equal(cached.nonmated, nonmated)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_bloom_many_blocks_matches_per_pair_expression(self, scenario):
+        # with >= 8 blocks numpy sums the block mean pairwise, not in
+        # sequence; the reference is the per-pair 1-D comparator expression
+        from cbbench.schemes import instantiate, protect
+
+        params = SchemeParams(bloom_word_bits=4, bloom_block_cols=16)
+        p = KeyPolicy(7, scenario, SchemeId.BLOOM_FILTER, params)
+        ds = generate(SynthConfig(4, 3, 640, 0.3, 6))
+
+        def blocks(t):
+            inst = instantiate(derive_key(p, t.subject_id, t.sample_id), ds.dimension)
+            return protect(t, inst).payload.blocks
+
+        def reference(a, b):
+            ba, bb = blocks(a), blocks(b)
+            sym_diff = np.count_nonzero(ba != bb, axis=1).astype(np.float64)
+            total = (ba.sum(axis=1) + bb.sum(axis=1)).astype(np.float64)
+            dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
+            return 1.0 - float(dissim.mean())
+
+        assert blocks(ds.templates[0]).shape[0] == 10
+        scores = run_scenario(ds, p)
+        assert np.array_equal(scores.mated, np.sort([reference(a, b) for a, b in mated_pairs(ds)]))
+        assert np.array_equal(
+            scores.nonmated, np.sort([reference(a, b) for a, b in nonmated_pairs(ds)])
+        )
+
+
+class TestProtectedMatrix:
+    # subjects interleave (a, b, a, b), so key groups are not contiguous rows
+    INTERLEAVED = [("a", "0"), ("b", "0"), ("a", "1"), ("b", "1"), ("a", "2")]
+
+    def dataset(self):
+        feats = derive_stream(3, b"test.interleaved").normals(5 * 16).reshape(5, 16)
+        return Dataset.from_templates(
+            [Template(s, j, f) for (s, j), f in zip(self.INTERLEAVED, feats)]
+        )
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_rows_follow_dataset_order(self, scheme, scenario):
+        from cbbench.metrics import protected_matrix
+        from cbbench.schemes import instantiate, protect
+
+        ds = self.dataset()
+        p = policy(scenario, scheme=scheme)
+        expected = np.vstack([
+            protect(t, instantiate(derive_key(p, t.subject_id, t.sample_id), 16)).to_real_vector()
+            for t in ds.templates
+        ])
+        assert np.array_equal(protected_matrix(ds, p), expected)
+        assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
+
+    def test_threaded_pass_under_fast_switching(self):
+        # more workers than cores writing disjoint rows of one shared list;
+        # a lost or misplaced row would change the matrix
+        import sys
+
+        from cbbench.metrics import protected_matrix
+
+        ds = generate(SynthConfig(6, 3, 16, 0.3, 2))
+        p = policy(Scenario.SAMPLE_SPECIFIC, scheme=SchemeId.IOM_GRP)
+        expected = protected_matrix(ds, p)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(protected_matrix(ds, p, workers=8), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_interleaved_pairs(self):
+        ds = self.dataset()
+        scores = run_scenario(ds, policy(Scenario.NORMAL))
+        assert scores.mated.size == 4  # C(3, 2) for a, C(2, 2) for b
+        assert scores.nonmated.size == 1
+
+    def test_row_count_mismatch_rejected(self):
+        ds = self.dataset()
+        with pytest.raises(InvalidArgumentError):
+            run_scenario(ds, policy(Scenario.NORMAL), protected=np.zeros((4, 32)))
 
 
 KEY_SEPARATING = [
