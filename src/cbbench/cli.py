@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Dataset, Scenario, SchemeId, SchemeParams
-from .errors import CbBenchError
+from .errors import CbBenchError, InvalidArgumentError
 from .io import (
     BenchmarkConfig,
     _open_write,
@@ -40,8 +40,17 @@ from .synthdata import SynthConfig, generate, unprotected_scores
 __all__ = ["main", "run_benchmark"]
 
 
-# flag spellings that differ from the SchemeParams field name
-_PARAM_FLAG_NAMES = {"output_length": "length"}
+# flag spellings that differ from the SchemeParams / SynthConfig field name
+_FLAG_NAMES = {
+    "output_length": "length",
+    "samples_per_subject": "samples",
+    "dimension": "dim",
+    "noise_sigma": "sigma",
+}
+
+
+def _flag(field_name: str) -> str:
+    return "--" + _FLAG_NAMES.get(field_name, field_name).replace("_", "-")
 
 
 def _seed(text: str) -> int:
@@ -58,15 +67,22 @@ def _seed(text: str) -> int:
 def _param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scheme parameters")
     for f in fields(SchemeParams):
-        name = _PARAM_FLAG_NAMES.get(f.name, f.name)
+        name = _FLAG_NAMES.get(f.name, f.name)
         group.add_argument(
-            "--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(), type=int,
+            _flag(f.name), dest=f.name, metavar=name.upper(), type=int,
             default=f.default, help=f.metadata["help"],
         )
 
 
-def _params_from_args(args: argparse.Namespace) -> SchemeParams:
-    return SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
+def _from_flags(parser: argparse.ArgumentParser, cls, **values):
+    """``cls(**values)`` built from flag values. Its checks raise messages that
+    start with the field name, so an InvalidArgumentError becomes a usage
+    error (exit 2) naming that field's flag."""
+    try:
+        return cls(**values)
+    except InvalidArgumentError as exc:
+        name = next((n for n in values if str(exc).startswith(n + " ")), None)
+        parser.error(f"argument {_flag(name)}: {exc}" if name else str(exc))
 
 
 def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str):
@@ -80,13 +96,17 @@ def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str
     return p
 
 
-def _policy_from_args(args: argparse.Namespace) -> KeyPolicy:
-    return KeyPolicy(
-        args.master_seed,
-        Scenario.from_name(args.scenario),
-        SchemeId.from_name(args.scheme),
-        _params_from_args(args),
+def _policy_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> KeyPolicy:
+    """The KeyPolicy of a policy subcommand; a bad scheme name or parameter is
+    a usage error naming its flag."""
+    try:
+        scheme = SchemeId.from_name(args.scheme)
+    except InvalidArgumentError as exc:
+        parser.error(f"argument --scheme: {exc}")
+    params = _from_flags(
+        parser, SchemeParams, **{f.name: getattr(args, f.name) for f in fields(SchemeParams)}
     )
+    return KeyPolicy(args.master_seed, Scenario.from_name(args.scenario), scheme, params)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,16 +305,15 @@ def _run_benchmark_cells(
 
 
 def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        cfg = SynthConfig(
-            subjects=args.subjects,
-            samples_per_subject=args.samples,
-            dimension=args.dim,
-            noise_sigma=args.sigma,
-            seed=args.seed,
-        )
-    except CbBenchError as exc:
-        parser.error(str(exc))
+    cfg = _from_flags(
+        parser,
+        SynthConfig,
+        subjects=args.subjects,
+        samples_per_subject=args.samples,
+        dimension=args.dim,
+        noise_sigma=args.sigma,
+        seed=args.seed,
+    )
     ds = generate(cfg)
     write_templates(ds, args.out)
     print(
@@ -304,9 +323,9 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_protect(args: argparse.Namespace) -> int:
+def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    policy = _policy_from_args(args)
     y = protected_matrix(ds, policy)
     with _open_write(Path(args.out)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -317,9 +336,9 @@ def _cmd_protect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval_perf(args: argparse.Namespace) -> int:
+def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    policy = _policy_from_args(args)
     perf = _perf_block(run_scenario(ds, policy))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +351,8 @@ def _cmd_eval_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval_unlink(args: argparse.Namespace) -> int:
+def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    policy = _policy_from_args(args, parser)
     if args.scenario != Scenario.SAMPLE_SPECIFIC.value:
         print(
             f"error: unlinkability requires the sample-specific scenario, got {args.scenario!r}",
@@ -340,7 +360,6 @@ def _cmd_eval_unlink(args: argparse.Namespace) -> int:
         )
         return 1
     ds = read_templates(args.templates)
-    policy = _policy_from_args(args)
     report = unlinkability(run_scenario(ds, policy), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,9 +375,9 @@ def _cmd_eval_unlink(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval_irrev(args: argparse.Namespace) -> int:
+def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    policy = _policy_from_args(args)
     x = ds.feature_matrix()
     y = protected_matrix(ds, policy)
     report = mutual_information(x, y, args.r)
@@ -390,7 +409,7 @@ def _cmd_eval_irrev(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
@@ -411,26 +430,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "protect": _cmd_protect,
+    "eval-perf": _cmd_eval_perf,
+    "eval-unlink": _cmd_eval_unlink,
+    "eval-irrev": _cmd_eval_irrev,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args, parser)
-        if args.command == "protect":
-            return _cmd_protect(args)
-        if args.command == "eval-perf":
-            return _cmd_eval_perf(args)
-        if args.command == "eval-unlink":
-            return _cmd_eval_unlink(args)
-        if args.command == "eval-irrev":
-            return _cmd_eval_irrev(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return _COMMANDS[args.command](args, parser)
     except (CbBenchError, OSError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

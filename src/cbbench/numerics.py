@@ -72,9 +72,16 @@ class RandomStream:
             raise InvalidArgumentError("high must be >= 1")
         return self._gen.integers(0, high, size=n, dtype=np.int64)
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Return a uniform permutation of range(n)."""
-        return self._gen.permutation(n)
+    def permutation(self, n: int, count: int | None = None) -> np.ndarray:
+        """Return a uniform permutation of range(n), or a (count, n) array of them.
+
+        With ``count``, row i is what the i-th of ``count`` sequential
+        ``permutation(n)`` calls would return, and the stream is left in the
+        same state: both run the same Fisher-Yates shuffle, row after row.
+        """
+        if count is None:
+            return self._gen.permutation(n)
+        return self._gen.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
 def derive_stream(seed: int, label: bytes | str) -> RandomStream:
@@ -95,11 +102,13 @@ def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:
 
 
 def gram_schmidt(m: np.ndarray) -> np.ndarray:
-    """Orthonormalize the rows of ``m`` (modified Gram-Schmidt, two passes).
+    """Orthonormalize the rows of ``m`` by Householder QR of ``m.T``.
 
-    The result spans the same row space. Requires rows <= cols; raises
-    DegenerateInputError when a residual collapses below 1e-12, which signals
-    linearly dependent rows.
+    Row i of the result is the unit vector modified Gram-Schmidt would give:
+    the columns of Q are multiplied by the signs of diag(R), which makes the
+    factorization unique, and the two agree to about 1e-15. Requires
+    rows <= cols; raises DegenerateInputError naming the first row whose
+    |R_ii| is below 1e-12 (it is linearly dependent on the rows before it).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -107,18 +116,12 @@ def gram_schmidt(m: np.ndarray) -> np.ndarray:
     rows, cols = m.shape
     if rows > cols:
         raise InvalidArgumentError(f"need rows <= cols to orthonormalize rows, got {rows}x{cols}")
-    q = m.copy()
-    for i in range(rows):
-        v = q[i]
-        # second pass restores orthogonality lost to cancellation at high dim
-        for _ in range(2):
-            if i:
-                v = v - (q[:i] @ v) @ q[:i]
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise DegenerateInputError(f"row {i} is linearly dependent on previous rows")
-        q[i] = v / norm
-    return q
+    q, r = np.linalg.qr(m.T)
+    diag = np.diag(r)
+    dependent = np.flatnonzero(np.abs(diag) < 1e-12)
+    if dependent.size:
+        raise DegenerateInputError(f"row {dependent[0]} is linearly dependent on previous rows")
+    return np.ascontiguousarray((q * np.sign(diag)).T)
 
 
 @dataclass

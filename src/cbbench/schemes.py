@@ -168,10 +168,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
                 f"iom_k={params.iom_k} exceeds the input dimension {d}"
             )
         stream = derive_stream(key.seed, b"iom-urp.perms")
-        perms = np.empty((length, params.iom_p, d), dtype=np.int64)
-        for m in range(length):
-            for p in range(params.iom_p):
-                perms[m, p] = stream.permutation(d)
+        perms = stream.permutation(d, length * params.iom_p).reshape(length, params.iom_p, d)
         return IomUrpInstance(scheme, d, perms=perms, k=params.iom_k)
 
     if scheme is SchemeId.RAND_HASH:

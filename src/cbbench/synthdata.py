@@ -39,8 +39,10 @@ class SynthConfig:
             )
         if self.dimension < 2:
             raise InvalidArgumentError(f"dimension must be >= 2, got {self.dimension}")
-        if not self.noise_sigma > 0:
-            raise InvalidArgumentError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise InvalidArgumentError(
+                f"noise_sigma must be finite and > 0, got {self.noise_sigma}"
+            )
 
 
 # benchmark default: small enough that the full six-scheme, three-scenario

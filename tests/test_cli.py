@@ -282,17 +282,26 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["bench", "--config", "{config:subjects}"], 1, "subjects"),
         (["bench", "--config", "{config:output_length}"], 1, "output_length"),
         (["bench", "--config", "{config:scenarios}"], 1, "scenarios"),
+        (EVAL_PERF + ["--length", "4"], 2, "--length"),
+        (["eval-perf", "--templates", "t.csv", "--scheme", "nosuch"], 2, "nosuch"),
+        (["synth", "--subjects", "2", "--samples", "2", "--dim", "4", "--sigma", "inf",
+          "--out", "t.csv"], 2, "--sigma"),
+        (["bench", "--config", "{config:noise_sigma}"], 1, "noise_sigma"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
-         "config-subjects-str", "config-param-str", "config-scenarios-str"],
+         "config-subjects-str", "config-param-str", "config-scenarios-str",
+         "param-length-4", "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400"],
 )
-def test_bad_input_exits_without_traceback(tmp_path, capsys, argv, code, culprit):
+def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
+    monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
     configs = {
         "{config}": {},
         "{config:master_seed}": {"master_seed": "abc"},
         "{config:subjects}": {"synthetic": {**SMALL_SYNTHETIC, "subjects": "3"}},
         "{config:output_length}": {"params": {"output_length": "64"}},
         "{config:scenarios}": {"scenarios": "normal"},
+        # the JSON number 1e400 parses to inf, as does this literal
+        "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
     }
     argv = [str(small_config(tmp_path, **configs[a])) if a in configs else a for a in argv]
     assert _run(argv) == code

@@ -51,6 +51,17 @@ class TestRandomStream:
         with pytest.raises(InvalidArgumentError):
             derive_stream(2**64, b"a")
 
+    @pytest.mark.parametrize("count,n", [(512, 128), (512, 256), (3, 2), (1, 1000), (7, 16)])
+    def test_batched_permutations_equal_sequential_calls(self, count, n):
+        batched = derive_stream(9, b"p")
+        sequential = derive_stream(9, b"p")
+        rows = batched.permutation(n, count)
+        expected = np.stack([sequential.permutation(n) for _ in range(count)])
+        assert rows.shape == (count, n) and rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
+        # the batch leaves the stream where the sequential calls leave it
+        assert np.array_equal(batched.words(4), sequential.words(4))
+
 
 class TestGaussianMatrix:
     def test_replay(self):
@@ -72,6 +83,18 @@ class TestGaussianMatrix:
             gaussian_matrix(derive_stream(3, b"m"), 0, 4)
         with pytest.raises(InvalidArgumentError):
             gaussian_matrix(derive_stream(3, b"m"), 4, 0)
+
+
+def mgs_oracle(m: np.ndarray) -> np.ndarray:
+    """Two-pass modified Gram-Schmidt over the rows, one row at a time."""
+    q = np.asarray(m, dtype=np.float64).copy()
+    for i in range(q.shape[0]):
+        v = q[i]
+        for _ in range(2):
+            if i:
+                v = v - (q[:i] @ v) @ q[:i]
+        q[i] = v / np.linalg.norm(v)
+    return q
 
 
 class TestGramSchmidt:
@@ -106,6 +129,18 @@ class TestGramSchmidt:
         # every original row must lie in the span of the output rows
         recon = (m @ q.T) @ q
         assert np.allclose(recon, m, atol=1e-10)
+
+    @pytest.mark.parametrize("rows,cols", [(128, 128), (256, 256), (64, 100)])
+    def test_matches_modified_gram_schmidt(self, rows, cols, rng):
+        m = rng.standard_normal((rows, cols))
+        q = gram_schmidt(m)
+        assert q.flags.c_contiguous
+        assert np.abs(q - mgs_oracle(m)).max() <= 1e-12
+
+    def test_degenerate_error_names_dependent_row(self):
+        m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, -3.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateInputError, match="row 2 "):
+            gram_schmidt(m)
 
 
 class TestPca:

@@ -172,6 +172,18 @@ class TestIomUrp:
         codes = iom_urp_protect(template(x), inst).payload.codes
         assert np.array_equal(codes, [1])  # argmax of (0.1, 0.9, 0.5)
 
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_perms_equal_one_draw_per_permutation(self, d):
+        params = SchemeParams(output_length=64, iom_k=8, iom_p=3)
+        inst = instantiate(SchemeKey(23, SchemeId.IOM_URP, params), d)
+        # reference: one permutation(d) call per (code, factor), code-major
+        stream = derive_stream(23, b"iom-urp.perms")
+        perms = np.empty((params.output_length, params.iom_p, d), dtype=np.int64)
+        for m in range(params.output_length):
+            for p in range(params.iom_p):
+                perms[m, p] = stream.permutation(d)
+        assert np.array_equal(inst.perms, perms)
+
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(22, SchemeId.IOM_URP, SMALL), 16)
         payload = iom_urp_protect(random_template(16), inst).payload
