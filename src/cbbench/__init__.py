@@ -64,7 +64,7 @@ from .io import (
     write_templates,
 )
 from .protocol import KeyPolicy, ScoreSet, derive_key, mated_pairs, nonmated_pairs, run_scenario
-from .schemes import chance_level, compare, instantiate, protect
+from .schemes import chance_level, compare, instantiate, protect, protect_batch
 from .synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_scores
 
 __all__ = [
@@ -79,7 +79,7 @@ __all__ = [
     "RandomStream", "derive_stream", "gaussian_matrix", "gram_schmidt", "PcaModel",
     "pca_fit", "pca_transform", "covariance", "default_ridge", "gaussian_entropy",
     # schemes
-    "instantiate", "protect", "compare", "chance_level",
+    "instantiate", "protect", "protect_batch", "compare", "chance_level",
     # protocol
     "KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "run_scenario",
     # metrics

@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _param_flags(p)
 
     p = _policy_parser(sub, "eval-unlink", "unlinkability for one scheme (sample-specific keys)",
-                       [s.value for s in Scenario], "sample-specific")
+                       ["sample-specific"], "sample-specific")
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
@@ -353,12 +353,6 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
-    if args.scenario != Scenario.SAMPLE_SPECIFIC.value:
-        print(
-            f"error: unlinkability requires the sample-specific scenario, got {args.scenario!r}",
-            file=sys.stderr,
-        )
-        return 1
     ds = read_templates(args.templates)
     report = unlinkability(run_scenario(ds, policy), args.bins)
     out_dir = Path(args.out_dir)

@@ -76,8 +76,10 @@ class SchemeParams:
     bloom_block_cols: int = field(default=16, metadata={"help": "columns per bloom block"})
 
     def __post_init__(self) -> None:
-        if self.output_length < 8:
-            raise InvalidArgumentError(f"output_length must be >= 8, got {self.output_length}")
+        if not 8 <= self.output_length <= 4096:  # 4096 keeps mlp-hash's L x L layer at 128 MiB
+            raise InvalidArgumentError(
+                f"output_length must be in [8, 4096], got {self.output_length}"
+            )
         if self.iom_k < 2:
             raise InvalidArgumentError(f"iom_k must be >= 2, got {self.iom_k}")
         if self.iom_p < 1:

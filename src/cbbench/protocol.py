@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, Template
 from .errors import InvalidArgumentError
-from .schemes import instantiate, protect, similarities
+from .schemes import instantiate, protect_batch, similarities
 
 __all__ = [
     "KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "protected_matrix",
@@ -26,6 +26,7 @@ __all__ = [
 
 _STOLEN_LABEL = b"stolen-token"
 _ID_SEPARATOR = b"\x1f"  # keeps ("ab", "c") distinct from ("a", "bc")
+_BLOCK_ROWS = 64  # rows per protect_batch call; bounds the iom kernels' temporaries
 
 
 def _hash64(parts: list[bytes]) -> int:
@@ -113,26 +114,32 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     real-valued rows in dataset order (bits as 0/1, codes as integers, Bloom
     blocks concatenated): the attacker's view of the protected database.
 
-    Each derived key is instantiated once, protects its rows and is dropped,
-    so at most ``workers`` instances are alive; with ``workers > 1`` keys are
+    Each derived key is instantiated once, protects its rows with one
+    ``protect_batch`` call per block of up to 64 rows and is dropped, so at
+    most ``workers`` instances are alive; with ``workers > 1`` keys are
     spread over a thread pool. Results are identical either way.
     """
     groups: dict[SchemeKey, list[int]] = {}
     for i, t in enumerate(ds.templates):
         groups.setdefault(derive_key(policy, t.subject_id, t.sample_id), []).append(i)
-    vectors: list[np.ndarray | None] = [None] * len(ds)
 
-    def protect_group(key: SchemeKey) -> None:
+    def protect_group(key: SchemeKey) -> np.ndarray:
         inst = instantiate(key, ds.dimension)
-        for i in groups[key]:
-            vectors[i] = protect(ds.templates[i], inst).to_real_vector()
+        rows = groups[key]
+        chunks = [rows[s : s + _BLOCK_ROWS] for s in range(0, len(rows), _BLOCK_ROWS)]
+        return np.vstack([
+            protect_batch(np.vstack([ds.templates[i].features for i in c]), inst) for c in chunks
+        ])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(protect_group, groups))
+            parts = list(pool.map(protect_group, groups))
     else:
-        list(map(protect_group, groups))
-    return np.vstack(vectors)
+        parts = list(map(protect_group, groups))
+    y = np.empty((len(ds), parts[0].shape[1]))
+    for rows, part in zip(groups.values(), parts):
+        y[rows] = part
+    return y
 
 
 def run_scenario(

@@ -2,7 +2,7 @@
 
 Every transform is a pure function of (key, input dimension, template):
 ``instantiate`` materializes all key-derived randomness up front, and the
-per-scheme ``*_protect`` functions never draw randomness themselves. All six
+per-scheme batch kernels behind ``protect_batch`` never draw randomness. All six
 constructions are sign/argmax based, so protecting c*x for any c > 0 yields
 exactly the same protected template as protecting x.
 """
@@ -37,12 +37,7 @@ __all__ = [
     "RandHashInstance",
     "instantiate",
     "protect",
-    "biohash_protect",
-    "mlphash_protect",
-    "bloom_protect",
-    "iom_grp_protect",
-    "iom_urp_protect",
-    "randhash_protect",
+    "protect_batch",
     "compare",
     "similarities",
     "chance_level",
@@ -93,6 +88,10 @@ class BloomInstance(TransformInstance):
 @dataclass(frozen=True)
 class IomGrpInstance(TransformInstance):
     directions: np.ndarray  # (m, k, dim) Gaussian projection directions
+
+    @property
+    def k(self) -> int:
+        return self.directions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -191,99 +190,95 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
     raise InvalidArgumentError(f"unsupported scheme {scheme!r}")
 
 
-def _check_input(t: Template, inst: TransformInstance, expected: type) -> np.ndarray:
-    if not isinstance(inst, expected):
-        raise InvalidArgumentError(
-            f"instance is {type(inst).__name__}, expected {expected.__name__}"
-        )
-    if t.dimension != inst.dim:
-        raise InvalidArgumentError(
-            f"template dimension {t.dimension} != instance dimension {inst.dim}"
-        )
-    return t.features
-
-
-def biohash_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
+def _biohash_kernel(x: np.ndarray, inst: BioHashInstance) -> np.ndarray:
     """Project onto the orthonormalized random rows and threshold at zero."""
-    x = _check_input(t, inst, BioHashInstance)
-    bits = (inst.projection @ x > 0).astype(np.uint8)
-    return ProtectedTemplate(SchemeId.BIOHASH, BitString(bits))
+    return x @ inst.projection.T > 0
 
 
-def mlphash_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
+def _mlphash_kernel(x: np.ndarray, inst: MlpHashInstance) -> np.ndarray:
     """Pass through the random orthonormal layers with a leaky ramp between
     them, then threshold the final activations at zero."""
-    x = _check_input(t, inst, MlpHashInstance)
     h = x
     for w in inst.layers:
-        z = w @ h
+        z = h @ w.T
         h = np.where(z > 0, z, _LEAKY_SLOPE * z)
-    bits = (h > 0).astype(np.uint8)
-    return ProtectedTemplate(SchemeId.MLP_HASH, BitString(bits))
+    return h > 0
 
 
-def bloom_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
+def _bloom_kernel(x: np.ndarray, inst: BloomInstance) -> np.ndarray:
     """Sign-binarize, split into key-masked column words and populate one
     filter block per group of columns."""
-    x = _check_input(t, inst, BloomInstance)
-    bits = (x > 0).astype(np.uint8)
-    padded = np.zeros(inst.padded_bits, dtype=np.uint8)
-    padded[: bits.shape[0]] = bits
+    n = x.shape[0]
+    padded = np.pad(x > 0, ((0, 0), (0, inst.padded_bits - inst.dim)))
     # consecutive w-bit runs form column words, most significant bit first
     weights = 1 << np.arange(inst.word_bits - 1, -1, -1, dtype=np.int64)
-    words = padded.reshape(-1, inst.word_bits) @ weights
-    masked = words ^ inst.masks
-    blocks = np.zeros((inst.n_blocks, 2**inst.word_bits), dtype=np.uint8)
-    per_block = masked.reshape(inst.n_blocks, inst.block_cols)
-    for b in range(inst.n_blocks):
-        blocks[b, per_block[b]] = 1
-    return ProtectedTemplate(SchemeId.BLOOM_FILTER, BloomSet(blocks))
+    words = padded.reshape(n, -1, inst.word_bits) @ weights
+    masked = (words ^ inst.masks).reshape(n, inst.n_blocks, inst.block_cols)
+    blocks = np.zeros((n, inst.n_blocks, 2**inst.word_bits), dtype=np.uint8)
+    np.put_along_axis(blocks, masked, 1, axis=2)
+    return blocks.reshape(n, -1)
 
 
-def iom_grp_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
-    """For each hash, record which of its k Gaussian projections is largest."""
-    x = _check_input(t, inst, IomGrpInstance)
-    projections = inst.directions @ x  # (m, k)
-    codes = np.argmax(projections, axis=1)  # ties resolve to the lowest index
-    return ProtectedTemplate(SchemeId.IOM_GRP, CodeVector(codes, k=inst.directions.shape[1]))
+def _iom_grp_kernel(x: np.ndarray, inst: IomGrpInstance) -> np.ndarray:
+    """For each hash, record which of its k Gaussian projections is largest
+    (ties resolve to the lowest index)."""
+    # (m, n, k): k last, so argmax reduces the contiguous axis without a copy
+    return np.argmax(x @ inst.directions.transpose(0, 2, 1), axis=2).T
 
 
-def iom_urp_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
+def _iom_urp_kernel(x: np.ndarray, inst: IomUrpInstance) -> np.ndarray:
     """For each hash, multiply p independently permuted copies of the input
     elementwise and record the argmax among the first k entries."""
-    x = _check_input(t, inst, IomUrpInstance)
-    products = np.prod(x[inst.perms], axis=1)  # (m, dim)
-    codes = np.argmax(products[:, : inst.k], axis=1)
-    return ProtectedTemplate(SchemeId.IOM_URP, CodeVector(codes, k=inst.k))
+    kept = inst.perms[:, :, : inst.k]  # (m, p, k): only the entries the argmax reads
+    products = x[:, kept[:, 0]]  # factor by factor, as np.prod: no (n, m, p, k) gather
+    for j in range(1, kept.shape[1]):
+        products *= x[:, kept[:, j]]
+    return np.argmax(products, axis=2)
 
 
-def randhash_protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
+def _randhash_kernel(x: np.ndarray, inst: RandHashInstance) -> np.ndarray:
     """Scale, sign-flip and permute, then binarize at zero. Output is
     truncated to the requested length, or padded with key-derived fixed bits
     when the length exceeds the input dimension."""
-    x = _check_input(t, inst, RandHashInstance)
-    y = (x * inst.signs * inst.scales)[inst.perm]
-    data_bits = (y > 0).astype(np.uint8)
+    bits = (x * inst.signs * inst.scales)[:, inst.perm] > 0
     if inst.output_length <= inst.dim:
-        bits = data_bits[: inst.output_length]
-    else:
-        bits = np.concatenate([data_bits, inst.pad_bits])
-    return ProtectedTemplate(SchemeId.RAND_HASH, BitString(bits))
+        return bits[:, : inst.output_length]
+    return np.hstack([bits, np.broadcast_to(inst.pad_bits, (x.shape[0], inst.pad_bits.size))])
 
 
-_PROTECT_FOR_SCHEME = {
-    SchemeId.BIOHASH: biohash_protect,
-    SchemeId.MLP_HASH: mlphash_protect,
-    SchemeId.BLOOM_FILTER: bloom_protect,
-    SchemeId.IOM_GRP: iom_grp_protect,
-    SchemeId.IOM_URP: iom_urp_protect,
-    SchemeId.RAND_HASH: randhash_protect,
+_KERNEL_FOR_SCHEME = {
+    SchemeId.BIOHASH: (BioHashInstance, _biohash_kernel),
+    SchemeId.MLP_HASH: (MlpHashInstance, _mlphash_kernel),
+    SchemeId.BLOOM_FILTER: (BloomInstance, _bloom_kernel),
+    SchemeId.IOM_GRP: (IomGrpInstance, _iom_grp_kernel),
+    SchemeId.IOM_URP: (IomUrpInstance, _iom_urp_kernel),
+    SchemeId.RAND_HASH: (RandHashInstance, _randhash_kernel),
 }
 
 
+def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
+    """Protect each row of the (n, dim) feature block ``x`` with the transform
+    the instance was built for, as float64 rows in the ``to_real_vector``
+    layout (bits as 0/1, codes as integers, Bloom blocks concatenated)."""
+    expected, kernel = _KERNEL_FOR_SCHEME[inst.scheme_id]
+    if not isinstance(inst, expected):
+        raise InvalidArgumentError(f"instance is {type(inst).__name__}, not {expected.__name__}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != inst.dim:
+        raise InvalidArgumentError(f"feature block shape {x.shape} is not (n, {inst.dim})")
+    return kernel(x, inst).astype(np.float64)
+
+
 def protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
-    """Apply the transform the instance was built for."""
-    return _PROTECT_FOR_SCHEME[inst.scheme_id](t, inst)
+    """Apply the transform the instance was built for to one template: the
+    one-row call of ``protect_batch``, wrapped in the scheme's payload type."""
+    row = protect_batch(t.features[None], inst)[0]
+    payload = _PAYLOAD_FOR_SCHEME[inst.scheme_id]
+    if payload is BloomSet:
+        return ProtectedTemplate(inst.scheme_id, BloomSet(row.reshape(inst.n_blocks, -1)))
+    if payload is CodeVector:
+        return ProtectedTemplate(inst.scheme_id, CodeVector(row, k=inst.k))
+    return ProtectedTemplate(inst.scheme_id, BitString(row))
 
 
 def _bit_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -112,14 +112,6 @@ class TestEvalPerf:
 
 
 class TestEvalUnlink:
-    def test_refuses_non_sample_specific(self, tmp_path, template_csv, capsys):
-        rc = main(
-            ["eval-unlink", "--templates", str(template_csv), "--scheme", "biohash",
-             "--scenario", "stolen", "--out-dir", str(tmp_path / "out")]
-        )
-        assert rc == 1
-        assert "sample-specific" in capsys.readouterr().err
-
     def test_runs_sample_specific(self, tmp_path, template_csv, capsys):
         rc = main(
             ["eval-unlink", "--templates", str(template_csv), "--scheme", "biohash",
@@ -283,6 +275,10 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["bench", "--config", "{config:output_length}"], 1, "output_length"),
         (["bench", "--config", "{config:scenarios}"], 1, "scenarios"),
         (EVAL_PERF + ["--length", "4"], 2, "--length"),
+        (EVAL_PERF + ["--length", "300000000"], 2, "--length"),
+        (["bench", "--config", "{config:output_length_big}"], 1, "output_length"),
+        (["eval-unlink", "--templates", "t.csv", "--scheme", "biohash", "--scenario", "stolen"],
+         2, "--scenario"),
         (["eval-perf", "--templates", "t.csv", "--scheme", "nosuch"], 2, "nosuch"),
         (["synth", "--subjects", "2", "--samples", "2", "--dim", "4", "--sigma", "inf",
           "--out", "t.csv"], 2, "--sigma"),
@@ -290,7 +286,8 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
-         "param-length-4", "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400"],
+         "param-length-4", "param-length-3e8", "config-param-3e8", "unlink-scenario-stolen",
+         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -299,6 +296,7 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:master_seed}": {"master_seed": "abc"},
         "{config:subjects}": {"synthetic": {**SMALL_SYNTHETIC, "subjects": "3"}},
         "{config:output_length}": {"params": {"output_length": "64"}},
+        "{config:output_length_big}": {"params": {"output_length": 300000000}},
         "{config:scenarios}": {"scenarios": "normal"},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},

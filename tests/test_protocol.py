@@ -221,9 +221,23 @@ class TestProtectedMatrix:
         assert np.array_equal(protected_matrix(ds, p), expected)
         assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
 
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_stolen_key_crosses_block_boundary(self, scheme):
+        # one key for 2 * 64 + 1 rows: protected in blocks of 64, 64 and 1 rows
+        from cbbench.metrics import protected_matrix
+        from cbbench.schemes import instantiate, protect
+
+        ds = generate(SynthConfig(43, 3, 16, 0.3, 5))
+        assert len(ds) == 2 * 64 + 1
+        p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
+        inst = instantiate(derive_key(p, "", ""), 16)
+        expected = np.vstack([protect(t, inst).to_real_vector() for t in ds.templates])
+        assert np.array_equal(protected_matrix(ds, p), expected)
+        assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
+
     def test_threaded_pass_under_fast_switching(self):
-        # more workers than cores writing disjoint rows of one shared list;
-        # a lost or misplaced row would change the matrix
+        # more workers than cores, each protecting its own keys' rows; a lost
+        # or misplaced row would change the matrix
         import sys
 
         from cbbench.metrics import protected_matrix

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbbench.core import SchemeId, SchemeKey, SchemeParams, Template
 from cbbench.errors import InvalidArgumentError
@@ -13,16 +15,11 @@ from cbbench.schemes import (
     IomUrpInstance,
     MlpHashInstance,
     RandHashInstance,
-    biohash_protect,
-    bloom_protect,
     chance_level,
     compare,
     instantiate,
-    iom_grp_protect,
-    iom_urp_protect,
-    mlphash_protect,
     protect,
-    randhash_protect,
+    protect_batch,
 )
 
 ALL_SCHEMES = list(SchemeId)
@@ -78,31 +75,31 @@ class TestInstantiate:
 class TestBioHash:
     def test_forced_identity_projection(self):
         inst = BioHashInstance(SchemeId.BIOHASH, 2, projection=np.eye(2))
-        bits = biohash_protect(template([1.0, 0.0]), inst).payload.bits
+        bits = protect(template([1.0, 0.0]), inst).payload.bits
         assert np.array_equal(bits, [1, 0])  # <x,e1>=1 > 0; <x,e2>=0 is not > 0
 
     def test_zero_vector_gives_zero_bits(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
-        bits = biohash_protect(template(np.zeros(8)), inst).payload.bits
+        bits = protect(template(np.zeros(8)), inst).payload.bits
         assert not bits.any()
 
     def test_dimension_mismatch_rejected(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
         with pytest.raises(InvalidArgumentError):
-            biohash_protect(random_template(9), inst)
+            protect(random_template(9), inst)
 
 
 class TestMlpHash:
     def test_forced_identity_single_layer(self):
         inst = MlpHashInstance(SchemeId.MLP_HASH, 2, layers=(np.eye(2),))
-        bits = mlphash_protect(template([2.0, -1.0]), inst).payload.bits
+        bits = protect(template([2.0, -1.0]), inst).payload.bits
         assert np.array_equal(bits, [1, 0])  # activations (2, -0.01)
 
     def test_replay(self):
         inst = instantiate(SchemeKey(9, SchemeId.MLP_HASH, SMALL), 12)
         t = random_template(12)
-        a = mlphash_protect(t, inst).payload.bits
-        b = mlphash_protect(t, inst).payload.bits
+        a = protect(t, inst).payload.bits
+        b = protect(t, inst).payload.bits
         assert np.array_equal(a, b)
 
     def test_layer_shapes(self):
@@ -119,7 +116,7 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
             masks=np.zeros(2, dtype=np.int64),
         )
-        blocks = bloom_protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
+        blocks = protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
         assert blocks.shape == (1, 4)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])
 
@@ -128,7 +125,7 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
             masks=np.array([1, 1], dtype=np.int64),
         )
-        blocks = bloom_protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
+        blocks = protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
         assert np.array_equal(blocks[0], [0, 0, 1, 1])  # 2^1=3, 3^1=2: same set
 
     def test_duplicate_columns_idempotent(self):
@@ -137,14 +134,14 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 8, word_bits=2, block_cols=4,
             masks=np.zeros(4, dtype=np.int64),
         )
-        blocks = bloom_protect(template(np.ones(8)), inst).payload.blocks
+        blocks = protect(template(np.ones(8)), inst).payload.blocks
         assert blocks.sum() == 1 and blocks[0, 3] == 1
 
     def test_determinism_and_padding(self):
         inst = instantiate(SchemeKey(8, SchemeId.BLOOM_FILTER, SMALL), 10)
         t = random_template(10)
-        a = bloom_protect(t, inst)
-        b = bloom_protect(t, inst)
+        a = protect(t, inst)
+        b = protect(t, inst)
         assert np.array_equal(a.payload.blocks, b.payload.blocks)
         assert a.payload.blocks.shape == (1, 16)  # 10 bits pad to 4*4=16
 
@@ -153,12 +150,12 @@ class TestIomGrp:
     def test_forced_directions(self):
         directions = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one hash, k=2, e1/e2
         inst = IomGrpInstance(SchemeId.IOM_GRP, 2, directions=directions)
-        codes = iom_grp_protect(template([2.0, 1.0]), inst).payload.codes
+        codes = protect(template([2.0, 1.0]), inst).payload.codes
         assert np.array_equal(codes, [0])  # projections (2,1): argmax at 0
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(21, SchemeId.IOM_GRP, SMALL), 16)
-        payload = iom_grp_protect(random_template(16), inst).payload
+        payload = protect(random_template(16), inst).payload
         assert payload.k == SMALL.iom_k
         assert payload.codes.min() >= 0 and payload.codes.max() < SMALL.iom_k
         assert len(payload) == SMALL.output_length
@@ -169,7 +166,7 @@ class TestIomUrp:
         x = np.array([0.1, 0.9, 0.5, 0.3, 0.8])
         perms = np.arange(5).reshape(1, 1, 5)
         inst = IomUrpInstance(SchemeId.IOM_URP, 5, perms=perms, k=3)
-        codes = iom_urp_protect(template(x), inst).payload.codes
+        codes = protect(template(x), inst).payload.codes
         assert np.array_equal(codes, [1])  # argmax of (0.1, 0.9, 0.5)
 
     @pytest.mark.parametrize("d", [16, 128])
@@ -186,7 +183,7 @@ class TestIomUrp:
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(22, SchemeId.IOM_URP, SMALL), 16)
-        payload = iom_urp_protect(random_template(16), inst).payload
+        payload = protect(random_template(16), inst).payload
         assert payload.codes.min() >= 0 and payload.codes.max() < SMALL.iom_k
 
 
@@ -200,27 +197,66 @@ class TestRandHash:
             pad_bits=np.zeros(0, dtype=np.uint8),
             output_length=2,
         )
-        bits = randhash_protect(template([3.0, -1.0]), inst).payload.bits
+        bits = protect(template([3.0, -1.0]), inst).payload.bits
         assert np.array_equal(bits, [1, 1])  # y = (3, 2)
 
     def test_truncation_when_length_below_dim(self):
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SchemeParams(output_length=8)), 16)
-        bits = randhash_protect(random_template(16), inst).payload.bits
+        bits = protect(random_template(16), inst).payload.bits
         assert bits.shape == (8,)
 
     def test_padding_when_length_above_dim(self):
         params = SchemeParams(output_length=32)
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, params), 16)
         t = random_template(16)
-        bits = randhash_protect(t, inst).payload.bits
+        bits = protect(t, inst).payload.bits
         assert bits.shape == (32,)
         # pad bits are key-derived constants, independent of the template
-        other = randhash_protect(random_template(16, seed=77), inst).payload.bits
+        other = protect(random_template(16, seed=77), inst).payload.bits
         assert np.array_equal(bits[16:], other[16:])
 
     def test_scales_positive_and_log_bounded(self):
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SMALL), 64)
         assert inst.scales.min() >= 0.5 and inst.scales.max() <= 2.0
+
+
+class TestProtectBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        n=st.integers(1, 129),
+        d=st.integers(2, 40),
+        length=st.integers(8, 40),
+        k=st.integers(2, 8),
+        p=st.integers(1, 3),
+        layers=st.integers(1, 3),
+        word_bits=st.integers(2, 5),
+        cols=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rows_equal_one_row_calls(self, scheme, n, d, length, k, p, layers, word_bits,
+                                      cols, seed):
+        params = SchemeParams(
+            output_length=length, iom_k=min(k, d), iom_p=p, mlp_layers=layers,
+            bloom_word_bits=word_bits, bloom_block_cols=cols,
+        )
+        inst = instantiate(SchemeKey(seed, scheme, params), d)
+        # Gaussian features, as the benchmark draws them
+        x = derive_stream(seed, b"test.protect-batch").normals(n * d).reshape(n, d)
+        y = protect_batch(x, inst)
+        assert y.dtype == np.float64 and y.shape[0] == n
+        for i in range(n):
+            one = protect_batch(x[i : i + 1], inst)[0]
+            assert np.array_equal(y[i], one)
+            assert np.array_equal(one, protect(template(x[i]), inst).to_real_vector())
+
+    def test_instance_type_mismatch_rejected(self):
+        inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
+        wrong = MlpHashInstance(SchemeId.BIOHASH, 8, layers=(np.eye(8),))
+        with pytest.raises(InvalidArgumentError):
+            protect_batch(np.ones((2, 8)), wrong)
+        with pytest.raises(InvalidArgumentError):
+            protect_batch(np.ones(8), inst)  # one row must still be a (1, dim) block
 
 
 class TestScaleInvariance:
