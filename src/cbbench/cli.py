@@ -8,18 +8,19 @@ removed)."""
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Dataset, Scenario, SchemeId, SchemeParams
 from .errors import CbBenchError, InvalidArgumentError
 from .io import (
     BenchmarkConfig,
-    _open_write,
+    _write_rows,
     load_config,
     read_templates,
     write_det_points,
@@ -327,11 +328,12 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
     y = protected_matrix(ds, policy)
-    with _open_write(Path(args.out)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])])
-        for t, row in zip(ds.templates, y):
-            writer.writerow([t.subject_id, t.sample_id] + [repr(float(v)) for v in row])
+    _write_rows(
+        args.out,
+        ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])],
+        y,
+        [(t.subject_id, t.sample_id) for t in ds.templates],
+    )
     print(f"wrote {args.out}: {y.shape[0]} protected templates of length {y.shape[1]}")
     return 0
 
@@ -358,10 +360,8 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / f"unlink_{args.scheme}.csv"
-    with _open_write(curve_path) as fh:
-        fh.write("bin_center,local_d\n")
-        for c, d in zip(report.bin_centers, report.local_d):
-            fh.write(f"{repr(float(c))},{repr(float(d))}\n")
+    curve = np.column_stack([report.bin_centers, report.local_d])
+    _write_rows(curve_path, ["bin_center", "local_d"], curve)
     print(f"D_sys {report.d_sys:.4f}")
     if report.degenerate_range:
         print("warning: degenerate score range (all scores identical)", file=sys.stderr)

@@ -4,7 +4,7 @@ scores and scenario tags."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,39 +61,40 @@ class Scenario(enum.Enum):
         raise InvalidArgumentError(f"unknown scenario name {name!r} (known: {known})")
 
 
+def _param(default: int, help: str, low: int, high: int):
+    """A SchemeParams field: an integer in [low, high]."""
+    return field(default=default, metadata={"help": help, "range": (low, high)})
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Transform hyperparameters. ``output_length`` is the common protected
     length: binary schemes emit that many bits, the index-of-max schemes that
     many codes; the Bloom scheme's storage length follows from its block
-    structure instead. All fields are integers, described by ``help`` metadata."""
+    structure instead. All fields are integers, described by ``help`` metadata
+    and bounded by ``range`` metadata."""
 
-    output_length: int = field(default=256, metadata={"help": "protected output length"})
-    iom_k: int = field(default=16, metadata={"help": "index-of-max alphabet size"})
-    iom_p: int = field(default=2, metadata={"help": "permutation factors (iom-urp)"})
-    mlp_layers: int = field(default=2, metadata={"help": "mlp-hash layer count"})
-    bloom_word_bits: int = field(default=4, metadata={"help": "bits per bloom column"})
-    bloom_block_cols: int = field(default=16, metadata={"help": "columns per bloom block"})
+    # Each cap keeps a mistyped size from allocating without bound, and every
+    # documented config fits under it.
+    # 4096 keeps mlp-hash's L x L layer at 128 MiB
+    output_length: int = _param(256, "protected output length", 8, 4096)
+    # 256 keeps iom-grp's L x k x d directions at 256 MiB for L = 256, d = 512
+    iom_k: int = _param(16, "index-of-max alphabet size", 2, 256)
+    # 16 keeps iom-urp's L x p x d permutations at 16 MiB for L = 256, d = 512
+    iom_p: int = _param(2, "permutation factors (iom-urp)", 1, 16)
+    # 16 keeps mlp-hash's layers at 8 MiB for the default L = 256
+    mlp_layers: int = _param(2, "mlp-hash layer count", 1, 16)
+    bloom_word_bits: int = _param(4, "bits per bloom column", 2, 16)
+    # 1024 columns of 2 bits cover 2048 features, more than a deep template
+    # has; wider blocks only draw unused masks
+    bloom_block_cols: int = _param(16, "columns per bloom block", 1, 1024)
 
     def __post_init__(self) -> None:
-        if not 8 <= self.output_length <= 4096:  # 4096 keeps mlp-hash's L x L layer at 128 MiB
-            raise InvalidArgumentError(
-                f"output_length must be in [8, 4096], got {self.output_length}"
-            )
-        if self.iom_k < 2:
-            raise InvalidArgumentError(f"iom_k must be >= 2, got {self.iom_k}")
-        if self.iom_p < 1:
-            raise InvalidArgumentError(f"iom_p must be >= 1, got {self.iom_p}")
-        if self.mlp_layers < 1:
-            raise InvalidArgumentError(f"mlp_layers must be >= 1, got {self.mlp_layers}")
-        if not 2 <= self.bloom_word_bits <= 16:
-            raise InvalidArgumentError(
-                f"bloom_word_bits must be in [2, 16], got {self.bloom_word_bits}"
-            )
-        if self.bloom_block_cols < 1:
-            raise InvalidArgumentError(
-                f"bloom_block_cols must be >= 1, got {self.bloom_block_cols}"
-            )
+        for f in fields(self):
+            low, high = f.metadata["range"]
+            value = getattr(self, f.name)
+            if not low <= value <= high:
+                raise InvalidArgumentError(f"{f.name} must be in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,14 @@ __all__ = [
 ]
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(value))
+# rows per parsed or formatted block: bounds the temporaries of the CSV
+# reader and writer, whose whole-file forms raised peak memory
+_BLOCK_ROWS = 64
+# characters on which loadtxt and the csv loop may part: a quote (quoted
+# fields, which may span lines), a carriage return (CRLF ends), NUL (a csv
+# error before Python 3.11), and \x1c-\x1f, which loadtxt strips as
+# whitespace around a number but float() rejects
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
 
 
 def _open_write(path: Path):
@@ -42,12 +48,97 @@ def _open_write(path: Path):
         raise CbBenchError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_rows(path: str | Path, header: list[str], values, ids=None) -> None:
+    """Write a CSV of ``header`` and one row per row of ``values`` (an ``(n, k)``
+    float array or a sequence of 1-D arrays), each after its ``ids[i]`` fields.
+
+    Every value is written as ``repr(float(v))``, the shortest decimal that
+    round-trips (csv formats a float with repr). A block whose values are
+    mostly repeats, as protected bits and codes are, formats each distinct bit
+    pattern once: bit patterns, because ``-0.0 == 0.0``.
+    """
+    with _open_write(Path(path)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = np.ascontiguousarray(values[start : start + _BLOCK_ROWS], dtype=np.float64)
+            distinct, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+            if 2 * distinct.size <= block.size:
+                text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+                cells = text[inverse].reshape(block.shape).tolist()
+            else:
+                cells = block.tolist()
+            if ids is not None:
+                cells = [[*p, *c] for p, c in zip(ids[start : start + _BLOCK_ROWS], cells)]
+            writer.writerows(cells)
+
+
+def _read_rows(rows, path: Path, d: int, first: int, templates: list[Template]) -> None:
+    """The csv loop: append the template of each csv row, numbered from
+    ``first``. The only code that words a row's ParseError."""
+    lineno = first - 1
+    try:
+        for lineno, row in enumerate(rows, start=first):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise ParseError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
+            try:
+                features = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(features).all():
+                raise ParseError(f"{path}:{lineno}: non-finite feature value")
+            templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}:{lineno + 1}: {exc}") from None
+
+
+def _parse_block(lines: list[str], d: int):
+    """``(ids, features)`` of a block of body lines, parsed by one C-level
+    ``loadtxt``, or None where the csv loop must read it: a character of
+    ``_CSV_ONLY`` or an over-long line in the block, a row of the wrong
+    width (loadtxt refuses ragged rows, the shape check uniform ones), a
+    value loadtxt refuses or a non-finite value. Blank lines are skipped, as
+    csv.reader yields them as empty rows."""
+    # line by line: a joined block can pass 128 KiB, and freeing an allocation
+    # that large raises glibc's mmap threshold and with it later peak memory
+    if max(map(len, lines)) > csv.field_size_limit() or any(
+        c in line for line in lines for c in _CSV_ONLY
+    ):
+        return None
+    ids, rests = [], []
+    for line in lines:
+        if line == "\n":
+            continue
+        parts = line.split(",", 2)
+        if len(parts) != 3:
+            return None
+        ids.append(parts[:2])
+        rests.append(parts[2])
+    if not rests:
+        return ids, ()
+    try:
+        features = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if features.shape != (len(rests), d) or not np.isfinite(features).all():
+        return None
+    return ids, features
+
+
 def read_templates(path: str | Path) -> Dataset:
     """Read a template CSV (header ``subject_id,sample_id,f0,...``).
 
     Raises ParseError naming the offending line for malformed headers, rows
     of the wrong width, unparseable or non-finite values, and for datasets
     violating the core invariants (duplicate ids, subjects with one sample).
+
+    The body is read in blocks of ``_BLOCK_ROWS`` lines, each parsed in C by
+    ``loadtxt``, which rounds a value exactly as ``float()`` does. From the
+    first block it cannot take as the csv loop would (see ``_parse_block``),
+    the csv loop reads the rest of the file, so results and errors are the
+    csv loop's.
     """
     path = Path(path)
     try:
@@ -60,6 +151,8 @@ def read_templates(path: str | Path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
         if len(header) < 4 or header[0] != "subject_id" or header[1] != "sample_id":
             raise ParseError(f"{path}:1: expected header subject_id,sample_id,f0,...")
         d = len(header) - 2
@@ -67,20 +160,14 @@ def read_templates(path: str | Path) -> Dataset:
         if header[2:] != expected_features:
             raise ParseError(f"{path}:1: feature columns must be named f0..f{d - 1}")
         templates: list[Template] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}"
-                )
-            try:
-                features = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(features).all():
-                raise ParseError(f"{path}:{lineno}: non-finite feature value")
-            templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
+        lineno = 2
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            parsed = _parse_block(lines, d)
+            if parsed is None:
+                _read_rows(csv.reader(chain(lines, fh)), path, d, lineno, templates)
+                break
+            templates += [Template(s, n, f) for (s, n), f in zip(*parsed)]
+            lineno += len(lines)
     if not templates:
         raise ParseError(f"{path}: no template rows")
     ds = Dataset(templates=templates, dimension=d)
@@ -92,22 +179,22 @@ def read_templates(path: str | Path) -> Dataset:
 
 def write_templates(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as a template CSV readable by :func:`read_templates`."""
-    path = Path(path)
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "sample_id"] + [f"f{i}" for i in range(ds.dimension)])
-        for t in ds.templates:
-            writer.writerow([t.subject_id, t.sample_id] + [_fmt(v) for v in t.features])
+    _write_rows(
+        path,
+        ["subject_id", "sample_id"] + [f"f{i}" for i in range(ds.dimension)],
+        [t.features for t in ds.templates],
+        [(t.subject_id, t.sample_id) for t in ds.templates],
+    )
 
 
 def write_det_points(curve: DetCurve, path: str | Path) -> None:
     """Emit ``threshold,fmr,fnmr`` rows sorted by threshold ascending."""
-    path = Path(path)
     order = np.argsort(curve.thresholds)
-    with _open_write(path) as fh:
-        fh.write("threshold,fmr,fnmr\n")
-        for i in order:
-            fh.write(f"{_fmt(curve.thresholds[i])},{_fmt(curve.fmr[i])},{_fmt(curve.fnmr[i])}\n")
+    _write_rows(
+        path,
+        ["threshold", "fmr", "fnmr"],
+        np.column_stack([curve.thresholds[order], curve.fmr[order], curve.fnmr[order]]),
+    )
 
 
 def read_det_points(path: str | Path) -> DetCurve:

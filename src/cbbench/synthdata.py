@@ -10,7 +10,8 @@ it drags mated cosine similarity from 1 toward the non-mated level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .protocol import ScoreSet, mated_pairs, nonmated_pairs
 __all__ = ["SynthConfig", "generate", "unprotected_scores", "STANDARD_CONFIG"]
 
 
+# accepted types of a SynthConfig field by its annotation (a string here)
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     subjects: int
@@ -31,6 +36,11 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind, what = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no number
+                raise InvalidArgumentError(f"{f.name} must be {what}, got {value!r}")
         if self.subjects < 2:
             raise InvalidArgumentError(f"subjects must be >= 2, got {self.subjects}")
         if self.samples_per_subject < 2:
@@ -43,6 +53,8 @@ class SynthConfig:
             raise InvalidArgumentError(
                 f"noise_sigma must be finite and > 0, got {self.noise_sigma}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 # benchmark default: small enough that the full six-scheme, three-scenario

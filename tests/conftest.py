@@ -1,16 +1,22 @@
 """Shared oracles and fixtures.
 
 The oracles here deliberately take the dumbest correct path (dense
-eigendecompositions, exhaustive threshold sweeps with direct counting) so
-they stay independent of the library's faster implementations.
+eigendecompositions, exhaustive threshold sweeps with direct counting,
+per-value csv loops) so they stay independent of the library's faster
+implementations.
 """
 
+import csv
+import io
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template, validate_dataset
+from cbbench.errors import ParseError
 from cbbench.metrics import mutual_information, protected_matrix
 from cbbench.protocol import KeyPolicy, run_scenario
 from cbbench.synthdata import STANDARD_CONFIG, generate
@@ -66,6 +72,106 @@ def make_dataset(features_by_subject: dict[str, list]) -> Dataset:
         for i, f in enumerate(feats)
     ]
     return Dataset.from_templates(templates)
+
+
+def oracle_read_templates(path) -> Dataset:
+    """Template CSV reader as one csv.reader loop with a float() per value."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if len(header) < 4 or header[0] != "subject_id" or header[1] != "sample_id":
+            raise ParseError(f"{path}:1: expected header subject_id,sample_id,f0,...")
+        d = len(header) - 2
+        if header[2:] != [f"f{i}" for i in range(d)]:
+            raise ParseError(f"{path}:1: feature columns must be named f0..f{d - 1}")
+        templates = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise ParseError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
+            try:
+                features = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(features).all():
+                raise ParseError(f"{path}:{lineno}: non-finite feature value")
+            templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
+    if not templates:
+        raise ParseError(f"{path}: no template rows")
+    ds = Dataset(templates=templates, dimension=d)
+    issues = validate_dataset(ds)
+    if issues:
+        raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))
+    return ds
+
+
+def oracle_write_rows(path, header, rows, ids=None) -> None:
+    """CSV writer with one repr(float(v)) per value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            prefix = list(ids[i]) if ids is not None else []
+            writer.writerow(prefix + [repr(float(v)) for v in row])
+
+
+# feature spellings on which float() and a C parser may part, or which the
+# csv loop rejects, and ids that need quoting or are not ASCII
+ODD_VALUES = ["nan", "-inf", "1e400", "-1e400", "1_0", " 1.5", "2.5 ", "\uff11", "\u0663",
+              "\x1c1", "1\x1f", "\x0b3\x0c", "", "abc", "0x10", "1e", "+.5", "-0.0",
+              "5e-324", "1,5", "1 2"]
+ODD_IDS = ["a,b", 'q"t', '"x"', "na\u00efve", "\u65e5\u672c", "", " ", "x\ny", "c\r"]
+
+
+@st.composite
+def template_csvs(draw):
+    """Text of a template CSV: numeric rows in shortest-repr form (signed
+    zeros, subnormals and wide exponents among them), up to 135 rows so files
+    cross the reader's 64-line blocks, then up to three edits (an odd value or
+    id, a row one field short or long, a blank line), written either through
+    csv.writer or as raw comma joins, with LF or CRLF ends."""
+    d = draw(st.integers(2, 5))
+    subjects = draw(st.integers(1, 45))
+    samples = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.integers(-330, 300, size=(subjects * samples, d))
+    values = rng.standard_normal((subjects * samples, d)) * scale
+    values[rng.random(values.shape) < 0.05] = -0.0
+    rows = [[f"s{i}", str(j)] + [repr(v) for v in values[i * samples + j].tolist()]
+            for i in range(subjects) for j in range(samples)]
+    blank_before = set()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["value", "id", "short", "long", "blank"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if edit == "value" and len(rows[r]) > 2:
+            rows[r][draw(st.integers(2, len(rows[r]) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == "id":
+            rows[r][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_IDS))
+        elif edit == "short":
+            rows[r].pop()
+        elif edit == "long":
+            rows[r].append("0.5")
+        else:
+            blank_before.add(r)
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    quoted = draw(st.booleans())
+    lines = [",".join(["subject_id", "sample_id"] + [f"f{i}" for i in range(d)]) + end]
+    for r, row in enumerate(rows):
+        if r in blank_before:
+            lines.append(end)
+        if quoted:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator=end).writerow(row)
+            lines.append(buf.getvalue())
+        else:
+            lines.append(",".join(row) + end)
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text[: -len(end)]
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from cbbench.cli import main
-from cbbench.io import read_det_points
-from cbbench.metrics import eer
+from cbbench.core import Scenario, SchemeId, SchemeParams
+from cbbench.io import read_det_points, read_templates
+from cbbench.metrics import eer, protected_matrix
+from cbbench.protocol import KeyPolicy
+
+from conftest import oracle_write_rows, template_csvs
 
 
 SMALL_SYNTHETIC = {
@@ -94,6 +103,25 @@ class TestProtect:
         assert len(lines) == 19  # header + 18 templates
         values = {v for line in lines[1:] for v in line.split(",")[2:]}
         assert values <= {"0.0", "1.0"}
+
+    @pytest.mark.parametrize("scheme", ["biohash", "iom-grp", "bloom", "rand-hash"])
+    def test_bytes_equal_per_value_repr_rows(self, tmp_path, scheme):
+        # 35 x 2 = 70 rows cross the writer's 64-row blocks
+        templates = tmp_path / "t.csv"
+        assert main(["synth", "--subjects", "35", "--samples", "2", "--dim", "16",
+                     "--sigma", "0.3", "--seed", "8", "--out", str(templates)]) == 0
+        out = tmp_path / "protected.csv"
+        assert main(["protect", "--templates", str(templates), "--scheme", scheme,
+                     "--master-seed", "3", "--length", "32", "--out", str(out)]) == 0
+        ds = read_templates(templates)
+        y = protected_matrix(
+            ds, KeyPolicy(3, Scenario.NORMAL, SchemeId.from_name(scheme),
+                          SchemeParams(output_length=32))
+        )
+        ref = tmp_path / "ref.csv"
+        oracle_write_rows(ref, ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])],
+                          y, [(t.subject_id, t.sample_id) for t in ds.templates])
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestEvalPerf:
@@ -283,11 +311,26 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["synth", "--subjects", "2", "--samples", "2", "--dim", "4", "--sigma", "inf",
           "--out", "t.csv"], 2, "--sigma"),
         (["bench", "--config", "{config:noise_sigma}"], 1, "noise_sigma"),
+        (["eval-perf", "--templates", "t.csv", "--scheme", "iom-grp", "--iom-k", "1000000000"],
+         2, "--iom-k"),
+        (["eval-perf", "--templates", "t.csv", "--scheme", "iom-urp", "--iom-p", "1000000000"],
+         2, "--iom-p"),
+        (["eval-perf", "--templates", "t.csv", "--scheme", "mlp-hash", "--mlp-layers",
+          "1000000000"], 2, "--mlp-layers"),
+        (["eval-perf", "--templates", "t.csv", "--scheme", "bloom", "--bloom-block-cols",
+          "1000000000"], 2, "--bloom-block-cols"),
+        (["bench", "--config", "{config:iom_k}"], 1, "iom_k"),
+        (["bench", "--config", "{config:iom_p}"], 1, "iom_p"),
+        (["bench", "--config", "{config:mlp_layers}"], 1, "mlp_layers"),
+        (["bench", "--config", "{config:bloom_block_cols}"], 1, "bloom_block_cols"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
          "param-length-4", "param-length-3e8", "config-param-3e8", "unlink-scenario-stolen",
-         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400"],
+         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400", "param-iom-k-1e9",
+         "param-iom-p-1e9", "param-mlp-layers-1e9", "param-bloom-block-cols-1e9",
+         "config-iom-k-1e9", "config-iom-p-1e9", "config-mlp-layers-1e9",
+         "config-bloom-block-cols-1e9"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -300,6 +343,10 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:scenarios}": {"scenarios": "normal"},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
+        **{
+            f"{{config:{name}}}": {"params": {name: 10**9}}
+            for name in ("iom_k", "iom_p", "mlp_layers", "bloom_block_cols")
+        },
     }
     argv = [str(small_config(tmp_path, **configs[a])) if a in configs else a for a in argv]
     assert _run(argv) == code
@@ -307,3 +354,18 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     assert culprit in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=template_csvs())
+def test_eval_perf_on_fuzzed_csv_exits_cleanly(text):
+    # any exception escaping main() would be a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = _run(["eval-perf", "--templates", str(path), "--scheme", "biohash",
+                         "--length", "8", "--out-dir", str(Path(tmp) / "out")])
+        assert code in (0, 1)
+        assert (code == 1) == err.getvalue().startswith("error: eval-perf: ")

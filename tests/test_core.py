@@ -28,17 +28,27 @@ class TestSchemeParams:
         "kwargs",
         [
             {"output_length": 7},
+            {"output_length": 4097},
             {"iom_k": 1},
+            {"iom_k": 257},
             {"iom_p": 0},
+            {"iom_p": 17},
             {"mlp_layers": 0},
+            {"mlp_layers": 17},
             {"bloom_word_bits": 1},
             {"bloom_word_bits": 17},
             {"bloom_block_cols": 0},
+            {"bloom_block_cols": 1025},
         ],
     )
     def test_invariants_enforced(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
+        # the message starts with the field name, which the CLI maps to its flag
+        with pytest.raises(InvalidArgumentError, match=f"^{next(iter(kwargs))} "):
             SchemeParams(**kwargs)
+
+    def test_caps_inclusive(self):
+        SchemeParams(output_length=4096, iom_k=256, iom_p=16, mlp_layers=16,
+                     bloom_word_bits=16, bloom_block_cols=1024)
 
 
 class TestSchemeNames:

@@ -1,9 +1,13 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from cbbench.core import SchemeId
+from cbbench.core import Dataset, SchemeId, Template
 from cbbench.errors import InvalidArgumentError, ParseError
 from cbbench.io import (
     BenchmarkConfig,
@@ -20,7 +24,22 @@ from cbbench.metrics import compute_det, eer
 from cbbench.protocol import ScoreSet
 from cbbench.synthdata import SynthConfig, generate
 
-from conftest import make_dataset
+from conftest import (
+    make_dataset,
+    oracle_read_templates,
+    oracle_write_rows,
+    template_csvs,
+)
+
+
+def read_outcome(read, path):
+    """What a template reader makes of a file: ids, dimension and feature
+    bytes (so values compare bit for bit), or its ParseError message."""
+    try:
+        ds = read(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    return ds.dimension, [(t.subject_id, t.sample_id, t.features.tobytes()) for t in ds.templates]
 
 
 class TestTemplateRoundTrip:
@@ -88,6 +107,112 @@ class TestTemplateRoundTrip:
         )
         with pytest.raises(ParseError, match="subject b"):
             read_templates(path)
+
+
+class TestTemplateReaderAgainstCsvLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(text=template_csvs())
+    def test_equals_csv_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_outcome(read_templates, path) == read_outcome(oracle_read_templates, path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,0,1.0,2.0\na,1,1_0,2.0\nb,0,1,2\nb,1,2,1\n", None),  # float() reads 1_0
+            ("a,0,1.0,2.0\r\na,1,3,2.0\r\n\r\nb,0,1,2\r\nb,1,2,1\r\n", None),
+            ('"a,x",0,1.0,2.0\n"a,x",1,3,2.0\nb,0,1,2\nb,1,2,1\n', None),
+            ("a,0,1.0,2.0\na,1,\x1c3,2.0\n", "t.csv:3: could not convert"),
+            ("a,0,1.0,2.0\na,1,1e400,2.0\n", "t.csv:3: non-finite"),
+            ("a,0,1.0,2.0\n\n\na,1,2.0\n", "t.csv:5: expected 4 fields, got 3"),
+        ],
+        ids=["underscore", "crlf-blank", "quoted-comma", "unit-separator", "overflow",
+             "blank-lines-count"],
+    )
+    def test_fallback_inputs(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("subject_id,sample_id,f0,f1\n" + body).encode("utf-8"))
+        outcome = read_outcome(read_templates, path)
+        assert outcome == read_outcome(oracle_read_templates, path)
+        if message is None:
+            assert not isinstance(outcome, str)
+        else:
+            assert message in outcome
+
+    def test_error_past_first_block_names_line(self, tmp_path):
+        rows = [f"s{i // 2},{i % 2},{i}.5,1.0" for i in range(100)]
+        rows[70] = "s35,0,oops,1.0"
+        path = tmp_path / "t.csv"
+        path.write_text("subject_id,sample_id,f0,f1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"t\.csv:72: could not convert string to float: 'oops'"):
+            read_templates(path)
+
+    @pytest.mark.parametrize("where, line", [("header", 1), ("body", 3)])
+    def test_over_long_field_is_parse_error(self, tmp_path, where, line):
+        # csv.reader raises csv.Error past its field size limit
+        long_field = "x" * (csv.field_size_limit() + 1)
+        header, row = "subject_id,sample_id,f0,f1", "b,1,1,2"
+        if where == "header":
+            header += "," + long_field
+        else:
+            row = long_field + row[1:]
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\na,0,1,2\n{row}\n")
+        with pytest.raises(ParseError, match=rf"t\.csv:{line}: field larger than field limit"):
+            read_templates(path)
+
+
+class TestRowWriter:
+    IDS = ["a,b", 'q"t', "x y", "na\u00efve", "line\nbreak", "plain"]
+
+    def dataset(self, values):
+        n = values.shape[0]
+        return Dataset(
+            templates=[
+                Template(self.IDS[(i // 2) % len(self.IDS)] + str(i // 2), str(i % 2), values[i])
+                for i in range(n)
+            ],
+            dimension=values.shape[1],
+        )
+
+    @pytest.mark.parametrize("kind", ["repeats", "distinct"])
+    def test_templates_bytes_and_round_trip(self, tmp_path, kind):
+        # 130 rows cross two 64-row blocks; few distinct values take the
+        # formatted-once path, random ones the per-value path
+        rng = np.random.default_rng(5)
+        if kind == "repeats":
+            pool = np.array([0.0, -0.0, 1.0, 5e-324, -2.5e-310, 2.0**-1074 * 3])
+            values = pool[rng.integers(0, pool.size, size=(130, 7))]
+        else:
+            values = rng.standard_normal((130, 7)) * 10.0 ** rng.integers(-320, 300, (130, 7))
+            values[::9, 3] = -0.0
+            values[::11, 5] = 5e-324
+        ds = self.dataset(values)
+        path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+        write_templates(ds, path)
+        oracle_write_rows(
+            ref, ["subject_id", "sample_id"] + [f"f{i}" for i in range(7)],
+            values, [(t.subject_id, t.sample_id) for t in ds.templates],
+        )
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_templates(path)
+        assert [(t.subject_id, t.sample_id) for t in back.templates] == [
+            (t.subject_id, t.sample_id) for t in ds.templates
+        ]
+        assert back.feature_matrix().tobytes() == values.tobytes()
+
+    def test_det_points_bytes(self, tmp_path):
+        curve = TestDetPoints().make_curve()
+        path, ref = tmp_path / "det.csv", tmp_path / "ref.csv"
+        write_det_points(curve, path)
+        order = np.argsort(curve.thresholds)
+        oracle_write_rows(
+            ref, ["threshold", "fmr", "fnmr"],
+            zip(curve.thresholds[order], curve.fmr[order], curve.fnmr[order]),
+        )
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestDetPoints:

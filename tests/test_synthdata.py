@@ -68,13 +68,28 @@ class TestGenerate:
             {"dimension": 1},
             {"noise_sigma": 0.0},
             {"noise_sigma": -0.1},
+            {"subjects": "3"},
+            {"subjects": 2.5},
+            {"subjects": True},
+            {"samples_per_subject": 3.0},
+            {"dimension": None},
+            {"noise_sigma": "0.4"},
+            {"noise_sigma": True},
+            {"seed": "1"},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_config_invariants(self, kwargs):
         base = {"subjects": 4, "samples_per_subject": 3, "dimension": 16,
                 "noise_sigma": 0.4, "seed": 1}
-        with pytest.raises(InvalidArgumentError):
+        # the message starts with the field name, which the CLI maps to its flag
+        with pytest.raises(InvalidArgumentError, match=f"^{next(iter(kwargs))} "):
             SynthConfig(**{**base, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SynthConfig(np.int64(4), np.int32(3), np.int64(16), np.float64(0.4), 1)
+        assert len(generate(cfg)) == 12
 
 
 class TestUnprotectedScores:
