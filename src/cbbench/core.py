@@ -61,9 +61,21 @@ class Scenario(enum.Enum):
         raise InvalidArgumentError(f"unknown scenario name {name!r} (known: {known})")
 
 
-def _param(default: int, help: str, low: int, high: int):
-    """A SchemeParams field: an integer in [low, high]."""
+def _param(default, help: str, low: int, high: int):
+    """A dataclass field holding an integer in [low, high], which
+    ``_check_ranges`` checks; pass ``dataclasses.MISSING`` for no default."""
     return field(default=default, metadata={"help": help, "range": (low, high)})
+
+
+def _check_ranges(obj) -> None:
+    """Reject the first ``_param`` field of a dataclass instance that lies
+    outside its range, with a message that starts with the field name."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            low, high = f.metadata["range"]
+            value = getattr(obj, f.name)
+            if not low <= value <= high:
+                raise InvalidArgumentError(f"{f.name} must be in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +102,7 @@ class SchemeParams:
     bloom_block_cols: int = _param(16, "columns per bloom block", 1, 1024)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            low, high = f.metadata["range"]
-            value = getattr(self, f.name)
-            if not low <= value <= high:
-                raise InvalidArgumentError(f"{f.name} must be in [{low}, {high}], got {value}")
+        _check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -259,10 +267,6 @@ class BloomSet:
     @property
     def n_blocks(self) -> int:
         return self.blocks.shape[0]
-
-    @property
-    def filter_bits(self) -> int:
-        return self.blocks.shape[1]
 
 
 _PAYLOAD_FOR_SCHEME = {

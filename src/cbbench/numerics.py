@@ -135,10 +135,6 @@ class PcaModel:
     explained_variance: np.ndarray
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.components.shape[1]
 

@@ -116,29 +116,45 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
 
     Each derived key is instantiated once, protects its rows with one
     ``protect_batch`` call per block of up to 64 rows and is dropped, so at
-    most ``workers`` instances are alive; with ``workers > 1`` keys are
-    spread over a thread pool. Results are identical either way.
+    most ``workers`` instances are alive. The first key's rows are stacked
+    on the calling thread and size the result (allocating the result before
+    them left the CLI's serial peak RSS 0.4-1.5 MB higher, from heap
+    layout); every other key writes its blocks straight into the result.
+    Those keys are dealt round-robin to the calling thread and up to
+    ``workers - 1`` pool threads (key instantiation, Philox draws and LAPACK
+    QR, releases the GIL); no thread starts for a single key or
+    ``workers == 1``. Results are bit-identical for every ``workers``.
     """
     groups: dict[SchemeKey, list[int]] = {}
     for i, t in enumerate(ds.templates):
         groups.setdefault(derive_key(policy, t.subject_id, t.sample_id), []).append(i)
 
-    def protect_group(key: SchemeKey) -> np.ndarray:
+    def protected_blocks(key: SchemeKey):
+        """(rows, protected rows) per block of the key's rows, from one instance."""
         inst = instantiate(key, ds.dimension)
         rows = groups[key]
-        chunks = [rows[s : s + _BLOCK_ROWS] for s in range(0, len(rows), _BLOCK_ROWS)]
-        return np.vstack([
-            protect_batch(np.vstack([ds.templates[i].features for i in c]), inst) for c in chunks
-        ])
+        for s in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[s : s + _BLOCK_ROWS]
+            yield block, protect_batch(np.vstack([ds.templates[i].features for i in block]), inst)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(protect_group, groups))
-    else:
-        parts = list(map(protect_group, groups))
-    y = np.empty((len(ds), parts[0].shape[1]))
-    for rows, part in zip(groups.values(), parts):
-        y[rows] = part
+    def fill(blocks) -> None:
+        for rows, part in blocks:
+            y[rows] = part
+
+    first, *rest = groups
+    head = np.vstack([part for _, part in protected_blocks(first)])
+    y = np.empty((len(ds), head.shape[1]))
+    y[groups[first]] = head
+    n = max(1, min(workers, len(rest)))
+    stripes = [itertools.chain.from_iterable(map(protected_blocks, rest[s::n])) for s in range(n)]
+    if n == 1:
+        fill(stripes[0])
+        return y
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        futures = [pool.submit(fill, stripe) for stripe in stripes[1:]]
+        fill(stripes[0])
+        for future in futures:
+            future.result()
     return y
 
 

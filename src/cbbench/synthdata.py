@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, Template
+from .core import Dataset, Template, _check_ranges, _param
 from .errors import InvalidArgumentError
 from .numerics import derive_stream
 from .protocol import ScoreSet, mated_pairs, nonmated_pairs
@@ -29,9 +29,13 @@ _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real,
 
 @dataclass(frozen=True)
 class SynthConfig:
-    subjects: int
-    samples_per_subject: int
-    dimension: int
+    # Each cap keeps a mistyped size from allocating without bound.
+    # 10 000 subjects make 5e7 non-mated pairs, 400 MB of scores
+    subjects: int = _param(MISSING, "subject count", 2, 10_000)
+    # 100 samples make 4950 mated pairs per subject
+    samples_per_subject: int = _param(MISSING, "samples per subject", 2, 100)
+    # as wide as SchemeParams' Bloom blocks cover, more than a deep template has
+    dimension: int = _param(MISSING, "feature dimension", 2, 2048)
     noise_sigma: float
     seed: int
 
@@ -41,14 +45,7 @@ class SynthConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no number
                 raise InvalidArgumentError(f"{f.name} must be {what}, got {value!r}")
-        if self.subjects < 2:
-            raise InvalidArgumentError(f"subjects must be >= 2, got {self.subjects}")
-        if self.samples_per_subject < 2:
-            raise InvalidArgumentError(
-                f"samples_per_subject must be >= 2, got {self.samples_per_subject}"
-            )
-        if self.dimension < 2:
-            raise InvalidArgumentError(f"dimension must be >= 2, got {self.dimension}")
+        _check_ranges(self)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
             raise InvalidArgumentError(
                 f"noise_sigma must be finite and > 0, got {self.noise_sigma}"

@@ -226,9 +226,11 @@ class TestBench:
         assert not list((tmp_path / "out").glob("det_*.csv"))
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch, workers):
         # wrap instantiate wherever a cbbench module binds it by name
         import sys
+        import threading
         from collections import Counter
 
         from cbbench import schemes
@@ -237,9 +239,13 @@ class TestBench:
 
         original = schemes.instantiate
         calls = Counter()
+        pooled = Counter()
+        lock = threading.Lock()  # pool threads call it too, and += is not atomic
 
         def counting(key, d):
-            calls[(key.scheme_id, key.seed)] += 1
+            with lock:
+                calls[(key.scheme_id, key.seed)] += 1
+                pooled[threading.current_thread() is not threading.main_thread()] += 1
             return original(key, d)
 
         for name, mod in list(sys.modules.items()):
@@ -247,11 +253,44 @@ class TestBench:
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counting)
-        run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out")
+        run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out", workers)
         # per scheme: 6 subject keys (normal), 1 shared key (stolen) and
         # 18 sample keys (sample-specific), each instantiated exactly once
         assert len(calls) == 2 * (6 + 1 + 18)
         assert set(calls.values()) == {1}
+        # with 2 workers one pool thread takes every second key after the
+        # first: 2 of the 6 subject keys, 8 of the 18 sample keys, not the
+        # stolen key
+        assert pooled[True] == (0 if workers == 1 else 2 * (2 + 8))
+
+    def test_bench_uses_every_cpu_of_the_affinity_mask(self, tmp_path, monkeypatch):
+        from cbbench import cli
+
+        seen = []
+        real = cli.run_benchmark
+
+        def recording(config, out_dir, workers=1):
+            seen.append(workers)
+            return real(config, out_dir, workers)
+
+        monkeypatch.setattr(cli, "run_benchmark", recording)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert main(["bench", "--config", str(small_config(tmp_path))]) == 0
+        assert seen == [3]
+
+    def test_outputs_identical_for_any_worker_count(self, tmp_path):
+        from cbbench.cli import run_benchmark
+        from cbbench.io import load_config
+
+        config = load_config(small_config(tmp_path, schemes=["biohash", "iom-grp", "iom-urp"]))
+        reports, files = [], []
+        for workers in (1, 2):
+            report, written = run_benchmark(config, tmp_path / f"w{workers}", workers)
+            report.pop("timestamp")
+            reports.append(report)
+            files.append({p.name: p.read_bytes() for p in written if p.suffix == ".csv"})
+        assert reports[0] == reports[1]
+        assert len(files[0]) == 3 * 2 and files[0] == files[1]
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -280,6 +319,20 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error" in err and "t.csv" in err
+
+
+def test_arena_cap_is_a_no_op_off_glibc(monkeypatch):
+    import ctypes
+    import platform
+
+    from cbbench import cli
+
+    def no_libc(*args, **kwargs):
+        raise AssertionError("the C library was loaded off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    cli._one_malloc_arena()
 
 
 def _run(argv):
@@ -311,6 +364,15 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["synth", "--subjects", "2", "--samples", "2", "--dim", "4", "--sigma", "inf",
           "--out", "t.csv"], 2, "--sigma"),
         (["bench", "--config", "{config:noise_sigma}"], 1, "noise_sigma"),
+        (["synth", "--subjects", "2", "--samples", "2", "--dim", "10000000000", "--sigma", "0.3",
+          "--out", "t.csv"], 2, "--dim"),
+        (["synth", "--subjects", "1000000", "--samples", "2", "--dim", "4", "--sigma", "0.3",
+          "--out", "t.csv"], 2, "--subjects"),
+        (["synth", "--subjects", "2", "--samples", "1000000", "--dim", "4", "--sigma", "0.3",
+          "--out", "t.csv"], 2, "--samples"),
+        (["bench", "--config", "{config:dimension}"], 1, "dimension"),
+        (["bench", "--config", "{config:subjects_big}"], 1, "subjects"),
+        (["bench", "--config", "{config:samples_per_subject}"], 1, "samples_per_subject"),
         (["eval-perf", "--templates", "t.csv", "--scheme", "iom-grp", "--iom-k", "1000000000"],
          2, "--iom-k"),
         (["eval-perf", "--templates", "t.csv", "--scheme", "iom-urp", "--iom-p", "1000000000"],
@@ -327,7 +389,9 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
          "param-length-4", "param-length-3e8", "config-param-3e8", "unlink-scenario-stolen",
-         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400", "param-iom-k-1e9",
+         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400", "synth-dim-1e10",
+         "synth-subjects-1e6", "synth-samples-1e6", "config-dimension-1e10",
+         "config-subjects-1e6", "config-samples-1e6", "param-iom-k-1e9",
          "param-iom-p-1e9", "param-mlp-layers-1e9", "param-bloom-block-cols-1e9",
          "config-iom-k-1e9", "config-iom-p-1e9", "config-mlp-layers-1e9",
          "config-bloom-block-cols-1e9"],
@@ -343,6 +407,11 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:scenarios}": {"scenarios": "normal"},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
+        "{config:dimension}": {"synthetic": {**SMALL_SYNTHETIC, "dimension": 10**10}},
+        "{config:subjects_big}": {"synthetic": {**SMALL_SYNTHETIC, "subjects": 10**6}},
+        "{config:samples_per_subject}": {
+            "synthetic": {**SMALL_SYNTHETIC, "samples_per_subject": 10**6}
+        },
         **{
             f"{{config:{name}}}": {"params": {name: 10**9}}
             for name in ("iom_k", "iom_p", "mlp_layers", "bloom_block_cols")

@@ -235,6 +235,37 @@ class TestProtectedMatrix:
         assert np.array_equal(protected_matrix(ds, p), expected)
         assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
 
+    @pytest.mark.parametrize("keys", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_striped_keys_equal_serial(self, scheme, keys):
+        # covers fewer keys than workers and stripes of unequal length
+        from cbbench.metrics import protected_matrix
+
+        feats = derive_stream(4, b"test.stripes").normals(keys * 3 * 16).reshape(keys * 3, 16)
+        # subjects interleave, so no key's rows are contiguous
+        ds = Dataset.from_templates(
+            [Template(f"s{i % keys}", str(i // keys), f) for i, f in enumerate(feats)]
+        )
+        p = policy(Scenario.NORMAL, scheme=scheme)
+        assert len({derive_key(p, t.subject_id) for t in ds.templates}) == keys
+        serial = protected_matrix(ds, p)
+        for workers in (2, 3):
+            assert np.array_equal(protected_matrix(ds, p, workers=workers), serial)
+
+    @pytest.mark.parametrize("scenario, workers", [(Scenario.STOLEN_TOKEN, 4), (Scenario.NORMAL, 1)])
+    def test_serial_pass_starts_no_thread(self, monkeypatch, scenario, workers):
+        # one key (stolen) or one worker runs on the calling thread alone
+        from cbbench import protocol
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        ds = generate(SynthConfig(43, 3, 16, 0.3, 5))
+        p = policy(scenario, scheme=SchemeId.IOM_GRP)
+        expected = protocol.protected_matrix(ds, p, workers=2)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", no_pool)
+        assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+
     def test_threaded_pass_under_fast_switching(self):
         # more workers than cores, each protecting its own keys' rows; a lost
         # or misplaced row would change the matrix
