@@ -63,7 +63,7 @@ from .io import (
     write_report,
     write_templates,
 )
-from .protocol import KeyPolicy, ScoreSet, derive_key, mated_pairs, nonmated_pairs, run_scenario
+from .protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
 from .schemes import chance_level, compare, instantiate, protect, protect_batch
 from .synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_scores
 
@@ -81,7 +81,7 @@ __all__ = [
     # schemes
     "instantiate", "protect", "protect_batch", "compare", "chance_level",
     # protocol
-    "KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "run_scenario",
+    "KeyPolicy", "ScoreSet", "derive_key", "pair_indices", "run_scenario",
     # metrics
     "DetCurve", "compute_det", "eer", "fnmr_at_fmr", "UnlinkabilityReport", "unlinkability",
     "IrreversibilityReport", "mutual_information", "protected_matrix",

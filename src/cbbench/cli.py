@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Dataset, Scenario, SchemeId, SchemeParams
+from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Scenario, SchemeId, SchemeParams
 from .errors import CbBenchError, InvalidArgumentError
 from .io import (
     BenchmarkConfig,
@@ -158,12 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(config: BenchmarkConfig) -> Dataset:
-    if config.synthetic is not None:
-        return generate(config.synthetic)
-    return read_templates(config.templates_path)
-
-
 def _perf_block(scores) -> dict:
     curve = compute_det(scores)
     return {
@@ -224,8 +218,7 @@ def run_benchmark(
 def _run_benchmark_cells(
     config: BenchmarkConfig, out_dir: Path, written: list[Path], workers: int
 ) -> dict:
-    ds = _load_dataset(config)
-    x = ds.feature_matrix()
+    ds = generate(config.synthetic) if config.synthetic else read_templates(config.templates_path)
 
     baseline = _perf_block(unprotected_scores(ds))
     cells = []
@@ -239,7 +232,7 @@ def _run_benchmark_cells(
                 policy = KeyPolicy(config.master_seed, scenario, scheme, spec.params)
                 y = protected_matrix(ds, policy, workers)
                 perf = _perf_block(run_scenario(ds, policy, protected=y))
-                irrev = mutual_information(x, y, config.mi_components)
+                irrev = mutual_information(ds.features, y, config.mi_components)
                 det_path = out_dir / f"det_{scheme.value}_{scenario.value}.csv"
                 write_det_points(perf["curve"], det_path)
                 written.append(det_path)
@@ -296,7 +289,7 @@ def _run_benchmark_cells(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": _config_echo(config),
         "dataset": {
-            "subjects": len(ds.subjects()),
+            "subjects": len(ds.subject_rows()),
             "templates": len(ds),
             "dimension": ds.dimension,
             "source": "synthetic" if config.synthetic is not None else config.templates_path,
@@ -334,12 +327,8 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
     y = protected_matrix(ds, policy)
-    _write_rows(
-        args.out,
-        ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])],
-        y,
-        [(t.subject_id, t.sample_id) for t in ds.templates],
-    )
+    header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
+    _write_rows(args.out, header, y, list(zip(ds.subject_ids, ds.sample_ids)))
     print(f"wrote {args.out}: {y.shape[0]} protected templates of length {y.shape[1]}")
     return 0
 
@@ -378,9 +367,8 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    x = ds.feature_matrix()
     y = protected_matrix(ds, policy)
-    report = mutual_information(x, y, args.r)
+    report = mutual_information(ds.features, y, args.r)
     if report.r_used < args.r:
         print(
             f"warning: r reduced from {args.r} to {report.r_used} "

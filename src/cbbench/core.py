@@ -138,63 +138,74 @@ class Template:
 
 @dataclass
 class Dataset:
-    """Ordered collection of templates of one common dimension."""
+    """Templates of one dimension, column-wise: row ``i`` of the ``(n, d)`` float64
+    ``features`` matrix is sample ``sample_ids[i]`` of subject ``subject_ids[i]``."""
 
-    templates: list[Template]
-    dimension: int
+    features: np.ndarray
+    subject_ids: list[str]
+    sample_ids: list[str]
+
+    def __post_init__(self) -> None:
+        self.features = np.asarray(self.features, dtype=np.float64)
+        shape = self.features.shape
+        if len(shape) != 2 or not shape[0] == len(self.subject_ids) == len(self.sample_ids):
+            raise InvalidArgumentError(f"features of shape {shape} need one id pair per row")
 
     @classmethod
     def from_templates(cls, templates: list[Template]) -> "Dataset":
+        """Stack a non-empty list of templates of one dimension, in order."""
         if not templates:
             raise InvalidArgumentError("dataset needs at least one template")
-        return cls(templates=list(templates), dimension=templates[0].dimension)
+        d = templates[0].dimension
+        for t in templates:
+            if t.dimension != d:
+                raise InvalidArgumentError(
+                    f"subject {t.subject_id} sample {t.sample_id}: dimension "
+                    f"{t.dimension} != dataset dimension {d}"
+                )
+        ids = [(t.subject_id, t.sample_id) for t in templates]
+        return cls(np.stack([t.features for t in templates]), *map(list, zip(*ids)))
+
+    @property
+    def dimension(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def templates(self) -> list[Template]:
+        """The rows as templates whose features are views of ``features``."""
+        return [Template(*row) for row in zip(self.subject_ids, self.sample_ids, self.features)]
 
     def __len__(self) -> int:
-        return len(self.templates)
+        return self.features.shape[0]
 
     def subject_rows(self) -> dict[str, list[int]]:
         """Each subject's row indices in dataset order, subjects in first-appearance order."""
         rows: dict[str, list[int]] = {}
-        for i, t in enumerate(self.templates):
-            rows.setdefault(t.subject_id, []).append(i)
+        for i, subject in enumerate(self.subject_ids):
+            rows.setdefault(subject, []).append(i)
         return rows
-
-    def subjects(self) -> list[str]:
-        """Distinct subject ids in first-appearance order."""
-        return list(self.subject_rows())
-
-    def feature_matrix(self) -> np.ndarray:
-        """Stack all feature vectors into a (samples x dimension) matrix."""
-        return np.vstack([t.features for t in self.templates])
 
 
 def validate_dataset(ds: Dataset) -> list[str]:
     """Collect every invariant violation; an empty list means the dataset is valid.
 
-    Checks: at least 2 feature dimensions, a single consistent dimension,
-    finite values (named per subject/sample/index), unique (subject, sample)
-    pairs, and at least two samples per subject (needed for mated pairs).
+    Checks: at least 2 feature dimensions, finite values (named per
+    subject/sample/index), unique (subject, sample) pairs, and at least two
+    samples per subject (needed for mated pairs).
     """
-    issues: list[str] = []
-    if ds.dimension < 2:
-        issues.append(f"dimension must be >= 2, got {ds.dimension}")
+    issues = [f"dimension must be >= 2, got {ds.dimension}"] if ds.dimension < 2 else []
+    finite = np.isfinite(ds.features)
+    flagged = set(np.flatnonzero(~finite.all(axis=1)).tolist())
     seen: set[tuple[str, str]] = set()
-    for t in ds.templates:
-        ident = (t.subject_id, t.sample_id)
+    for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
         if ident in seen:
             issues.append(f"duplicate (subject, sample) pair {ident}")
         seen.add(ident)
-        if t.dimension != ds.dimension:
-            issues.append(
-                f"subject {t.subject_id} sample {t.sample_id}: dimension "
-                f"{t.dimension} != dataset dimension {ds.dimension}"
-            )
-        bad = np.flatnonzero(~np.isfinite(t.features))
-        for idx in bad:
-            issues.append(
-                f"subject {t.subject_id} sample {t.sample_id}: non-finite feature "
-                f"at index {int(idx)}"
-            )
+        if i in flagged:
+            issues += [
+                f"subject {ident[0]} sample {ident[1]}: non-finite feature at index {int(idx)}"
+                for idx in np.flatnonzero(~finite[i])
+            ]
     for subject, rows in ds.subject_rows().items():
         if len(rows) < 2:
             issues.append(f"subject {subject} has only {len(rows)} sample(s); need >= 2")
@@ -263,10 +274,6 @@ class BloomSet:
         if blocks.size and blocks.max() > 1:
             raise InvalidArgumentError("block entries must be 0/1")
         object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.blocks.shape[0]
 
 
 _PAYLOAD_FOR_SCHEME = {

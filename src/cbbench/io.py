@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SchemeId, SchemeParams, Template, validate_dataset
+from .core import Dataset, SchemeId, SchemeParams, validate_dataset
 from .errors import CbBenchError, InvalidArgumentError, ParseError
 from .metrics import DetCurve
 from .synthdata import STANDARD_CONFIG, SynthConfig
@@ -49,8 +49,8 @@ def _open_write(path: Path):
 
 
 def _write_rows(path: str | Path, header: list[str], values, ids=None) -> None:
-    """Write a CSV of ``header`` and one row per row of ``values`` (an ``(n, k)``
-    float array or a sequence of 1-D arrays), each after its ``ids[i]`` fields.
+    """Write a CSV of ``header`` and one row per row of the ``(n, k)`` float
+    array ``values``, each after its ``ids[i]`` fields.
 
     Every value is written as ``repr(float(v))``, the shortest decimal that
     round-trips (csv formats a float with repr). A block whose values are
@@ -73,9 +73,10 @@ def _write_rows(path: str | Path, header: list[str], values, ids=None) -> None:
             writer.writerows(cells)
 
 
-def _read_rows(rows, path: Path, d: int, first: int, templates: list[Template]) -> None:
-    """The csv loop: append the template of each csv row, numbered from
-    ``first``. The only code that words a row's ParseError."""
+def _read_rows(rows, path: Path, d: int, first: int, ids: list, blocks: list) -> None:
+    """The csv loop: append the ``[subject, sample]`` ids of each csv row,
+    numbered from ``first``, to ``ids`` and its features to ``blocks`` as a
+    ``(1, d)`` block. The only code that words a row's ParseError."""
     lineno = first - 1
     try:
         for lineno, row in enumerate(rows, start=first):
@@ -89,18 +90,20 @@ def _read_rows(rows, path: Path, d: int, first: int, templates: list[Template]) 
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not np.isfinite(features).all():
                 raise ParseError(f"{path}:{lineno}: non-finite feature value")
-            templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
+            ids.append(row[:2])
+            blocks.append(features[None])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def _parse_block(lines: list[str], d: int):
-    """``(ids, features)`` of a block of body lines, parsed by one C-level
-    ``loadtxt``, or None where the csv loop must read it: a character of
-    ``_CSV_ONLY`` or an over-long line in the block, a row of the wrong
-    width (loadtxt refuses ragged rows, the shape check uniform ones), a
-    value loadtxt refuses or a non-finite value. Blank lines are skipped, as
-    csv.reader yields them as empty rows."""
+    """``(ids, features)`` of a block of body lines, as ``[subject, sample]``
+    lists and a ``(rows, d)`` array parsed by one C-level ``loadtxt``, or None
+    where the csv loop must read it: a character of ``_CSV_ONLY`` or an
+    over-long line in the block, a row of the wrong width (loadtxt refuses
+    ragged rows, the shape check uniform ones), a value loadtxt refuses or a
+    non-finite value. Blank lines are skipped, as csv.reader yields them as
+    empty rows."""
     # line by line: a joined block can pass 128 KiB, and freeing an allocation
     # that large raises glibc's mmap threshold and with it later peak memory
     if max(map(len, lines)) > csv.field_size_limit() or any(
@@ -117,7 +120,7 @@ def _parse_block(lines: list[str], d: int):
         ids.append(parts[:2])
         rests.append(parts[2])
     if not rests:
-        return ids, ()
+        return ids, np.empty((0, d))
     try:
         features = np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
@@ -159,18 +162,19 @@ def read_templates(path: str | Path) -> Dataset:
         expected_features = [f"f{i}" for i in range(d)]
         if header[2:] != expected_features:
             raise ParseError(f"{path}:1: feature columns must be named f0..f{d - 1}")
-        templates: list[Template] = []
+        ids, blocks = [], []  # [subject, sample] per row; (rows, d) feature blocks
         lineno = 2
         while lines := list(islice(fh, _BLOCK_ROWS)):
             parsed = _parse_block(lines, d)
             if parsed is None:
-                _read_rows(csv.reader(chain(lines, fh)), path, d, lineno, templates)
+                _read_rows(csv.reader(chain(lines, fh)), path, d, lineno, ids, blocks)
                 break
-            templates += [Template(s, n, f) for (s, n), f in zip(*parsed)]
+            ids += parsed[0]
+            blocks.append(parsed[1])
             lineno += len(lines)
-    if not templates:
+    if not ids:
         raise ParseError(f"{path}: no template rows")
-    ds = Dataset(templates=templates, dimension=d)
+    ds = Dataset(np.concatenate(blocks), *map(list, zip(*ids)))
     issues = validate_dataset(ds)
     if issues:
         raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))
@@ -179,12 +183,8 @@ def read_templates(path: str | Path) -> Dataset:
 
 def write_templates(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as a template CSV readable by :func:`read_templates`."""
-    _write_rows(
-        path,
-        ["subject_id", "sample_id"] + [f"f{i}" for i in range(ds.dimension)],
-        [t.features for t in ds.templates],
-        [(t.subject_id, t.sample_id) for t in ds.templates],
-    )
+    header = ["subject_id", "sample_id"] + [f"f{i}" for i in range(ds.dimension)]
+    _write_rows(path, header, ds.features, list(zip(ds.subject_ids, ds.sample_ids)))
 
 
 def write_det_points(curve: DetCurve, path: str | Path) -> None:

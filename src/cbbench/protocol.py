@@ -15,18 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, Template
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from .errors import InvalidArgumentError
 from .schemes import instantiate, protect_batch, similarities
 
 __all__ = [
-    "KeyPolicy", "ScoreSet", "derive_key", "mated_pairs", "nonmated_pairs", "protected_matrix",
-    "run_scenario",
+    "KeyPolicy", "ScoreSet", "derive_key", "pair_indices", "protected_matrix", "run_scenario",
 ]
 
 _STOLEN_LABEL = b"stolen-token"
 _ID_SEPARATOR = b"\x1f"  # keeps ("ab", "c") distinct from ("a", "bc")
-_BLOCK_ROWS = 64  # rows per protect_batch call; bounds the iom kernels' temporaries
+_BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries), pairs per score call
 
 
 def _hash64(parts: list[bytes]) -> int:
@@ -70,20 +69,25 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
     return SchemeKey(seed=_hash64(material), scheme_id=policy.scheme_id, params=policy.params)
 
 
-def mated_pairs(ds: Dataset) -> list[tuple[Template, Template]]:
-    """All unordered within-subject sample pairs, in dataset order."""
-    t = ds.templates
-    return [
-        (t[i], t[j])
-        for rows in ds.subject_rows().values()
-        for i, j in itertools.combinations(rows, 2)
-    ]
+def _pairs_within(order: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order[a], order[b])`` for every ``a < b`` within each run of ``counts``
+    entries of ``order``, run by run, in ``itertools.combinations`` order."""
+    a = np.arange(len(order))
+    later = np.repeat(np.cumsum(counts), counts) - a - 1  # entries after a in its run
+    # a's pairs fill the slots from cumsum(later)[a] - later[a] on, with b from a + 1 on
+    b = np.arange(later.sum()) + np.repeat(a + 1 - np.cumsum(later) + later, later)
+    return np.repeat(order, later), order[b]
 
 
-def nonmated_pairs(ds: Dataset) -> list[tuple[Template, Template]]:
-    """All unordered subject pairs, first sample of each subject."""
-    firsts = [ds.templates[rows[0]] for rows in ds.subject_rows().values()]
-    return list(itertools.combinations(firsts, 2))
+def pair_indices(ds: Dataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Row indices ``((mated_i, mated_j), (nonmated_i, nonmated_j))`` of all
+    within-subject sample pairs and all pairs of subjects' first samples, in
+    ``itertools.combinations`` order with subjects in first-appearance order."""
+    subject_rows = list(ds.subject_rows().values())
+    counts = np.array([len(rows) for rows in subject_rows])
+    firsts = np.array([rows[0] for rows in subject_rows])
+    mated = _pairs_within(np.concatenate(subject_rows), counts)
+    return mated, _pairs_within(firsts, np.array([firsts.size]))
 
 
 @dataclass
@@ -126,8 +130,8 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     ``workers == 1``. Results are bit-identical for every ``workers``.
     """
     groups: dict[SchemeKey, list[int]] = {}
-    for i, t in enumerate(ds.templates):
-        groups.setdefault(derive_key(policy, t.subject_id, t.sample_id), []).append(i)
+    for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
+        groups.setdefault(derive_key(policy, *ident), []).append(i)
 
     def protected_blocks(key: SchemeKey):
         """(rows, protected rows) per block of the key's rows, from one instance."""
@@ -135,7 +139,7 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
         rows = groups[key]
         for s in range(0, len(rows), _BLOCK_ROWS):
             block = rows[s : s + _BLOCK_ROWS]
-            yield block, protect_batch(np.vstack([ds.templates[i].features for i in block]), inst)
+            yield block, protect_batch(ds.features[block], inst)
 
     def fill(blocks) -> None:
         for rows, part in blocks:
@@ -161,9 +165,9 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
 def run_scenario(
     ds: Dataset, policy: KeyPolicy, workers: int = 1, protected: np.ndarray | None = None
 ) -> ScoreSet:
-    """Score the mated and non-mated pairs of the dataset protected under the
-    policy, each row against all later rows of the pair list at once with the
-    formulas of ``compare`` (so scores equal pair-by-pair comparison).
+    """Score the mated and non-mated pairs of ``pair_indices`` on the dataset
+    protected under the policy, in chunks of 64 pairs with the formulas of
+    ``compare`` (so scores equal pair-by-pair comparison).
 
     ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
     has; without it the matrix is computed here, on ``workers`` threads.
@@ -172,16 +176,13 @@ def run_scenario(
     if y.shape[0] != len(ds):
         raise InvalidArgumentError(f"protected matrix has {y.shape[0]} rows, expected {len(ds)}")
 
-    def one_vs_later(rows: list[int]) -> np.ndarray:
-        parts = [
-            similarities(policy.scheme_id, policy.params, y[i], y[rows[a + 1 :]])
-            for a, i in enumerate(rows[:-1])
-        ]
+    def scores(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        chunks = [slice(s, s + _BLOCK_ROWS) for s in range(0, len(i), _BLOCK_ROWS)]
+        parts = [similarities(policy.scheme_id, policy.params, y[i[c]], y[j[c]]) for c in chunks]
         return np.concatenate(parts) if parts else np.empty(0)
 
-    subject_rows = list(ds.subject_rows().values())
+    mated, nonmated = pair_indices(ds)
     return ScoreSet(
-        mated=np.concatenate([one_vs_later(rows) for rows in subject_rows]),
-        nonmated=one_vs_later([rows[0] for rows in subject_rows]),
+        mated=scores(*mated), nonmated=scores(*nonmated),
         scheme_id=policy.scheme_id, scenario=policy.scenario,
     )

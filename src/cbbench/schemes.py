@@ -282,32 +282,33 @@ def protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
 
 
 def _bit_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - Hamming distance / length, bit row ``a`` against each row of ``b``."""
+    """1 - Hamming distance / length of bit rows, element-wise over leading axes."""
     return 1.0 - np.count_nonzero(a != b, axis=-1) / a.shape[-1]
 
 
 def _code_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fraction of equal codes, code row ``a`` against each row of ``b``."""
+    """Fraction of equal codes of code rows, element-wise over leading axes."""
     return np.count_nonzero(a == b, axis=-1) / a.shape[-1]
 
 
 def _bloom_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - mean over blocks of |A xor B| / (|A| + |B|), (B, F) blocks ``a`` against each
-    entry of ``b``; the mean runs along contiguous rows, summing as a lone (B,) array would."""
+    """1 - mean over blocks of |A xor B| / (|A| + |B|) of (..., B, F) blocks, element-wise
+    over leading axes; the mean runs along contiguous rows, summing as a lone (B,) array would."""
     sym_diff = np.count_nonzero(a != b, axis=-1).astype(np.float64)
     total = (np.count_nonzero(a, axis=-1) + np.count_nonzero(b, axis=-1)).astype(np.float64)
     dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
     return 1.0 - dissim.mean(axis=-1)
 
 
-def similarities(scheme_id: SchemeId, params, row: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``compare`` of one protected template against each of ``rows``, all in
-    the ``to_real_vector`` layout of a protected matrix (not range-checked)."""
+def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``compare`` of protected rows ``a`` and ``b``, element-wise over their
+    (broadcast) leading axes, all in the ``to_real_vector`` layout of a
+    protected matrix (not range-checked)."""
     payload = _PAYLOAD_FOR_SCHEME[scheme_id]
     if payload is BloomSet:
         f = 2**params.bloom_word_bits
-        return _bloom_similarity(row.reshape(-1, f), rows.reshape(rows.shape[0], -1, f))
-    return (_code_similarity if payload is CodeVector else _bit_similarity)(row, rows)
+        return _bloom_similarity(a.reshape(*a.shape[:-1], -1, f), b.reshape(*b.shape[:-1], -1, f))
+    return (_code_similarity if payload is CodeVector else _bit_similarity)(a, b)
 
 
 def compare(a: ProtectedTemplate, b: ProtectedTemplate) -> float:

@@ -15,10 +15,10 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, Template, _check_ranges, _param
+from .core import Dataset, _check_ranges, _param
 from .errors import InvalidArgumentError
 from .numerics import derive_stream
-from .protocol import ScoreSet, mated_pairs, nonmated_pairs
+from .protocol import ScoreSet, pair_indices
 
 __all__ = ["SynthConfig", "generate", "unprotected_scores", "STANDARD_CONFIG"]
 
@@ -46,6 +46,12 @@ class SynthConfig:
             if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no number
                 raise InvalidArgumentError(f"{f.name} must be {what}, got {value!r}")
         _check_ranges(self)
+        # the caps above bound each size alone; this bounds the features to 512 MiB
+        if self.dimension * self.subjects * self.samples_per_subject > 2**26:
+            raise InvalidArgumentError(
+                f"dimension x subjects x samples_per_subject must be <= 2**26, got "
+                f"{self.dimension} x {self.subjects} x {self.samples_per_subject}"
+            )
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
             raise InvalidArgumentError(
                 f"noise_sigma must be finite and > 0, got {self.noise_sigma}"
@@ -66,37 +72,30 @@ def generate(cfg: SynthConfig) -> Dataset:
     stream = derive_stream(cfg.seed, b"synthdata")
     d = cfg.dimension
     coord_sigma = cfg.noise_sigma / math.sqrt(d)
-    subject_width = len(str(cfg.subjects - 1))
-    sample_width = len(str(cfg.samples_per_subject - 1))
-    templates: list[Template] = []
+    n = cfg.samples_per_subject
+    features = np.empty((cfg.subjects * n, d))
     for s in range(cfg.subjects):
         mean = stream.normals(d)
         mean /= np.linalg.norm(mean)
-        for j in range(cfg.samples_per_subject):
+        for j in range(n):
             v = mean + coord_sigma * stream.normals(d)
-            v /= np.linalg.norm(v)
-            templates.append(
-                Template(
-                    subject_id=f"s{s:0{subject_width}d}",
-                    sample_id=f"{j:0{sample_width}d}",
-                    features=v,
-                )
-            )
-    return Dataset(templates=templates, dimension=d)
+            features[s * n + j] = v / np.linalg.norm(v)
+    subjects = [f"s{s:0{len(str(cfg.subjects - 1))}d}" for s in range(cfg.subjects)]
+    samples = [f"{j:0{len(str(n - 1))}d}" for j in range(n)]
+    return Dataset(features, [s for s in subjects for _ in samples], samples * cfg.subjects)
 
 
 def unprotected_scores(ds: Dataset) -> ScoreSet:
     """Baseline scores on raw templates: cosine similarity mapped to [0, 1]
-    via (1 + cos)/2, over the standard mated/non-mated pair lists."""
+    via (1 + cos)/2, over the pairs of ``pair_indices``, one ``np.dot`` per pair."""
+    x = ds.features
 
-    def score(a: Template, b: Template) -> float:
-        cos = float(
-            np.dot(a.features, b.features)
-            / (np.linalg.norm(a.features) * np.linalg.norm(b.features))
-        )
+    def score(i: int, j: int) -> float:
+        cos = float(np.dot(x[i], x[j]) / (np.linalg.norm(x[i]) * np.linalg.norm(x[j])))
         cos = min(1.0, max(-1.0, cos))  # guard rounding at |cos| ~ 1
         return (1.0 + cos) / 2.0
 
-    mated = np.array([score(a, b) for a, b in mated_pairs(ds)])
-    nonmated = np.array([score(a, b) for a, b in nonmated_pairs(ds)])
+    (mated_i, mated_j), (nonmated_i, nonmated_j) = pair_indices(ds)
+    mated = np.array([score(i, j) for i, j in zip(mated_i.tolist(), mated_j.tolist())])
+    nonmated = np.array([score(i, j) for i, j in zip(nonmated_i.tolist(), nonmated_j.tolist())])
     return ScoreSet(mated=mated, nonmated=nonmated, scheme_id=None, scenario=None)

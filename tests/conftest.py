@@ -8,6 +8,7 @@ implementations.
 
 import csv
 import io
+import itertools
 import time
 from pathlib import Path
 
@@ -74,6 +75,18 @@ def make_dataset(features_by_subject: dict[str, list]) -> Dataset:
     return Dataset.from_templates(templates)
 
 
+def oracle_pairs(ds: Dataset) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The protocol's (mated, non-mated) row-index pairs by itertools:
+    all unordered within-subject sample pairs, subject by subject, then all
+    unordered subject pairs on each subject's first sample."""
+    subject_rows = {}
+    for i, subject in enumerate(ds.subject_ids):
+        subject_rows.setdefault(subject, []).append(i)
+    mated = [p for rows in subject_rows.values() for p in itertools.combinations(rows, 2)]
+    firsts = [rows[0] for rows in subject_rows.values()]
+    return mated, list(itertools.combinations(firsts, 2))
+
+
 def oracle_read_templates(path) -> Dataset:
     """Template CSV reader as one csv.reader loop with a float() per value."""
     path = Path(path)
@@ -103,7 +116,7 @@ def oracle_read_templates(path) -> Dataset:
             templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
     if not templates:
         raise ParseError(f"{path}: no template rows")
-    ds = Dataset(templates=templates, dimension=d)
+    ds = Dataset.from_templates(templates)
     issues = validate_dataset(ds)
     if issues:
         raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))
@@ -192,7 +205,7 @@ def standard_battery():
     irreversibility estimates for normal/stolen."""
     start = time.perf_counter()
     ds = generate(STANDARD_CONFIG)
-    x = ds.feature_matrix()
+    x = ds.features
     scores = {}
     mi = {}
     for scheme in SchemeId:

@@ -385,6 +385,9 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["bench", "--config", "{config:iom_p}"], 1, "iom_p"),
         (["bench", "--config", "{config:mlp_layers}"], 1, "mlp_layers"),
         (["bench", "--config", "{config:bloom_block_cols}"], 1, "bloom_block_cols"),
+        (["synth", "--subjects", "10000", "--samples", "100", "--dim", "2048", "--sigma", "0.3",
+          "--out", "t.csv"], 2, "--dim"),
+        (["bench", "--config", "{config:features_big}"], 1, "dimension"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -394,7 +397,7 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
          "config-subjects-1e6", "config-samples-1e6", "param-iom-k-1e9",
          "param-iom-p-1e9", "param-mlp-layers-1e9", "param-bloom-block-cols-1e9",
          "config-iom-k-1e9", "config-iom-p-1e9", "config-mlp-layers-1e9",
-         "config-bloom-block-cols-1e9"],
+         "config-bloom-block-cols-1e9", "synth-features-2e9", "config-features-2e9"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -412,6 +415,9 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:samples_per_subject}": {
             "synthetic": {**SMALL_SYNTHETIC, "samples_per_subject": 10**6}
         },
+        "{config:features_big}": {"synthetic": {
+            **SMALL_SYNTHETIC, "subjects": 10_000, "samples_per_subject": 100, "dimension": 2048
+        }},
         **{
             f"{{config:{name}}}": {"params": {name: 10**9}}
             for name in ("iom_k", "iom_p", "mlp_layers", "bloom_block_cols")

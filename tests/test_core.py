@@ -145,15 +145,76 @@ class TestValidateDataset:
 
     def test_duplicate_pair_flagged(self):
         t = Template("a", "0", np.array([1.0, 2.0]))
-        ds = Dataset(templates=[t, Template("a", "0", np.array([2.0, 1.0]))], dimension=2)
+        ds = Dataset.from_templates([t, Template("a", "0", np.array([2.0, 1.0]))])
         assert any("duplicate" in i for i in validate_dataset(ds))
 
     def test_dimension_mismatch_flagged(self):
-        ds = Dataset(
-            templates=[
-                Template("a", "0", np.array([1.0, 2.0])),
-                Template("a", "1", np.array([1.0, 2.0, 3.0])),
-            ],
-            dimension=2,
-        )
-        assert any("dimension" in i for i in validate_dataset(ds))
+        # a columnar dataset cannot hold rows of two dimensions: building one is refused
+        templates = [
+            Template("a", "0", np.array([1.0, 2.0])),
+            Template("a", "1", np.array([1.0, 2.0, 3.0])),
+        ]
+        with pytest.raises(
+            InvalidArgumentError, match=r"^subject a sample 1: dimension 3 != dataset dimension 2$"
+        ):
+            Dataset.from_templates(templates)
+
+    def test_messages_in_row_order(self):
+        # duplicates and non-finite values are reported row by row, as a
+        # per-template loop would, then the subject counts
+        x = np.array([[1.0, np.inf], [1.0, 2.0], [np.nan, -np.inf], [3.0, 4.0], [5.0, 6.0]])
+        ds = Dataset(x, ["a", "a", "a", "b", "c"], ["0", "1", "0", "0", "0"])
+        assert validate_dataset(ds) == [
+            "subject a sample 0: non-finite feature at index 1",
+            "duplicate (subject, sample) pair ('a', '0')",
+            "subject a sample 0: non-finite feature at index 0",
+            "subject a sample 0: non-finite feature at index 1",
+            "subject b has only 1 sample(s); need >= 2",
+            "subject c has only 1 sample(s); need >= 2",
+        ]
+
+    def test_one_dimension_flagged_first(self):
+        ds = Dataset(np.array([[1.0], [np.nan]]), ["a", "a"], ["0", "1"])
+        assert validate_dataset(ds) == [
+            "dimension must be >= 2, got 1",
+            "subject a sample 1: non-finite feature at index 0",
+        ]
+
+
+class TestDataset:
+    def test_from_templates_stacks_rows(self):
+        templates = [Template("b", "x", [1.0, 2.0]), Template("a", "y", [3.0, 4.0])]
+        ds = Dataset.from_templates(templates)
+        assert ds.features.dtype == np.float64 and ds.features.shape == (2, 2)
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.subject_ids == ["b", "a"] and ds.sample_ids == ["x", "y"]
+        assert ds.dimension == 2 and len(ds) == 2
+
+    def test_templates_are_row_views(self):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), ["a", "a", "b"], ["0", "1", "0"])
+        templates = ds.templates
+        assert [(t.subject_id, t.sample_id) for t in templates] == [
+            ("a", "0"), ("a", "1"), ("b", "0")
+        ]
+        for i, t in enumerate(templates):
+            assert np.shares_memory(t.features, ds.features)
+            assert np.array_equal(t.features, ds.features[i])
+
+    def test_subject_rows_in_first_appearance_order(self):
+        ds = Dataset(np.zeros((5, 2)), ["b", "a", "b", "c", "a"], list("01234"))
+        assert ds.subject_rows() == {"b": [0, 2], "a": [1, 4], "c": [3]}
+        assert list(ds.subject_rows()) == ["b", "a", "c"]
+
+    def test_empty_template_list_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at least one template"):
+            Dataset.from_templates([])
+
+    @pytest.mark.parametrize("features, subjects, samples", [
+        (np.zeros((2, 3)), ["a"], ["0", "1"]),
+        (np.zeros((2, 3)), ["a", "a"], ["0"]),
+        (np.zeros(3), ["a", "a", "a"], ["0", "1", "2"]),
+        (np.zeros((1, 2, 3)), ["a"], ["0"]),
+    ])
+    def test_ids_must_match_rows(self, features, subjects, samples):
+        with pytest.raises(InvalidArgumentError, match="one id pair per row"):
+            Dataset(features, subjects, samples)

@@ -168,14 +168,10 @@ class TestRowWriter:
     IDS = ["a,b", 'q"t', "x y", "na\u00efve", "line\nbreak", "plain"]
 
     def dataset(self, values):
-        n = values.shape[0]
-        return Dataset(
-            templates=[
-                Template(self.IDS[(i // 2) % len(self.IDS)] + str(i // 2), str(i % 2), values[i])
-                for i in range(n)
-            ],
-            dimension=values.shape[1],
-        )
+        return Dataset.from_templates([
+            Template(self.IDS[(i // 2) % len(self.IDS)] + str(i // 2), str(i % 2), values[i])
+            for i in range(values.shape[0])
+        ])
 
     @pytest.mark.parametrize("kind", ["repeats", "distinct"])
     def test_templates_bytes_and_round_trip(self, tmp_path, kind):
@@ -201,7 +197,7 @@ class TestRowWriter:
         assert [(t.subject_id, t.sample_id) for t in back.templates] == [
             (t.subject_id, t.sample_id) for t in ds.templates
         ]
-        assert back.feature_matrix().tobytes() == values.tobytes()
+        assert back.features.tobytes() == values.tobytes()
 
     def test_det_points_bytes(self, tmp_path):
         curve = TestDetPoints().make_curve()

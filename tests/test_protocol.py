@@ -4,12 +4,18 @@ import pytest
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template
 from cbbench.errors import InvalidArgumentError
 from cbbench.numerics import derive_stream
-from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, mated_pairs, nonmated_pairs, run_scenario
+from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
 from cbbench.synthdata import SynthConfig, generate
 
-from conftest import make_dataset
+from conftest import make_dataset, oracle_pairs
 
 PARAMS = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
+
+
+def template_pairs(ds):
+    """(mated, non-mated) lists of the template pairs ``pair_indices`` names."""
+    t = ds.templates
+    return [[(t[i], t[j]) for i, j in zip(*pairs)] for pairs in pair_indices(ds)]
 
 
 def policy(scenario, scheme=SchemeId.BIOHASH, seed=7):
@@ -56,38 +62,65 @@ class TestDeriveKey:
 class TestPairGeneration:
     def test_single_subject_six_samples(self):
         ds = make_dataset({"a": [[float(i), 1.0] for i in range(6)], "b": [[9.0, 1.0], [8.0, 1.0]]})
-        per_subject = [p for p in mated_pairs(ds) if p[0].subject_id == "a"]
+        per_subject = [p for p in template_pairs(ds)[0] if p[0].subject_id == "a"]
         assert len(per_subject) == 15  # C(6, 2)
 
     def test_subject_with_two_samples(self):
         ds = make_dataset({"a": [[1.0, 0.0], [2.0, 0.0]], "b": [[1.0, 1.0], [2.0, 1.0]]})
-        assert len(mated_pairs(ds)) == 2  # one per subject
+        assert len(template_pairs(ds)[0]) == 2  # one per subject
 
     def test_finger_vein_shape_unordered_count(self):
         # 318 subjects x 6 samples: unordered within-subject combinations
         ds = make_dataset(
             {f"s{i}": [[float(j), float(i)] for j in range(6)] for i in range(318)}
         )
-        assert len(mated_pairs(ds)) == 318 * 15 == 4770
+        assert len(template_pairs(ds)[0]) == 318 * 15 == 4770
 
     def test_nonmated_three_subjects(self):
         ds = make_dataset({s: [[1.0, 0.0], [0.0, 1.0]] for s in "abc"})
-        assert len(nonmated_pairs(ds)) == 3
+        assert len(template_pairs(ds)[1]) == 3
 
     def test_nonmated_150_subjects(self):
         ds = make_dataset(
             {f"s{i}": [[1.0, float(i)], [2.0, float(i)]] for i in range(150)}
         )
-        assert len(nonmated_pairs(ds)) == 150 * 149 // 2 == 11175
+        assert len(template_pairs(ds)[1]) == 150 * 149 // 2 == 11175
 
     def test_nonmated_two_subjects(self):
         ds = make_dataset({"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 1.0], [0.0, 2.0]]})
-        assert len(nonmated_pairs(ds)) == 1
+        assert len(template_pairs(ds)[1]) == 1
 
     def test_nonmated_uses_first_sample(self):
         ds = make_dataset({"a": [[1.0, 0.0], [5.0, 5.0]], "b": [[0.0, 1.0], [6.0, 6.0]]})
-        (pair,) = nonmated_pairs(ds)
+        (pair,) = template_pairs(ds)[1]
         assert pair[0].sample_id == "0" and pair[1].sample_id == "0"
+
+    @pytest.mark.parametrize("order", [
+        "abab", "aabbcc", "abcabc", "cbacab", "aaaa", "abcdefgabcdefgcdg", "baab", "ab",
+    ])
+    def test_pair_indices_equal_itertools_oracle(self, order):
+        # subjects interleave, repeat unevenly or hold one sample (pairs need
+        # no valid dataset)
+        counts = {}
+        templates = []
+        for s in order:
+            counts[s] = counts.get(s, 0) + 1
+            templates.append(Template(s, str(counts[s]), np.array([float(len(templates)), 1.0])))
+        ds = Dataset.from_templates(templates)
+        (mated_i, mated_j), (nonmated_i, nonmated_j) = pair_indices(ds)
+        mated, nonmated = oracle_pairs(ds)
+        for arr in (mated_i, mated_j, nonmated_i, nonmated_j):
+            assert arr.dtype.kind == "i" and arr.ndim == 1
+        assert list(zip(mated_i.tolist(), mated_j.tolist())) == mated
+        assert list(zip(nonmated_i.tolist(), nonmated_j.tolist())) == nonmated
+
+    def test_pair_indices_equal_oracle_on_synthetic_data(self):
+        ds = generate(SynthConfig(13, 3, 16, 0.3, 6))
+        (mated_i, mated_j), (nonmated_i, nonmated_j) = pair_indices(ds)
+        mated, nonmated = oracle_pairs(ds)
+        assert list(zip(mated_i.tolist(), mated_j.tolist())) == mated
+        assert list(zip(nonmated_i.tolist(), nonmated_j.tolist())) == nonmated
+        assert len(nonmated) == 78 > 64  # crosses one 64-pair scoring chunk
 
 
 class TestScoreSet:
@@ -124,7 +157,7 @@ class TestRunScenario:
     def test_normal_mated_pair_shares_key(self):
         p = policy(Scenario.NORMAL)
         ds = generate(SynthConfig(3, 2, 16, 0.3, 5))
-        for a, b in mated_pairs(ds):
+        for a, b in template_pairs(ds)[0]:
             assert derive_key(p, a.subject_id, a.sample_id) == derive_key(
                 p, b.subject_id, b.sample_id
             )
@@ -153,7 +186,6 @@ class TestRunScenario:
         from cbbench.metrics import protected_matrix
         from cbbench.schemes import compare, instantiate, protect
 
-        ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
         p = policy(scenario, scheme=scheme)
 
         def uncached_score(a, b):
@@ -161,11 +193,16 @@ class TestRunScenario:
             pb = protect(b, instantiate(derive_key(p, b.subject_id, b.sample_id), ds.dimension))
             return compare(pa, pb)
 
-        mated = np.sort([uncached_score(a, b) for a, b in mated_pairs(ds)])
-        nonmated = np.sort([uncached_score(a, b) for a, b in nonmated_pairs(ds)])
-        for cached in (run_scenario(ds, p), run_scenario(ds, p, protected=protected_matrix(ds, p))):
-            assert np.array_equal(cached.mated, mated)
-            assert np.array_equal(cached.nonmated, nonmated)
+        # the second dataset has 78 non-mated pairs, so scoring crosses a 64-pair chunk
+        for cfg in (SynthConfig(4, 3, 16, 0.3, 6), SynthConfig(13, 3, 16, 0.3, 6)):
+            ds = generate(cfg)
+            m_pairs, nm_pairs = template_pairs(ds)
+            mated = np.sort([uncached_score(a, b) for a, b in m_pairs])
+            nonmated = np.sort([uncached_score(a, b) for a, b in nm_pairs])
+            protected = protected_matrix(ds, p)
+            for cached in (run_scenario(ds, p), run_scenario(ds, p, protected=protected)):
+                assert np.array_equal(cached.mated, mated)
+                assert np.array_equal(cached.nonmated, nonmated)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_bloom_many_blocks_matches_per_pair_expression(self, scenario):
@@ -190,9 +227,10 @@ class TestRunScenario:
 
         assert blocks(ds.templates[0]).shape[0] == 10
         scores = run_scenario(ds, p)
-        assert np.array_equal(scores.mated, np.sort([reference(a, b) for a, b in mated_pairs(ds)]))
+        m_pairs, nm_pairs = template_pairs(ds)
+        assert np.array_equal(scores.mated, np.sort([reference(a, b) for a, b in m_pairs]))
         assert np.array_equal(
-            scores.nonmated, np.sort([reference(a, b) for a, b in nonmated_pairs(ds)])
+            scores.nonmated, np.sort([reference(a, b) for a, b in nm_pairs])
         )
 
 

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from cbbench.core import validate_dataset
 from cbbench.errors import InvalidArgumentError
 from cbbench.metrics import compute_det, eer
-from cbbench.protocol import mated_pairs
+from cbbench.numerics import derive_stream
+from cbbench.protocol import pair_indices
 from cbbench.synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_scores
 
 from conftest import make_dataset, oracle_eer
@@ -23,8 +26,8 @@ class TestGenerate:
 
     def test_vanishing_noise_collapses_mated_pairs(self):
         ds = generate(SynthConfig(4, 3, 64, 1e-9, 4))
-        for a, b in mated_pairs(ds):
-            assert float(a.features @ b.features) >= 1.0 - 1e-6
+        for i, j in zip(*pair_indices(ds)[0]):
+            assert float(ds.features[i] @ ds.features[j]) >= 1.0 - 1e-6
 
     def test_determinism(self):
         a = generate(SynthConfig(4, 3, 16, 0.4, 9))
@@ -32,6 +35,25 @@ class TestGenerate:
         for ta, tb in zip(a.templates, b.templates):
             assert ta.subject_id == tb.subject_id and ta.sample_id == tb.sample_id
             assert np.array_equal(ta.features, tb.features)
+
+    @pytest.mark.parametrize("cfg", [SynthConfig(4, 3, 16, 0.4, 9), SynthConfig(11, 2, 7, 0.9, 3)])
+    def test_equals_per_row_draws(self, cfg):
+        # reference: one template at a time, normalized in place, ids zero-padded
+        stream = derive_stream(cfg.seed, b"synthdata")
+        sigma = cfg.noise_sigma / math.sqrt(cfg.dimension)
+        rows, ids = [], []
+        for s in range(cfg.subjects):
+            mean = stream.normals(cfg.dimension)
+            mean /= np.linalg.norm(mean)
+            for j in range(cfg.samples_per_subject):
+                v = mean + sigma * stream.normals(cfg.dimension)
+                v /= np.linalg.norm(v)
+                rows.append(v)
+                ids.append((f"s{s:0{len(str(cfg.subjects - 1))}d}",
+                            f"{j:0{len(str(cfg.samples_per_subject - 1))}d}"))
+        ds = generate(cfg)
+        assert ds.features.tobytes() == np.array(rows).tobytes()
+        assert list(zip(ds.subject_ids, ds.sample_ids)) == ids
 
     def test_seed_changes_data(self):
         a = generate(SynthConfig(4, 3, 16, 0.4, 9))
@@ -86,6 +108,13 @@ class TestGenerate:
         # the message starts with the field name, which the CLI maps to its flag
         with pytest.raises(InvalidArgumentError, match=f"^{next(iter(kwargs))} "):
             SynthConfig(**{**base, **kwargs})
+
+    def test_feature_count_capped(self):
+        # each size is within its own cap; their product is bounded at 2**26 values
+        SynthConfig(8192, 4, 2048, 0.4, 1)  # exactly 2**26: accepted
+        for sizes in [(8192, 5, 2048), (8193, 4, 2048), (10_000, 100, 2048)]:
+            with pytest.raises(InvalidArgumentError, match=r"^dimension x .* <= 2\*\*26"):
+                SynthConfig(*sizes, 0.4, 1)
 
     def test_numpy_integers_accepted(self):
         cfg = SynthConfig(np.int64(4), np.int32(3), np.int64(16), np.float64(0.4), 1)
