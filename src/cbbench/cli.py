@@ -11,14 +11,15 @@ import argparse
 import os
 import platform
 import sys
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Scenario, SchemeId, SchemeParams
+from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Scenario, SchemeId, SchemeParams, _check_ranges
 from .errors import CbBenchError, InvalidArgumentError
 from .io import (
     BenchmarkConfig,
@@ -30,6 +31,7 @@ from .io import (
     write_templates,
 )
 from .metrics import (
+    DetCurve,
     compute_det,
     eer,
     fnmr_at_fmr,
@@ -56,15 +58,21 @@ def _flag(field_name: str) -> str:
     return "--" + _FLAG_NAMES.get(field_name, field_name).replace("_", "-")
 
 
-def _seed(text: str) -> int:
-    """argparse type of the seed flags: an unsigned 64-bit integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"{text} is outside [0, 2**64)")
-    return value
+def _param_arg(cls, name: str, **overrides) -> dict:
+    """``add_argument`` keywords of the flag of the ``_param`` field ``name``
+    of ``cls``: its default, its help text and a type that checks the value
+    with ``_check_ranges``, so that a bad value is a usage error naming the flag."""
+    f = next(f for f in fields(cls) if f.name == name)
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            _check_ranges(cls, **{name: value})
+        except ValueError as exc:  # an InvalidArgumentError is a ValueError too
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return {"type": parse, "default": f.default, "help": f.metadata["help"], **overrides}
 
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +80,7 @@ def _param_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(SchemeParams):
         name = _FLAG_NAMES.get(f.name, f.name)
         group.add_argument(
-            _flag(f.name), dest=f.name, metavar=name.upper(), type=int,
-            default=f.default, help=f.metadata["help"],
+            _flag(f.name), dest=f.name, metavar=name.upper(), **_param_arg(SchemeParams, f.name)
         )
 
 
@@ -95,20 +102,18 @@ def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str
     p.add_argument("--templates", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--scenario", default=default, choices=scenarios)
-    p.add_argument("--master-seed", type=_seed, default=42)
+    p.add_argument("--master-seed", **_param_arg(BenchmarkConfig, "master_seed"))
     return p
 
 
 def _policy_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> KeyPolicy:
-    """The KeyPolicy of a policy subcommand; a bad scheme name or parameter is
-    a usage error naming its flag."""
+    """The KeyPolicy of a policy subcommand; a bad scheme name is a usage
+    error naming its flag."""
     try:
         scheme = SchemeId.from_name(args.scheme)
     except InvalidArgumentError as exc:
         parser.error(f"argument --scheme: {exc}")
-    params = _from_flags(
-        parser, SchemeParams, **{f.name: getattr(args, f.name) for f in fields(SchemeParams)}
-    )
+    params = SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
     return KeyPolicy(args.master_seed, Scenario.from_name(args.scenario), scheme, params)
 
 
@@ -125,7 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seed", type=_seed, default=42)
+    # a config's synthetic seed defaults to its master seed, and so does this one
+    p.add_argument(
+        "--seed", **_param_arg(SynthConfig, "seed", default=BenchmarkConfig.master_seed)
+    )
     p.add_argument("--out", required=True)
 
     p = _policy_parser(sub, "protect", "protect a template CSV under one scheme/scenario",
@@ -140,32 +148,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _policy_parser(sub, "eval-unlink", "unlinkability for one scheme (sample-specific keys)",
                        ["sample-specific"], "sample-specific")
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", **_param_arg(BenchmarkConfig, "unlinkability_bins"))
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
 
     p = _policy_parser(sub, "eval-irrev", "mutual information for one scheme and scenario",
                        ["normal", "stolen"], "normal")
-    p.add_argument("--r", type=int, default=100, help="reduced feature count for both sets")
+    p.add_argument("--r", **_param_arg(BenchmarkConfig, "mi_components"))
     p.add_argument("--out-dir", default=".")
     _param_flags(p)
 
     p = sub.add_parser("bench", help="run the full benchmark described by a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None, help="override the config output_dir")
-    p.add_argument("--seed", type=_seed, default=None, help="override the config master_seed")
+    p.add_argument("--seed", **_param_arg(BenchmarkConfig, "master_seed", default=None,
+                                          help="override the config master_seed"))
 
     return parser
 
 
-def _perf_block(scores) -> dict:
+def _perf_block(scores) -> tuple[DetCurve, dict]:
+    """The DET curve of a score set and the report fields read off it."""
     curve = compute_det(scores)
-    return {
-        "curve": curve,
+    return curve, {
         "eer": eer(curve),
         "fnmr_at_fmr_1pct": fnmr_at_fmr(curve, 0.01),
         "fnmr_at_fmr_0p1pct": fnmr_at_fmr(curve, 0.001),
     }
+
+
+@contextmanager
+def _cell(scheme: SchemeId, scenario: str):
+    """Raise any failure inside as a CbBenchError that names the benchmark
+    cell and the cause."""
+    try:
+        yield
+    except Exception as exc:
+        raise CbBenchError(
+            f"cell (scheme={scheme.value}, scenario={scenario}): "
+            f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _config_echo(config: BenchmarkConfig) -> dict:
@@ -220,7 +242,7 @@ def _run_benchmark_cells(
 ) -> dict:
     ds = generate(config.synthetic) if config.synthetic else read_templates(config.templates_path)
 
-    baseline = _perf_block(unprotected_scores(ds))
+    _, baseline = _perf_block(unprotected_scores(ds))
     cells = []
     unlink_rows = []
 
@@ -228,31 +250,19 @@ def _run_benchmark_cells(
         scheme = spec.scheme_id
         for scenario_name in config.scenarios:
             scenario = Scenario.from_name(scenario_name)
-            try:
+            with _cell(scheme, scenario.value):
                 policy = KeyPolicy(config.master_seed, scenario, scheme, spec.params)
                 y = protected_matrix(ds, policy, workers)
-                perf = _perf_block(run_scenario(ds, policy, protected=y))
+                curve, perf = _perf_block(run_scenario(ds, policy, protected=y))
                 irrev = mutual_information(ds.features, y, config.mi_components)
                 det_path = out_dir / f"det_{scheme.value}_{scenario.value}.csv"
-                write_det_points(perf["curve"], det_path)
+                write_det_points(curve, det_path)
                 written.append(det_path)
-            except Exception as exc:
-                raise CbBenchError(
-                    f"cell (scheme={scheme.value}, scenario={scenario.value}): "
-                    f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
-                ) from exc
             cell = {
                 "scheme": scheme.value,
                 "scenario": scenario.value,
-                "eer": perf["eer"],
-                "fnmr_at_fmr_1pct": perf["fnmr_at_fmr_1pct"],
-                "fnmr_at_fmr_0p1pct": perf["fnmr_at_fmr_0p1pct"],
-                "mi": irrev.mi,
-                "h_x": irrev.h_x,
-                "h_y": irrev.h_y,
-                "h_joint": irrev.h_joint,
-                "r_used": irrev.r_used,
-                "near_deterministic": irrev.near_deterministic,
+                **perf,
+                **asdict(irrev),
                 "realized_length": int(y.shape[1]),
                 "length_unit": "codes" if _PAYLOAD_FOR_SCHEME[scheme] is CodeVector else "bits",
                 "det_csv": det_path.name,
@@ -262,17 +272,12 @@ def _run_benchmark_cells(
                 cell["effective_entropy_length"] = min(ds.dimension, spec.params.output_length)
             cells.append(cell)
 
-        try:
+        with _cell(scheme, Scenario.SAMPLE_SPECIFIC.value):
             policy = KeyPolicy(
                 config.master_seed, Scenario.SAMPLE_SPECIFIC, scheme, spec.params
             )
             scores = run_scenario(ds, policy, workers)
             ul = unlinkability(scores, config.unlinkability_bins)
-        except Exception as exc:
-            raise CbBenchError(
-                f"cell (scheme={scheme.value}, scenario=sample-specific): "
-                f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
-            ) from exc
         unlink_rows.append(
             {
                 "scheme": scheme.value,
@@ -294,11 +299,7 @@ def _run_benchmark_cells(
             "dimension": ds.dimension,
             "source": "synthetic" if config.synthetic is not None else config.templates_path,
         },
-        "unprotected_baseline": {
-            "eer": baseline["eer"],
-            "fnmr_at_fmr_1pct": baseline["fnmr_at_fmr_1pct"],
-            "fnmr_at_fmr_0p1pct": baseline["fnmr_at_fmr_0p1pct"],
-        },
+        "unprotected_baseline": baseline,
         "cells": cells,
         "unlinkability": unlink_rows,
     }
@@ -336,11 +337,11 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    perf = _perf_block(run_scenario(ds, policy))
+    curve, perf = _perf_block(run_scenario(ds, policy))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     det_path = out_dir / f"det_{args.scheme}_{args.scenario}.csv"
-    write_det_points(perf["curve"], det_path)
+    write_det_points(curve, det_path)
     print(f"EER {perf['eer']:.4f}")
     print(f"FNMR@FMR=1% {perf['fnmr_at_fmr_1pct']:.4f}")
     print(f"FNMR@FMR=0.1% {perf['fnmr_at_fmr_0p1pct']:.4f}")
@@ -380,19 +381,7 @@ def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifact = out_dir / f"irrev_{args.scheme}_{args.scenario}.json"
-    write_report(
-        {
-            "scheme": args.scheme,
-            "scenario": args.scenario,
-            "mi": report.mi,
-            "h_x": report.h_x,
-            "h_y": report.h_y,
-            "h_joint": report.h_joint,
-            "r_used": report.r_used,
-            "near_deterministic": report.near_deterministic,
-        },
-        artifact,
-    )
+    write_report({"scheme": args.scheme, "scenario": args.scenario, **asdict(report)}, artifact)
     print(f"report written to {artifact}")
     return 0
 

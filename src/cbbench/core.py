@@ -4,6 +4,7 @@ scores and scenario tags."""
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,13 +68,17 @@ def _param(default, help: str, low: int, high: int):
     return field(default=default, metadata={"help": help, "range": (low, high)})
 
 
-def _check_ranges(obj) -> None:
-    """Reject the first ``_param`` field of a dataclass instance that lies
-    outside its range, with a message that starts with the field name."""
-    for f in fields(obj):
-        if "range" in f.metadata:
+def _check_ranges(cls, **values) -> None:
+    """Reject the first of ``values`` that belongs to a ``_param`` field of
+    the dataclass ``cls`` (a class or an instance) and is not an integer in
+    the field's range (a bool is not an integer), with a message that starts
+    with the field name. ``__post_init__`` passes ``self, **vars(self)``."""
+    for f in fields(cls):
+        if "range" in f.metadata and f.name in values:
             low, high = f.metadata["range"]
-            value = getattr(obj, f.name)
+            value = values[f.name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidArgumentError(f"{f.name} must be an integer, got {value!r}")
             if not low <= value <= high:
                 raise InvalidArgumentError(f"{f.name} must be in [{low}, {high}], got {value}")
 
@@ -102,7 +107,7 @@ class SchemeParams:
     bloom_block_cols: int = _param(16, "columns per bloom block", 1, 1024)
 
     def __post_init__(self) -> None:
-        _check_ranges(self)
+        _check_ranges(self, **vars(self))
 
 
 @dataclass(frozen=True)

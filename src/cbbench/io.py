@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SchemeId, SchemeParams, validate_dataset
+from .core import Dataset, SchemeId, SchemeParams, _check_ranges, _param, validate_dataset
 from .errors import CbBenchError, InvalidArgumentError, ParseError
 from .metrics import DetCurve
 from .synthdata import STANDARD_CONFIG, SynthConfig
@@ -254,32 +255,31 @@ class BenchmarkConfig:
 
     schemes: list[SchemeSpec]
     scenarios: list[str]
-    master_seed: int = 42
-    unlinkability_bins: int = 100
-    mi_components: int = 100
+    master_seed: int = _param(42, "master seed every key derives from", 0, 2**64 - 1)
+    # 10 000 bins keep the histograms and the local curve at 80 KB each
+    unlinkability_bins: int = _param(100, "unlinkability histogram bins", 10, 10_000)
+    # r_used never exceeds either matrix's width; 4096 is the output_length cap
+    mi_components: int = _param(100, "reduced feature count for both MI sets", 1, 4096)
     synthetic: SynthConfig | None = None
     templates_path: str | None = None
     output_dir: str = "."
 
     def __post_init__(self) -> None:
+        _check_ranges(self, **vars(self))
         if not self.schemes:
-            raise InvalidArgumentError("config needs at least one scheme")
+            raise InvalidArgumentError("schemes must list at least one scheme")
         if not self.scenarios:
-            raise InvalidArgumentError("config needs at least one scenario")
+            raise InvalidArgumentError("scenarios must list at least one scenario")
         for s in self.scenarios:
             if s not in ("normal", "stolen"):
                 raise InvalidArgumentError(
-                    f"unknown scenario {s!r} in config (use 'normal' and/or 'stolen'; "
+                    f"scenarios: unknown scenario {s!r} (use 'normal' and/or 'stolen'; "
                     "the sample-specific unlinkability pass always runs)"
                 )
         if (self.synthetic is None) == (self.templates_path is None):
             raise InvalidArgumentError(
                 "config needs exactly one input source: 'synthetic' or 'templates'"
             )
-        if self.unlinkability_bins < 10:
-            raise InvalidArgumentError("unlinkability_bins must be >= 10")
-        if self.mi_components < 1:
-            raise InvalidArgumentError("mi_components must be >= 1")
 
 
 def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
@@ -304,36 +304,39 @@ def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
 
 
 _PARAM_KEYS = {f.name for f in fields(SchemeParams)}
-# JSON types a config value of each kind may have (a bool is never a number)
-_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    list: ((list,), "a list"),
-    dict: ((dict,), "an object"),
+_SYNTH_KEYS = {f.name for f in fields(SynthConfig)}
+_CONFIG_KEYS = {
+    "schemes", "scenarios", "params", "master_seed", "unlinkability_bins",
+    "mi_components", "synthetic", "templates", "output_dir",
 }
+# JSON types of the config values that no dataclass field checks
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
 
 
 def _check(value, kind: type, what: str):
     """Return ``value`` if it is of the JSON kind; else raise ParseError naming ``what``."""
-    types, name = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ParseError(f"{what} must be {name}, got {value!r}")
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _check_seed(value, what: str) -> int:
-    if not 0 <= _check(value, int, what) < 2**64:
-        raise ParseError(f"{what} must be in [0, 2**64), got {value}")
-    return value
+@contextmanager
+def _naming(where):
+    """Raise an InvalidArgumentError of a dataclass check, whose message
+    starts with the field name, as a ParseError that says ``where`` first."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_params(data, where: str, base: SchemeParams) -> SchemeParams:
-    """``base`` with the integer overrides in ``data`` applied."""
+    """``base`` with the overrides in ``data`` applied."""
     unknown = set(_check(data, dict, where)) - _PARAM_KEYS
     if unknown:
         raise ParseError(f"{where}: unknown parameter(s) {sorted(unknown)}")
-    return replace(base, **{k: _check(v, int, f"{where}.{k}") for k, v in data.items()})
+    with _naming(where):
+        return replace(base, **data)
 
 
 def load_config(path: str | Path) -> BenchmarkConfig:
@@ -341,8 +344,10 @@ def load_config(path: str | Path) -> BenchmarkConfig:
 
     Scheme entries are either a bare name ("biohash") or an object
     {"name": ..., "params": {...}}; a top-level "params" object supplies
-    defaults for schemes without their own. A value of the wrong JSON type
-    raises ParseError naming its key.
+    defaults for schemes without their own. Settings the file leaves out take
+    their dataclass defaults; the synthetic seed defaults to the master seed.
+    A missing, unknown or ill-typed key, or a value out of range, raises
+    ParseError naming the key.
     """
     path = Path(path)
     try:
@@ -350,65 +355,57 @@ def load_config(path: str | Path) -> BenchmarkConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-
-    known_keys = {
-        "schemes", "scenarios", "params", "master_seed", "unlinkability_bins",
-        "mi_components", "synthetic", "templates", "output_dir",
-    }
-    unknown = set(data) - known_keys
+    unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"{path}: unknown config key(s) {sorted(unknown)}")
-    master_seed = _check_seed(data.get("master_seed", 42), f"{path}: master_seed")
+
+    settings = {
+        k: data[k] for k in ("master_seed", "unlinkability_bins", "mi_components") if k in data
+    }
+    with _naming(path):  # before the synthetic seed, which defaults to master_seed
+        _check_ranges(BenchmarkConfig, **settings)
+    if "output_dir" in data:
+        settings["output_dir"] = _check(data["output_dir"], str, f"{path}: output_dir")
+    if "templates" in data:
+        settings["templates_path"] = _check(data["templates"], str, f"{path}: templates")
+    if "synthetic" in data:
+        where = f"{path}: synthetic"
+        syn = _check(data["synthetic"], dict, where)
+        unknown, missing = set(syn) - _SYNTH_KEYS, _SYNTH_KEYS - {"seed"} - set(syn)
+        if unknown or missing:
+            raise ParseError(
+                f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}"
+            )
+        with _naming(where):
+            settings["synthetic"] = SynthConfig(
+                **{"seed": settings.get("master_seed", BenchmarkConfig.master_seed), **syn}
+            )
 
     base_params = _parse_params(data.get("params", {}), f"{path}: params", SchemeParams())
-
     schemes: list[SchemeSpec] = []
     for entry in _check(data.get("schemes", []), list, f"{path}: schemes"):
         if isinstance(entry, str):
             schemes.append(SchemeSpec(SchemeId.from_name(entry), base_params))
-        elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
+        elif (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and set(entry) <= {"name", "params"}
+        ):
             merged = _parse_params(
                 entry.get("params", {}), f"{path}: scheme {entry['name']} params", base_params
             )
             schemes.append(SchemeSpec(SchemeId.from_name(entry["name"]), merged))
         else:
-            raise ParseError(f"{path}: scheme entries must be names or objects with 'name'")
+            raise ParseError(
+                f"{path}: schemes entries must be names or objects with a 'name' and "
+                f"optional 'params', got {entry!r}"
+            )
 
     scenarios = _check(data.get("scenarios", []), list, f"{path}: scenarios")
     for s in scenarios:
         _check(s, str, f"{path}: scenarios entry")
-
-    synthetic = None
-    if "synthetic" in data:
-        where = f"{path}: synthetic"
-        syn = _check(data["synthetic"], dict, where)
-        try:
-            synthetic = SynthConfig(
-                subjects=_check(syn["subjects"], int, f"{where}.subjects"),
-                samples_per_subject=_check(
-                    syn["samples_per_subject"], int, f"{where}.samples_per_subject"
-                ),
-                dimension=_check(syn["dimension"], int, f"{where}.dimension"),
-                noise_sigma=_check(syn["noise_sigma"], float, f"{where}.noise_sigma"),
-                seed=_check_seed(syn.get("seed", master_seed), f"{where}.seed"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{path}: synthetic config missing key {exc}") from None
-
-    templates = data.get("templates")
-    return BenchmarkConfig(
-        schemes=schemes,
-        scenarios=scenarios,
-        master_seed=master_seed,
-        unlinkability_bins=_check(
-            data.get("unlinkability_bins", 100), int, f"{path}: unlinkability_bins"
-        ),
-        mi_components=_check(data.get("mi_components", 100), int, f"{path}: mi_components"),
-        synthetic=synthetic,
-        templates_path=None if templates is None else _check(templates, str, f"{path}: templates"),
-        output_dir=str(data.get("output_dir", ".")),
-    )
+    return BenchmarkConfig(schemes=schemes, scenarios=scenarios, **settings)

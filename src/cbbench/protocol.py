@@ -166,8 +166,9 @@ def run_scenario(
     ds: Dataset, policy: KeyPolicy, workers: int = 1, protected: np.ndarray | None = None
 ) -> ScoreSet:
     """Score the mated and non-mated pairs of ``pair_indices`` on the dataset
-    protected under the policy, in chunks of 64 pairs with the formulas of
-    ``compare`` (so scores equal pair-by-pair comparison).
+    protected under the policy, in chunks of 64 or more pairs (up to 2**14
+    values a side) with the formulas of ``compare`` (so scores equal
+    pair-by-pair comparison).
 
     ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
     has; without it the matrix is computed here, on ``workers`` threads.
@@ -176,10 +177,16 @@ def run_scenario(
     if y.shape[0] != len(ds):
         raise InvalidArgumentError(f"protected matrix has {y.shape[0]} rows, expected {len(ds)}")
 
+    # 64 pairs of the default 256-value rows per call, more pairs of shorter rows,
+    # whose per-call overhead (Bloom's ~10 small numpy calls) would dominate
+    chunk = max(_BLOCK_ROWS, 2**14 // max(1, y.shape[1]))
+
     def scores(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        chunks = [slice(s, s + _BLOCK_ROWS) for s in range(0, len(i), _BLOCK_ROWS)]
-        parts = [similarities(policy.scheme_id, policy.params, y[i[c]], y[j[c]]) for c in chunks]
-        return np.concatenate(parts) if parts else np.empty(0)
+        out = np.empty(len(i))
+        for s in range(0, len(i), chunk):
+            c = slice(s, s + chunk)
+            out[c] = similarities(policy.scheme_id, policy.params, y[i[c]], y[j[c]])
+        return out
 
     mated, nonmated = pair_indices(ds)
     return ScoreSet(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -21,10 +22,6 @@ from .numerics import derive_stream
 from .protocol import ScoreSet, pair_indices
 
 __all__ = ["SynthConfig", "generate", "unprotected_scores", "STANDARD_CONFIG"]
-
-
-# accepted types of a SynthConfig field by its annotation (a string here)
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 @dataclass(frozen=True)
@@ -37,27 +34,21 @@ class SynthConfig:
     # as wide as SchemeParams' Bloom blocks cover, more than a deep template has
     dimension: int = _param(MISSING, "feature dimension", 2, 2048)
     noise_sigma: float
-    seed: int
+    seed: int = _param(MISSING, "generator seed", 0, 2**64 - 1)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            kind, what = _FIELD_KINDS[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no number
-                raise InvalidArgumentError(f"{f.name} must be {what}, got {value!r}")
-        _check_ranges(self)
+        _check_ranges(self, **vars(self))
         # the caps above bound each size alone; this bounds the features to 512 MiB
         if self.dimension * self.subjects * self.samples_per_subject > 2**26:
             raise InvalidArgumentError(
                 f"dimension x subjects x samples_per_subject must be <= 2**26, got "
                 f"{self.dimension} x {self.subjects} x {self.samples_per_subject}"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
-            raise InvalidArgumentError(
-                f"noise_sigma must be finite and > 0, got {self.noise_sigma}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise InvalidArgumentError(f"seed must be in [0, 2**64), got {self.seed}")
+        sigma = self.noise_sigma
+        real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+        # finite and > 0; unlike math.isfinite, the comparison takes ints past float range
+        if not (real and 0 < sigma <= sys.float_info.max):
+            raise InvalidArgumentError(f"noise_sigma must be a finite number > 0, got {sigma!r}")
 
 
 # benchmark default: small enough that the full six-scheme, three-scenario

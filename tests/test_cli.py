@@ -1,15 +1,19 @@
 import contextlib
+import copy
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbbench.cli import main
 from cbbench.core import Scenario, SchemeId, SchemeParams
-from cbbench.io import read_det_points, read_templates
+from cbbench.errors import CbBenchError
+from cbbench.io import load_config, read_det_points, read_templates
 from cbbench.metrics import eer, protected_matrix
 from cbbench.protocol import KeyPolicy
 
@@ -25,7 +29,7 @@ SMALL_SYNTHETIC = {
 }
 
 
-def small_config(tmp_path, **overrides):
+def small_config_data(tmp_path, **overrides) -> dict:
     cfg = {
         "master_seed": 11,
         "schemes": ["biohash", "iom-grp"],
@@ -37,8 +41,12 @@ def small_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
+    return cfg
+
+
+def small_config(tmp_path, **overrides):
     path = tmp_path / "bench.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path.write_text(json.dumps(small_config_data(tmp_path, **overrides)), encoding="utf-8")
     return path
 
 
@@ -388,6 +396,16 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["synth", "--subjects", "10000", "--samples", "100", "--dim", "2048", "--sigma", "0.3",
           "--out", "t.csv"], 2, "--dim"),
         (["bench", "--config", "{config:features_big}"], 1, "dimension"),
+        (["eval-unlink", "--templates", "t.csv", "--scheme", "biohash", "--bins", "5"],
+         2, "--bins"),
+        (["eval-unlink", "--templates", "t.csv", "--scheme", "biohash", "--bins", "1000000000"],
+         2, "--bins"),
+        (["eval-irrev", "--templates", "t.csv", "--scheme", "biohash", "--r", "0"], 2, "--r"),
+        (["bench", "--config", "{config:unlinkability_bins}"], 1, "unlinkability_bins"),
+        (["bench", "--config", "{config:mi_components}"], 1, "mi_components"),
+        (["bench", "--config", "{config:synthetic_typo}"], 1, "dimenson"),
+        # the synthetic seed defaults to master_seed, but the error is master_seed's
+        (["bench", "--config", "{config:master_seed_inherited}"], 1, "master_seed"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -397,7 +415,10 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
          "config-subjects-1e6", "config-samples-1e6", "param-iom-k-1e9",
          "param-iom-p-1e9", "param-mlp-layers-1e9", "param-bloom-block-cols-1e9",
          "config-iom-k-1e9", "config-iom-p-1e9", "config-mlp-layers-1e9",
-         "config-bloom-block-cols-1e9", "synth-features-2e9", "config-features-2e9"],
+         "config-bloom-block-cols-1e9", "synth-features-2e9", "config-features-2e9",
+         "unlink-bins-5", "unlink-bins-1e9", "irrev-r-0", "config-bins-1e10",
+         "config-mi-components-0", "config-synthetic-unknown-key",
+         "config-master-seed-inherited"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -418,6 +439,13 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:features_big}": {"synthetic": {
             **SMALL_SYNTHETIC, "subjects": 10_000, "samples_per_subject": 100, "dimension": 2048
         }},
+        "{config:unlinkability_bins}": {"unlinkability_bins": 10**10},
+        "{config:mi_components}": {"mi_components": 0},
+        "{config:synthetic_typo}": {"synthetic": {**SMALL_SYNTHETIC, "dimenson": 16}},
+        "{config:master_seed_inherited}": {
+            "master_seed": -1,
+            "synthetic": {k: v for k, v in SMALL_SYNTHETIC.items() if k != "seed"},
+        },
         **{
             f"{{config:{name}}}": {"params": {name: 10**9}}
             for name in ("iom_k", "iom_p", "mlp_layers", "bloom_block_cols")
@@ -444,3 +472,65 @@ def test_eval_perf_on_fuzzed_csv_exits_cleanly(text):
                          "--length", "8", "--out-dir", str(Path(tmp) / "out")])
         assert code in (0, 1)
         assert (code == 1) == err.getvalue().startswith("error: eval-perf: ")
+
+
+
+# the keys of each mutable section of the small config: the top level (None),
+# "params" and "synthetic"; and every key a section may hold
+_SMALL = small_config_data(Path("."))
+_KEYS = {None: set(_SMALL), "params": set(_SMALL["params"]), "synthetic": set(SMALL_SYNTHETIC)}
+_VALID_KEYS = {
+    None: _KEYS[None] | {"templates"},
+    "params": {f.name for f in fields(SchemeParams)},
+    "synthetic": set(SMALL_SYNTHETIC),
+}
+
+
+@st.composite
+def config_mutations(draw):
+    """``(section, key, value, invalid)``: a value for ``key`` of the small
+    config's ``section`` of a wrong JSON type, nested one level deeper (always
+    ``invalid``), negative or huge; or an unknown ``key`` in that section
+    (always ``invalid``)."""
+    section = draw(st.sampled_from([None, "params", "synthetic"]))
+    kind = draw(st.sampled_from(["type", "nesting", "number", "unknown"]))
+    if kind == "unknown":
+        key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+                   .filter(lambda k: k not in _VALID_KEYS[section]))
+        return section, key, draw(st.integers()), True
+    key = draw(st.sampled_from(sorted(_KEYS[section])))
+    if kind == "type":
+        value = draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        ))
+    elif kind == "nesting":
+        old = (_SMALL[section] if section else _SMALL)[key]
+        value = draw(st.sampled_from([[old], {"value": old}]))
+    else:
+        value = draw(st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=2**31),
+            st.floats(max_value=-1e-300), st.sampled_from([2**64, 10**400, 1e308, -1e308]),
+        ))
+    return section, key, value, kind == "nesting"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=config_mutations())
+# an integer past float range once escaped the finiteness check as OverflowError
+@example(mutation=("synthetic", "noise_sigma", 10**400, False))
+def test_load_config_names_the_mutated_key(mutation):
+    section, key, value, invalid = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        data = copy.deepcopy(small_config_data(Path(tmp)))
+        (data[section] if section else data)[key] = value
+        path = Path(tmp) / "bench.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        try:
+            load_config(path)
+        except CbBenchError as exc:
+            # the path may hold any word, so it cannot be what names the key
+            assert key in str(exc).replace(str(path), "")
+        else:
+            assert not invalid, f"{key}={value!r} in {section or 'the top level'} was accepted"

@@ -39,6 +39,8 @@ class TestSchemeParams:
             {"bloom_word_bits": 17},
             {"bloom_block_cols": 0},
             {"bloom_block_cols": 1025},
+            {"output_length": 64.0},
+            {"iom_p": True},
         ],
     )
     def test_invariants_enforced(self, kwargs):

@@ -324,6 +324,17 @@ class TestBenchmarkConfig:
         with pytest.raises(ParseError, match="scheems"):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize(
+        "content", [b'{"master_seed": ' + b"1" * 5000 + b"}", b'{"output_dir": "\xff"}']
+    )
+    def test_undecodable_config_is_a_parse_error(self, tmp_path, content):
+        # json.load raises plain ValueErrors here: for an integer past Python's
+        # 4300-digit conversion limit, and for bytes that are not UTF-8
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_config(cfg_path)
+
     def test_needs_exactly_one_input_source(self):
         with pytest.raises(InvalidArgumentError, match="input source"):
             BenchmarkConfig(
