@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -39,11 +39,7 @@ class SchemeId(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "SchemeId":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise InvalidArgumentError(f"unknown scheme name {name!r} (known: {known})")
+        return _from_name(cls, "scheme", name)
 
 
 class Scenario(enum.Enum):
@@ -55,17 +51,27 @@ class Scenario(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Scenario":
-        for member in cls:
-            if member.value == name:
-                return member
+        return _from_name(cls, "scenario", name)
+
+
+def _from_name(cls, kind: str, name: str):
+    """The member of the enum ``cls`` whose value is ``name``, else an error naming it."""
+    try:
+        return cls(name)
+    except ValueError:
         known = ", ".join(m.value for m in cls)
-        raise InvalidArgumentError(f"unknown scenario name {name!r} (known: {known})")
+        raise InvalidArgumentError(f"unknown {kind} name {name!r} (known: {known})") from None
 
 
 def _param(default, help: str, low: int, high: int):
     """A dataclass field holding an integer in [low, high], which
     ``_check_ranges`` checks; pass ``dataclasses.MISSING`` for no default."""
     return field(default=default, metadata={"help": help, "range": (low, high)})
+
+
+def _seed(default, help: str):
+    """A ``_param`` field holding an unsigned 64-bit seed: every seed's one range."""
+    return _param(default, help, 0, 2**64 - 1)
 
 
 def _check_ranges(cls, **values) -> None:
@@ -114,13 +120,12 @@ class SchemeParams:
 class SchemeKey:
     """Seed plus parameters; equal keys induce identical transforms."""
 
-    seed: int
+    seed: int = _seed(MISSING, "seed every random draw of the transform derives from")
     scheme_id: SchemeId
     params: SchemeParams = field(default_factory=SchemeParams)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise InvalidArgumentError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_ranges(self, **vars(self))
 
 
 @dataclass

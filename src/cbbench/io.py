@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SchemeId, SchemeParams, _check_ranges, _param, validate_dataset
+from .core import Dataset, SchemeId, SchemeParams, _check_ranges, _param, _seed, validate_dataset
 from .errors import CbBenchError, InvalidArgumentError, ParseError
 from .metrics import DetCurve
 from .synthdata import STANDARD_CONFIG, SynthConfig
@@ -255,7 +255,7 @@ class BenchmarkConfig:
 
     schemes: list[SchemeSpec]
     scenarios: list[str]
-    master_seed: int = _param(42, "master seed every key derives from", 0, 2**64 - 1)
+    master_seed: int = _seed(42, "master seed every key derives from")
     # 10 000 bins keep the histograms and the local curve at 80 KB each
     unlinkability_bins: int = _param(100, "unlinkability histogram bins", 10, 10_000)
     # r_used never exceeds either matrix's width; 4096 is the output_length cap

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
+from .core import _check_ranges, _seed
 from .errors import DegenerateInputError, InvalidArgumentError, NumericError
 
 __all__ = [
@@ -50,7 +51,7 @@ class RandomStream:
     counter-based Philox generator, keyed with BLAKE2b(seed || label).
     """
 
-    origin_seed: int
+    origin_seed: int = _seed(MISSING, "seed the stream derives from")
     label: bytes
     _gen: np.random.Generator = field(repr=False)
 
@@ -88,8 +89,7 @@ def derive_stream(seed: int, label: bytes | str) -> RandomStream:
     """Derive the deterministic stream identified by (seed, label)."""
     if isinstance(label, str):
         label = label.encode("utf-8")
-    if not 0 <= int(seed) < 2**64:
-        raise InvalidArgumentError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    _check_ranges(RandomStream, origin_seed=seed)
     gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, label)))
     return RandomStream(origin_seed=int(seed), label=bytes(label), _gen=gen)
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _check_ranges, _seed
 from .errors import InvalidArgumentError
 from .schemes import instantiate, protect_batch, similarities
 
@@ -38,16 +38,13 @@ def _hash64(parts: list[bytes]) -> int:
 class KeyPolicy:
     """How per-template keys derive from the master seed in one scenario."""
 
-    master_seed: int
+    master_seed: int = _seed(MISSING, "master seed every key derives from")
     scenario: Scenario
     scheme_id: SchemeId
     params: SchemeParams = field(default_factory=SchemeParams)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise InvalidArgumentError(
-                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
-            )
+        _check_ranges(self, **vars(self))
 
 
 def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> SchemeKey:

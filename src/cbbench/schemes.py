@@ -323,27 +323,24 @@ def compare(a: ProtectedTemplate, b: ProtectedTemplate) -> float:
         raise InvalidArgumentError(
             f"cannot compare {a.scheme_id.value} against {b.scheme_id.value}"
         )
-    pa, pb = a.payload, b.payload
-    if isinstance(pa, BitString) and isinstance(pb, BitString):
+    pa, pb = a.payload, b.payload  # of one class, which ProtectedTemplate ties to the scheme
+    if isinstance(pa, BitString):
         if len(pa) != len(pb):
             raise InvalidArgumentError(f"bit lengths differ: {len(pa)} vs {len(pb)}")
         return as_score(_bit_similarity(pa.bits, pb.bits[None])[0])
-    if isinstance(pa, CodeVector) and isinstance(pb, CodeVector):
+    if isinstance(pa, CodeVector):
         if len(pa) != len(pb) or pa.k != pb.k:
             raise InvalidArgumentError("code vectors have mismatched shape or alphabet")
         return as_score(_code_similarity(pa.codes, pb.codes[None])[0])
-    if isinstance(pa, BloomSet) and isinstance(pb, BloomSet):
-        if pa.blocks.shape != pb.blocks.shape:
-            raise InvalidArgumentError("bloom block shapes differ")
-        return as_score(_bloom_similarity(pa.blocks, pb.blocks[None])[0])
-    raise InvalidArgumentError("payload variants differ")
+    if pa.blocks.shape != pb.blocks.shape:
+        raise InvalidArgumentError("bloom block shapes differ")
+    return as_score(_bloom_similarity(pa.blocks, pb.blocks[None])[0])
 
 
 def chance_level(scheme_id: SchemeId, params) -> float | None:
     """Expected cross-key similarity: 0.5 for bit schemes, 1/k for
     index-of-max schemes; None for Bloom, whose level depends on fill rate."""
-    if scheme_id in (SchemeId.BIOHASH, SchemeId.MLP_HASH, SchemeId.RAND_HASH):
-        return 0.5
-    if scheme_id in (SchemeId.IOM_GRP, SchemeId.IOM_URP):
-        return 1.0 / params.iom_k
-    return None
+    payload = _PAYLOAD_FOR_SCHEME[scheme_id]
+    if payload is BloomSet:
+        return None
+    return 0.5 if payload is BitString else 1.0 / params.iom_k

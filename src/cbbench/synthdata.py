@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_ranges, _param
+from .core import Dataset, _check_ranges, _param, _seed
 from .errors import InvalidArgumentError
 from .numerics import derive_stream
 from .protocol import ScoreSet, pair_indices
@@ -34,7 +33,7 @@ class SynthConfig:
     # as wide as SchemeParams' Bloom blocks cover, more than a deep template has
     dimension: int = _param(MISSING, "feature dimension", 2, 2048)
     noise_sigma: float
-    seed: int = _param(MISSING, "generator seed", 0, 2**64 - 1)
+    seed: int = _seed(MISSING, "generator seed")
 
     def __post_init__(self) -> None:
         _check_ranges(self, **vars(self))
@@ -46,9 +45,9 @@ class SynthConfig:
             )
         sigma = self.noise_sigma
         real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
-        # finite and > 0; unlike math.isfinite, the comparison takes ints past float range
-        if not (real and 0 < sigma <= sys.float_info.max):
-            raise InvalidArgumentError(f"noise_sigma must be a finite number > 0, got {sigma!r}")
+        # past 1e6 the unit mean is under 1e-6 of a row; from ~1e154 rows overflow to all 0
+        if not (real and 0 < sigma <= 1e6):
+            raise InvalidArgumentError(f"noise_sigma must be a number in (0, 1e6], got {sigma!r}")
 
 
 # benchmark default: small enough that the full six-scheme, three-scenario

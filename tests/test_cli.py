@@ -6,16 +6,19 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbbench.cli import main
-from cbbench.core import Scenario, SchemeId, SchemeParams
-from cbbench.errors import CbBenchError
-from cbbench.io import load_config, read_det_points, read_templates
+from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
+from cbbench.errors import CbBenchError, InvalidArgumentError
+from cbbench.io import BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates
 from cbbench.metrics import eer, protected_matrix
+from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy
+from cbbench.synthdata import SynthConfig
 
 from conftest import oracle_write_rows, template_csvs
 
@@ -406,6 +409,9 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["bench", "--config", "{config:synthetic_typo}"], 1, "dimenson"),
         # the synthetic seed defaults to master_seed, but the error is master_seed's
         (["bench", "--config", "{config:master_seed_inherited}"], 1, "master_seed"),
+        (["synth", "--subjects", "3", "--samples", "2", "--dim", "4", "--sigma", "1e308",
+          "--out", "t.csv"], 2, "--sigma"),
+        (["bench", "--config", "{config:noise_sigma_big}"], 1, "noise_sigma"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -418,7 +424,7 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
          "config-bloom-block-cols-1e9", "synth-features-2e9", "config-features-2e9",
          "unlink-bins-5", "unlink-bins-1e9", "irrev-r-0", "config-bins-1e10",
          "config-mi-components-0", "config-synthetic-unknown-key",
-         "config-master-seed-inherited"],
+         "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -431,6 +437,8 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:scenarios}": {"scenarios": "normal"},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
+        # finite, but the row norm overflows and every feature would be 0
+        "{config:noise_sigma_big}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e308}},
         "{config:dimension}": {"synthetic": {**SMALL_SYNTHETIC, "dimension": 10**10}},
         "{config:subjects_big}": {"synthetic": {**SMALL_SYNTHETIC, "subjects": 10**6}},
         "{config:samples_per_subject}": {
@@ -457,6 +465,56 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     assert culprit in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+SEEDS = st.one_of(
+    st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+    st.floats(),
+    st.booleans(),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS)
+@example(seed=1.5)
+@example(seed=True)
+def test_seed_accepted_exactly_when_a_64_bit_integer(seed):
+    valid = type(seed) in (int, np.uint64) and 0 <= seed <= 2**64 - 1
+    synthetic = SynthConfig(**SMALL_SYNTHETIC)
+    builds = [
+        ("master_seed", lambda: KeyPolicy(seed, Scenario.NORMAL, SchemeId.BIOHASH)),
+        ("seed", lambda: SchemeKey(seed, SchemeId.BIOHASH)),
+        ("origin_seed", lambda: derive_stream(seed, b"x")),
+        ("seed", lambda: SynthConfig(**{**SMALL_SYNTHETIC, "seed": seed})),
+        ("master_seed", lambda: BenchmarkConfig(
+            [SchemeSpec(SchemeId.BIOHASH)], ["normal"], master_seed=seed, synthetic=synthetic
+        )),
+    ]
+    for name, build in builds:
+        if valid:
+            build()
+        else:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} "):
+                build()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = str(Path(tmp) / "t.csv"), str(Path(tmp) / "out")
+        synth = ["synth", "--subjects", "3", "--samples", "2", "--dim", "4", "--sigma", "0.3"]
+        assert main(synth + ["--out", csv]) == 0
+        config = small_config(Path(tmp), schemes=["biohash"], scenarios=["normal"])
+        for flag, argv in [
+            ("--master-seed", ["eval-perf", "--templates", csv, "--scheme", "biohash",
+                               "--length", "8", "--out-dir", out]),
+            ("--seed", synth + ["--out", csv]),
+            ("--seed", ["bench", "--config", str(config)]),
+        ]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = _run(argv + [flag, str(seed)])
+            assert code == (0 if valid else 2), err.getvalue()
+            assert valid or flag in err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)

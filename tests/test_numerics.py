@@ -46,10 +46,9 @@ class TestRandomStream:
         assert np.array_equal(derive_stream(7, "a").words(4), derive_stream(7, b"a").words(4))
 
     def test_seed_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            derive_stream(-1, b"a")
-        with pytest.raises(InvalidArgumentError):
-            derive_stream(2**64, b"a")
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(InvalidArgumentError, match="^origin_seed "):
+                derive_stream(seed, b"a")
 
     @pytest.mark.parametrize("count,n", [(512, 128), (512, 256), (3, 2), (1, 1000), (7, 16)])
     def test_batched_permutations_equal_sequential_calls(self, count, n):

@@ -46,9 +46,10 @@ class TestDeriveKey:
         p = policy(Scenario.SAMPLE_SPECIFIC)
         assert derive_key(p, "ab", "c") != derive_key(p, "a", "bc")
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    # a float or bool seed once passed and derived the keys of int(seed)
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_out_of_range_master_seed_rejected(self, seed):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="^master_seed "):
             policy(Scenario.NORMAL, seed=seed)
 
     def test_stable_derivation_constant(self):

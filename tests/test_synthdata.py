@@ -100,6 +100,7 @@ class TestGenerate:
             {"seed": "1"},
             {"seed": -1},
             {"seed": 2**64},
+            {"noise_sigma": 1e308},
         ],
     )
     def test_config_invariants(self, kwargs):
