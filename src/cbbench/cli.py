@@ -305,7 +305,7 @@ def _run_benchmark_cells(
     }
 
 
-def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     cfg = _from_flags(
         parser,
         SynthConfig,
@@ -324,20 +324,20 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    y = protected_matrix(ds, policy)
+    y = protected_matrix(ds, policy, workers)
     header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
     _write_rows(args.out, header, y, list(zip(ds.subject_ids, ds.sample_ids)))
     print(f"wrote {args.out}: {y.shape[0]} protected templates of length {y.shape[1]}")
     return 0
 
 
-def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    curve, perf = _perf_block(run_scenario(ds, policy))
+    curve, perf = _perf_block(run_scenario(ds, policy, workers))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     det_path = out_dir / f"det_{args.scheme}_{args.scenario}.csv"
@@ -349,10 +349,12 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_unlink(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int
+) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    report = unlinkability(run_scenario(ds, policy), args.bins)
+    report = unlinkability(run_scenario(ds, policy, workers), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / f"unlink_{args.scheme}.csv"
@@ -365,10 +367,10 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     return 0
 
 
-def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    y = protected_matrix(ds, policy)
+    y = protected_matrix(ds, policy, workers)
     report = mutual_information(ds.features, y, args.r)
     if report.r_used < args.r:
         print(
@@ -401,17 +403,11 @@ def _one_malloc_arena() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX from <malloc.h>
 
 
-def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
     out_dir = Path(args.out_dir if args.out_dir is not None else config.output_dir)
-    # every CPU this process may run on; outputs are identical for any count
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    _one_malloc_arena()
     try:
         report, written = run_benchmark(config, out_dir, workers)
     except CbBenchError as exc:
@@ -441,8 +437,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # every CPU this process may run on; outputs are identical for any count
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    _one_malloc_arena()
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, parser, workers)
     except (CbBenchError, OSError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

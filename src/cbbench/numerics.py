@@ -2,8 +2,10 @@
 
 Matrices are plain 2-D float64 numpy arrays with row-major semantics. All
 functions are pure: identical inputs (including generator state) produce
-bit-identical outputs on every platform, which is the backbone of the
-key-based renewability and replay guarantees of the rest of the toolkit.
+identical outputs, which is the backbone of the key-based renewability and
+replay guarantees of the rest of the toolkit. ``pca_fit`` goes through
+LAPACK's SVD, so its output, and every mutual-information field built on it,
+is bit-stable only at a fixed BLAS thread count and kernel.
 """
 
 from __future__ import annotations

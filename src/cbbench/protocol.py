@@ -47,6 +47,18 @@ class KeyPolicy:
         _check_ranges(self, **vars(self))
 
 
+def _identity(policy: KeyPolicy, subject_id: str, sample_id: str) -> tuple[str, ...]:
+    """The identity parts the policy's scenario keys on: none (stolen), the
+    subject (normal) or the subject and the sample (sample-specific)."""
+    if policy.scenario is Scenario.STOLEN_TOKEN:
+        return ()
+    if policy.scenario is Scenario.NORMAL:
+        return (subject_id,)
+    if policy.scenario is Scenario.SAMPLE_SPECIFIC:
+        return (subject_id, sample_id)
+    raise InvalidArgumentError(f"scenario must be a Scenario, got {policy.scenario!r}")
+
+
 def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> SchemeKey:
     """Derive the scheme key a template is protected with.
 
@@ -54,15 +66,9 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
     normal keys on the subject only, and sample-specific keys on both subject
     and sample.
     """
-    material = [int(policy.master_seed).to_bytes(8, "big")]
-    if policy.scenario is Scenario.STOLEN_TOKEN:
-        material.append(_STOLEN_LABEL)
-    elif policy.scenario is Scenario.NORMAL:
-        material.append(subject_id.encode("utf-8"))
-    else:
-        material.append(subject_id.encode("utf-8"))
-        material.append(_ID_SEPARATOR)
-        material.append(sample_id.encode("utf-8"))
+    parts = _identity(policy, subject_id, sample_id)
+    label = _ID_SEPARATOR.join(part.encode("utf-8") for part in parts) if parts else _STOLEN_LABEL
+    material = [int(policy.master_seed).to_bytes(8, "big"), label]
     return SchemeKey(seed=_hash64(material), scheme_id=policy.scheme_id, params=policy.params)
 
 
@@ -115,7 +121,8 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     real-valued rows in dataset order (bits as 0/1, codes as integers, Bloom
     blocks concatenated): the attacker's view of the protected database.
 
-    Each derived key is instantiated once, protects its rows with one
+    Rows are grouped by the identity their scenario keys on, and each
+    group's key is derived and instantiated once, protects its rows with one
     ``protect_batch`` call per block of up to 64 rows and is dropped, so at
     most ``workers`` instances are alive. The first key's rows are stacked
     on the calling thread and size the result (allocating the result before
@@ -126,9 +133,13 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     QR, releases the GIL); no thread starts for a single key or
     ``workers == 1``. Results are bit-identical for every ``workers``.
     """
-    groups: dict[SchemeKey, list[int]] = {}
+    rows_of: dict[tuple[str, ...], list[int]] = {}
     for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
-        groups.setdefault(derive_key(policy, *ident), []).append(i)
+        rows_of.setdefault(_identity(policy, *ident), []).append(i)
+    groups = {
+        derive_key(policy, ds.subject_ids[rows[0]], ds.sample_ids[rows[0]]): rows
+        for rows in rows_of.values()
+    }
 
     def protected_blocks(key: SchemeKey):
         """(rows, protected rows) per block of the key's rows, from one instance."""

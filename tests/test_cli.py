@@ -274,20 +274,64 @@ class TestBench:
         # stolen key
         assert pooled[True] == (0 if workers == 1 else 2 * (2 + 8))
 
-    def test_bench_uses_every_cpu_of_the_affinity_mask(self, tmp_path, monkeypatch):
+    # the function each command hands its worker count to
+    WORKERS_CALLEE = {
+        "protect": "protected_matrix",
+        "eval-perf": "run_scenario",
+        "eval-unlink": "run_scenario",
+        "eval-irrev": "protected_matrix",
+        "bench": "run_benchmark",
+    }
+
+    @pytest.mark.parametrize("command", list(WORKERS_CALLEE))
+    def test_bench_uses_every_cpu_of_the_affinity_mask(
+        self, tmp_path, template_csv, monkeypatch, command
+    ):
         from cbbench import cli
 
         seen = []
-        real = cli.run_benchmark
+        callee = self.WORKERS_CALLEE[command]
+        real = getattr(cli, callee)
 
-        def recording(config, out_dir, workers=1):
+        def recording(first, second, workers=1):
             seen.append(workers)
-            return real(config, out_dir, workers)
+            return real(first, second, workers)
 
-        monkeypatch.setattr(cli, "run_benchmark", recording)
+        monkeypatch.setattr(cli, callee, recording)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert main(["bench", "--config", str(small_config(tmp_path))]) == 0
+        if command == "bench":
+            argv = ["bench", "--config", str(small_config(tmp_path))]
+        else:
+            argv = [command, "--templates", str(template_csv), "--scheme", "biohash",
+                    "--length", "32", "--out" if command == "protect" else "--out-dir",
+                    str(tmp_path / "out")]
+        assert main(argv) == 0
         assert seen == [3]
+
+    def test_command_outputs_identical_for_any_cpu_count(self, tmp_path, template_csv,
+                                                         monkeypatch):
+        from cbbench import cli
+
+        flags = ["--templates", str(template_csv), "--master-seed", "5", "--length", "32",
+                 "--iom-k", "8"]
+        outputs = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            out.mkdir()
+            for scheme in SchemeId:
+                args = flags + ["--scheme", scheme.value]
+                for scenario in ("normal", "sample-specific"):
+                    path = out / f"protected_{scheme.value}_{scenario}.csv"
+                    assert main(["protect", *args, "--scenario", scenario,
+                                 "--out", str(path)]) == 0
+                for command in ("eval-perf", "eval-unlink", "eval-irrev"):
+                    scenario = "sample-specific" if command == "eval-unlink" else "normal"
+                    assert main([command, *args, "--scenario", scenario,
+                                 "--out-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        # per scheme: two protected CSVs, a DET CSV, an unlinkability curve, an MI report
+        assert len(outputs[0]) == 5 * len(SchemeId) and outputs[0] == outputs[1]
 
     def test_outputs_identical_for_any_worker_count(self, tmp_path):
         from cbbench.cli import run_benchmark

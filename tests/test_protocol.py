@@ -52,6 +52,11 @@ class TestDeriveKey:
         with pytest.raises(InvalidArgumentError, match="^master_seed "):
             policy(Scenario.NORMAL, seed=seed)
 
+    def test_scenario_that_is_not_a_scenario_rejected(self):
+        # a string scenario once fell through to sample-specific keys
+        with pytest.raises(InvalidArgumentError, match="scenario"):
+            derive_key(KeyPolicy(1, "normal", SchemeId.BIOHASH), "s", "0")
+
     def test_stable_derivation_constant(self):
         # locked value: BLAKE2b-64 over big-endian seed and identity material;
         # guards against accidental changes to the key-derivation function
@@ -304,6 +309,27 @@ class TestProtectedMatrix:
         expected = protocol.protected_matrix(ds, p, workers=2)
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", no_pool)
         assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+
+    @pytest.mark.parametrize(
+        "scenario, calls",
+        [(Scenario.NORMAL, 4), (Scenario.STOLEN_TOKEN, 1), (Scenario.SAMPLE_SPECIFIC, 12)],
+    )
+    def test_each_distinct_key_derived_once(self, monkeypatch, scenario, calls):
+        # 4 subjects x 3 samples: one key per subject, one in all, one per row
+        from cbbench import protocol
+
+        seen = []
+
+        def counting(p, subject_id, sample_id=""):
+            seen.append((subject_id, sample_id))
+            return derive_key(p, subject_id, sample_id)
+
+        ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
+        p = policy(scenario)
+        expected = protocol.protected_matrix(ds, p)
+        monkeypatch.setattr(protocol, "derive_key", counting)
+        assert np.array_equal(protocol.protected_matrix(ds, p, workers=2), expected)
+        assert len(seen) == calls
 
     def test_threaded_pass_under_fast_switching(self):
         # more workers than cores, each protecting its own keys' rows; a lost
