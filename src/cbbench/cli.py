@@ -12,7 +12,7 @@ import os
 import platform
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,13 +60,15 @@ def _flag(field_name: str) -> str:
 
 def _param_arg(cls, name: str, **overrides) -> dict:
     """``add_argument`` keywords of the flag of the ``_param`` field ``name``
-    of ``cls``: its default, its help text and a type that checks the value
-    with ``_check_ranges``, so that a bad value is a usage error naming the flag."""
+    of ``cls``: its default, its help text and a type that parses the value as
+    the field's ``int`` or ``float`` and checks it with ``_check_ranges``, so
+    that a bad value is a usage error naming the flag."""
     f = next(f for f in fields(cls) if f.name == name)
+    convert = {"int": int, "float": float}[f.type]  # annotations are strings here
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
             _check_ranges(cls, **{name: value})
         except ValueError as exc:  # an InvalidArgumentError is a ValueError too
             raise argparse.ArgumentTypeError(str(exc)) from None
@@ -75,12 +77,15 @@ def _param_arg(cls, name: str, **overrides) -> dict:
     return {"type": parse, "default": f.default, "help": f.metadata["help"], **overrides}
 
 
-def _param_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("scheme parameters")
-    for f in fields(SchemeParams):
-        name = _FLAG_NAMES.get(f.name, f.name)
+def _param_flags(parser: argparse.ArgumentParser, cls, **defaults) -> None:
+    """One flag per field of ``cls``, required where neither the field nor
+    ``defaults`` gives a default; scheme parameters get their own group."""
+    group = parser.add_argument_group("scheme parameters") if cls is SchemeParams else parser
+    for f in fields(cls):
+        name, default = _FLAG_NAMES.get(f.name, f.name), defaults.get(f.name, f.default)
         group.add_argument(
-            _flag(f.name), dest=f.name, metavar=name.upper(), **_param_arg(SchemeParams, f.name)
+            _flag(f.name), dest=f.name, metavar=name.upper(), required=default is MISSING,
+            **_param_arg(cls, f.name, default=default),
         )
 
 
@@ -126,37 +131,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic template CSV")
-    p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
     # a config's synthetic seed defaults to its master seed, and so does this one
-    p.add_argument(
-        "--seed", **_param_arg(SynthConfig, "seed", default=BenchmarkConfig.master_seed)
-    )
+    _param_flags(p, SynthConfig, seed=BenchmarkConfig.master_seed)
     p.add_argument("--out", required=True)
 
     p = _policy_parser(sub, "protect", "protect a template CSV under one scheme/scenario",
                        [s.value for s in Scenario], "normal")
     p.add_argument("--out", required=True)
-    _param_flags(p)
+    _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-perf", "EER / FNMR@FMR / DET for one scheme and scenario",
                        ["normal", "stolen"], "normal")
     p.add_argument("--out-dir", default=".")
-    _param_flags(p)
+    _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-unlink", "unlinkability for one scheme (sample-specific keys)",
                        ["sample-specific"], "sample-specific")
     p.add_argument("--bins", **_param_arg(BenchmarkConfig, "unlinkability_bins"))
     p.add_argument("--out-dir", default=".")
-    _param_flags(p)
+    _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-irrev", "mutual information for one scheme and scenario",
                        ["normal", "stolen"], "normal")
     p.add_argument("--r", **_param_arg(BenchmarkConfig, "mi_components"))
     p.add_argument("--out-dir", default=".")
-    _param_flags(p)
+    _param_flags(p, SchemeParams)
 
     p = sub.add_parser("bench", help="run the full benchmark described by a config file")
     p.add_argument("--config", required=True)
@@ -307,13 +306,7 @@ def _run_benchmark_cells(
 
 def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     cfg = _from_flags(
-        parser,
-        SynthConfig,
-        subjects=args.subjects,
-        samples_per_subject=args.samples,
-        dimension=args.dim,
-        noise_sigma=args.sigma,
-        seed=args.seed,
+        parser, SynthConfig, **{f.name: getattr(args, f.name) for f in fields(SynthConfig)}
     )
     ds = generate(cfg)
     write_templates(ds, args.out)
@@ -403,6 +396,44 @@ def _one_malloc_arena() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX from <malloc.h>
 
 
+def _openblas_threads():
+    """``(get, set)``: the thread-count functions of the OpenBLAS bundled in
+    ``numpy.libs``, scipy-openblas (numpy 2) or openblas64_ (numpy 1.x
+    wheels); None for any other BLAS."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            if hasattr(lib, f"{prefix}_set_num_threads64_"):
+                get, set_ = lib[f"{prefix}_get_num_threads64_"], lib[f"{prefix}_set_num_threads64_"]
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, then
+    restore its thread count. LAPACK's SVD in ``pca_fit`` gives other low bits
+    of the MI fields on more threads, and OpenBLAS defaults to one thread per
+    core; every command takes its parallelism from its worker pool instead. A
+    no-op for any other BLAS."""
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -444,7 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         workers = os.cpu_count() or 1
     _one_malloc_arena()
     try:
-        return _COMMANDS[args.command](args, parser, workers)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args, parser, workers)
     except (CbBenchError, OSError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,10 @@ scores and scenario tags."""
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
+import types
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -63,9 +66,9 @@ def _from_name(cls, kind: str, name: str):
         raise InvalidArgumentError(f"unknown {kind} name {name!r} (known: {known})") from None
 
 
-def _param(default, help: str, low: int, high: int):
-    """A dataclass field holding an integer in [low, high], which
-    ``_check_ranges`` checks; pass ``dataclasses.MISSING`` for no default."""
+def _param(default, help: str, low, high):
+    """A dataclass field in [low, high] for an ``int``, (low, high] for a ``float``,
+    checked by ``_check_ranges``; pass ``dataclasses.MISSING`` for no default."""
     return field(default=default, metadata={"help": help, "range": (low, high)})
 
 
@@ -74,19 +77,40 @@ def _seed(default, help: str):
     return _param(default, help, 0, 2**64 - 1)
 
 
-def _check_ranges(cls, **values) -> None:
-    """Reject the first of ``values`` that belongs to a ``_param`` field of
-    the dataclass ``cls`` (a class or an instance) and is not an integer in
-    the field's range (a bool is not an integer), with a message that starts
-    with the field name. ``__post_init__`` passes ``self, **vars(self)``."""
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
+@functools.cache
+def _admitted(cls: type) -> list:
+    """``(field, classes)`` for each field of the dataclass ``cls``: the
+    classes its annotation admits, any integer for ``int``, any real for
+    ``float``, either side of ``X | None``, a list for ``list[X]``, else the
+    class itself."""
+    hints, admitted = typing.get_type_hints(cls), []
     for f in fields(cls):
-        if "range" in f.metadata and f.name in values:
-            low, high = f.metadata["range"]
+        hint = hints[f.name]
+        arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else [hint]
+        admitted.append((f, tuple(typing.get_origin(a) or _NUMBERS.get(a, a) for a in arms)))
+    return admitted
+
+
+def _check_ranges(cls, **values) -> None:
+    """Reject the first of ``values`` that its field of the dataclass ``cls``
+    (a class or an instance) does not admit by its annotation (a bool is never
+    a number) or, for a ``_param`` field, by its range, with a message that
+    starts with the field name. ``__post_init__`` passes ``self, **vars(self)``."""
+    for f, kinds in _admitted(cls if isinstance(cls, type) else type(cls)):
+        if f.name in values:
             value = values[f.name]
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidArgumentError(f"{f.name} must be an integer, got {value!r}")
-            if not low <= value <= high:
-                raise InvalidArgumentError(f"{f.name} must be in [{low}, {high}], got {value}")
+            if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+                raise InvalidArgumentError(f"{f.name} must be {f.type}, got {value!r}")
+            if "range" in f.metadata:
+                low, high = f.metadata["range"]
+                closed = kinds == (numbers.Integral,)
+                if not (low <= value <= high if closed else low < value <= high):
+                    raise InvalidArgumentError(
+                        f"{f.name} must be in {'[' if closed else '('}{low}, {high}], got {value}"
+                    )
 
 
 @dataclass(frozen=True)

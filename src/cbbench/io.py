@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
 
@@ -243,6 +243,9 @@ class SchemeSpec:
     scheme_id: SchemeId
     params: SchemeParams = field(default_factory=SchemeParams)
 
+    def __post_init__(self) -> None:
+        _check_ranges(self, **vars(self))
+
 
 @dataclass
 class BenchmarkConfig:
@@ -266,16 +269,13 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         _check_ranges(self, **vars(self))
-        if not self.schemes:
-            raise InvalidArgumentError("schemes must list at least one scheme")
-        if not self.scenarios:
-            raise InvalidArgumentError("scenarios must list at least one scenario")
-        for s in self.scenarios:
-            if s not in ("normal", "stolen"):
-                raise InvalidArgumentError(
-                    f"scenarios: unknown scenario {s!r} (use 'normal' and/or 'stolen'; "
-                    "the sample-specific unlinkability pass always runs)"
-                )
+        if not self.schemes or not all(isinstance(s, SchemeSpec) for s in self.schemes):
+            raise InvalidArgumentError("schemes must list at least one scheme, each a SchemeSpec")
+        if not self.scenarios or any(s not in ("normal", "stolen") for s in self.scenarios):
+            raise InvalidArgumentError(
+                f"scenarios must list 'normal' and/or 'stolen', got {self.scenarios!r} "
+                "(the sample-specific unlinkability pass always runs)"
+            )
         if (self.synthetic is None) == (self.templates_path is None):
             raise InvalidArgumentError(
                 "config needs exactly one input source: 'synthetic' or 'templates'"
@@ -303,14 +303,11 @@ def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
     )
 
 
-_PARAM_KEYS = {f.name for f in fields(SchemeParams)}
-_SYNTH_KEYS = {f.name for f in fields(SynthConfig)}
-_CONFIG_KEYS = {
-    "schemes", "scenarios", "params", "master_seed", "unlinkability_bins",
-    "mi_components", "synthetic", "templates", "output_dir",
-}
-# JSON types of the config values that no dataclass field checks
-_KINDS = {str: "a string", list: "a list", dict: "an object"}
+# a config names the templates path "templates" and adds default "params"
+_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} - {"templates_path"}
+_CONFIG_KEYS |= {"templates", "params"}
+# JSON types of the config values that are not dataclass fields
+_KINDS = {list: "a list", dict: "an object"}
 
 
 def _check(value, kind: type, what: str):
@@ -330,13 +327,19 @@ def _naming(where):
         raise ParseError(f"{where}: {exc}") from None
 
 
-def _parse_params(data, where: str, base: SchemeParams) -> SchemeParams:
-    """``base`` with the overrides in ``data`` applied."""
-    unknown = set(_check(data, dict, where)) - _PARAM_KEYS
-    if unknown:
-        raise ParseError(f"{where}: unknown parameter(s) {sorted(unknown)}")
+def _build(cls, data, where: str, **base):
+    """``cls(**{**base, **data})`` for the JSON object ``data``, whose keys must be
+    fields of the dataclass ``cls`` and, with ``base``, cover each field without
+    a default; a ParseError says ``where`` first."""
+    unknown = set(_check(data, dict, where)) - {f.name for f in fields(cls)}
+    missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    missing -= set(base) | set(data)
+    if unknown or missing:
+        raise ParseError(
+            f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}"
+        )
     with _naming(where):
-        return replace(base, **data)
+        return cls(**{**base, **data})
 
 
 def load_config(path: str | Path) -> BenchmarkConfig:
@@ -363,29 +366,19 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     if unknown:
         raise ParseError(f"{path}: unknown config key(s) {sorted(unknown)}")
 
-    settings = {
-        k: data[k] for k in ("master_seed", "unlinkability_bins", "mi_components") if k in data
-    }
+    scalars = ("master_seed", "unlinkability_bins", "mi_components", "output_dir")
+    settings = {k: data[k] for k in scalars if k in data}
     with _naming(path):  # before the synthetic seed, which defaults to master_seed
         _check_ranges(BenchmarkConfig, **settings)
-    if "output_dir" in data:
-        settings["output_dir"] = _check(data["output_dir"], str, f"{path}: output_dir")
     if "templates" in data:
-        settings["templates_path"] = _check(data["templates"], str, f"{path}: templates")
+        settings["templates_path"] = data["templates"]
     if "synthetic" in data:
-        where = f"{path}: synthetic"
-        syn = _check(data["synthetic"], dict, where)
-        unknown, missing = set(syn) - _SYNTH_KEYS, _SYNTH_KEYS - {"seed"} - set(syn)
-        if unknown or missing:
-            raise ParseError(
-                f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}"
-            )
-        with _naming(where):
-            settings["synthetic"] = SynthConfig(
-                **{"seed": settings.get("master_seed", BenchmarkConfig.master_seed), **syn}
-            )
+        settings["synthetic"] = _build(
+            SynthConfig, data["synthetic"], f"{path}: synthetic",
+            seed=settings.get("master_seed", BenchmarkConfig.master_seed),
+        )
 
-    base_params = _parse_params(data.get("params", {}), f"{path}: params", SchemeParams())
+    base_params = _build(SchemeParams, data.get("params", {}), f"{path}: params")
     schemes: list[SchemeSpec] = []
     for entry in _check(data.get("schemes", []), list, f"{path}: schemes"):
         if isinstance(entry, str):
@@ -395,8 +388,9 @@ def load_config(path: str | Path) -> BenchmarkConfig:
             and isinstance(entry.get("name"), str)
             and set(entry) <= {"name", "params"}
         ):
-            merged = _parse_params(
-                entry.get("params", {}), f"{path}: scheme {entry['name']} params", base_params
+            merged = _build(
+                SchemeParams, entry.get("params", {}),
+                f"{path}: scheme {entry['name']} params", **vars(base_params),
             )
             schemes.append(SchemeSpec(SchemeId.from_name(entry["name"]), merged))
         else:
@@ -405,7 +399,5 @@ def load_config(path: str | Path) -> BenchmarkConfig:
                 f"optional 'params', got {entry!r}"
             )
 
-    scenarios = _check(data.get("scenarios", []), list, f"{path}: scenarios")
-    for s in scenarios:
-        _check(s, str, f"{path}: scenarios entry")
-    return BenchmarkConfig(schemes=schemes, scenarios=scenarios, **settings)
+    with _naming(path):
+        return BenchmarkConfig(schemes=schemes, scenarios=data.get("scenarios", []), **settings)

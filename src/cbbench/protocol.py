@@ -54,9 +54,7 @@ def _identity(policy: KeyPolicy, subject_id: str, sample_id: str) -> tuple[str, 
         return ()
     if policy.scenario is Scenario.NORMAL:
         return (subject_id,)
-    if policy.scenario is Scenario.SAMPLE_SPECIFIC:
-        return (subject_id, sample_id)
-    raise InvalidArgumentError(f"scenario must be a Scenario, got {policy.scenario!r}")
+    return (subject_id, sample_id)
 
 
 def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> SchemeKey:

@@ -170,24 +170,21 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
         perms = stream.permutation(d, length * params.iom_p).reshape(length, params.iom_p, d)
         return IomUrpInstance(scheme, d, perms=perms, k=params.iom_k)
 
-    if scheme is SchemeId.RAND_HASH:
-        perm = derive_stream(key.seed, b"randhash.perm").permutation(d)
-        # log-uniform on [0.5, 2]: positive, centered on 1 in log space
-        u = derive_stream(key.seed, b"randhash.scale").uniforms(d)
-        scales = np.exp(np.log(0.5) + u * (np.log(2.0) - np.log(0.5)))
-        signs = np.where(derive_stream(key.seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
-        n_pad = max(0, length - d)
-        pad_bits = (
-            (derive_stream(key.seed, b"randhash.pad").uniforms(n_pad) < 0.5).astype(np.uint8)
-            if n_pad
-            else np.zeros(0, dtype=np.uint8)
-        )
-        return RandHashInstance(
-            scheme, d, perm=perm, scales=scales, signs=signs,
-            pad_bits=pad_bits, output_length=length,
-        )
-
-    raise InvalidArgumentError(f"unsupported scheme {scheme!r}")
+    perm = derive_stream(key.seed, b"randhash.perm").permutation(d)
+    # log-uniform on [0.5, 2]: positive, centered on 1 in log space
+    u = derive_stream(key.seed, b"randhash.scale").uniforms(d)
+    scales = np.exp(np.log(0.5) + u * (np.log(2.0) - np.log(0.5)))
+    signs = np.where(derive_stream(key.seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
+    n_pad = max(0, length - d)
+    pad_bits = (
+        (derive_stream(key.seed, b"randhash.pad").uniforms(n_pad) < 0.5).astype(np.uint8)
+        if n_pad
+        else np.zeros(0, dtype=np.uint8)
+    )
+    return RandHashInstance(
+        scheme, d, perm=perm, scales=scales, signs=signs,
+        pad_bits=pad_bits, output_length=length,
+    )
 
 
 def _biohash_kernel(x: np.ndarray, inst: BioHashInstance) -> np.ndarray:

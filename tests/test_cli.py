@@ -1,7 +1,12 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import numbers
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbbench.cli import main
+import cbbench
+from cbbench.cli import _build_parser, _openblas_threads, main
 from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates
@@ -390,6 +396,32 @@ def test_arena_cap_is_a_no_op_off_glibc(monkeypatch):
     cli._one_malloc_arena()
 
 
+def test_irrev_outputs_identical_for_any_blas_thread_count(tmp_path):
+    if _openblas_threads() is None:
+        pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose thread count can be set")
+    # the MI fields of a stolen-key pass on 150 templates changed with the
+    # OpenBLAS thread count, through LAPACK's SVD in the PCA fit
+    csv = tmp_path / "t.csv"
+    assert main(["synth", "--subjects", "50", "--samples", "3", "--dim", "64", "--sigma", "0.35",
+                 "--out", str(csv)]) == 0
+    script = (
+        "import sys\n"
+        "from cbbench.cli import main\n"
+        "for scheme in sys.argv[3:]:\n"
+        "    assert main(['eval-irrev', '--templates', sys.argv[1], '--scheme', scheme,\n"
+        "                 '--scenario', 'stolen', '--out-dir', sys.argv[2]]) == 0\n"
+    )
+    src = str(Path(cbbench.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, str(csv), str(out),
+                        *(s.value for s in SchemeId)], env=env, check=True, timeout=300)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == len(SchemeId) and outputs[0] == outputs[1]
+
+
 def _run(argv):
     try:
         return main(argv)
@@ -559,6 +591,116 @@ def test_seed_accepted_exactly_when_a_64_bit_integer(seed):
             assert code == (0 if valid else 2), err.getvalue()
             assert valid or flag in err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+
+# text, numbers, None, a JSON object, either enum and a valid value of each dataclass field
+TYPED_VALUES = st.one_of(
+    st.text(max_size=3), st.integers(), st.none(), st.floats(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from([*Scenario, *SchemeId, SchemeParams(), SynthConfig(**SMALL_SYNTHETIC)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=TYPED_VALUES)
+@example(value="biohash")
+@example(value="0.3")
+@example(value={})
+@example(value=None)
+@example(value=1)
+def test_typed_field_accepted_exactly_when_of_its_annotated_type(value):
+    synthetic = SynthConfig(**SMALL_SYNTHETIC)
+    specs = [SchemeSpec(SchemeId.BIOHASH)]
+    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # (field, build, whether the field's annotation admits value); the other
+    # input source is set so that a valid value leaves exactly one
+    builds = [
+        ("scenario", lambda: KeyPolicy(1, value, SchemeId.BIOHASH), isinstance(value, Scenario)),
+        ("scheme_id", lambda: KeyPolicy(1, Scenario.NORMAL, value), isinstance(value, SchemeId)),
+        ("params", lambda: KeyPolicy(1, Scenario.NORMAL, SchemeId.BIOHASH, value),
+         isinstance(value, SchemeParams)),
+        ("scheme_id", lambda: SchemeKey(1, value), isinstance(value, SchemeId)),
+        ("params", lambda: SchemeKey(1, SchemeId.BIOHASH, value), isinstance(value, SchemeParams)),
+        ("scheme_id", lambda: SchemeSpec(value), isinstance(value, SchemeId)),
+        ("params", lambda: SchemeSpec(SchemeId.BIOHASH, value), isinstance(value, SchemeParams)),
+        ("synthetic", lambda: BenchmarkConfig(
+            specs, ["normal"], synthetic=value,
+            templates_path=None if isinstance(value, SynthConfig) else "t.csv",
+        ), value is None or isinstance(value, SynthConfig)),
+        ("templates_path", lambda: BenchmarkConfig(
+            specs, ["normal"], synthetic=None if isinstance(value, str) else synthetic,
+            templates_path=value,
+        ), value is None or isinstance(value, str)),
+        ("output_dir", lambda: BenchmarkConfig(
+            specs, ["normal"], synthetic=synthetic, output_dir=value
+        ), isinstance(value, str)),
+        ("noise_sigma", lambda: SynthConfig(**{**SMALL_SYNTHETIC, "noise_sigma": value}),
+         is_real and 0 < value <= 1e6),
+    ]
+    for name, build, valid in builds:
+        if valid:
+            build()
+        else:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} "):
+                build()
+
+
+def _value_flags(command: str) -> list[str]:
+    """Every flag of the subcommand that takes a value."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[-1] for a in sub.choices[command]._actions
+            if a.option_strings and a.nargs != 0]
+
+
+# each subcommand's argv on the tiny CSV t.csv and config bench.json, run from their folder
+BASE_ARGV = {
+    "synth": ["synth", "--subjects", "3", "--samples", "2", "--dim", "4", "--sigma", "0.3",
+              "--out", "s.csv"],
+    "protect": ["protect", "--templates", "t.csv", "--scheme", "biohash", "--out", "p.csv"],
+    **{command: [command, "--templates", "t.csv", "--scheme", "biohash", "--out-dir", "out"]
+       for command in ("eval-perf", "eval-unlink", "eval-irrev")},
+    "bench": ["bench", "--config", "bench.json"],
+}
+FLAG_CHOICES = [(command, flag) for command in BASE_ARGV for flag in _value_flags(command)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    choice=st.sampled_from(FLAG_CHOICES),
+    value=st.one_of(
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e400", "", "normal", "stolen", "iom-grp"]),
+        # what an OS argv can hold: no NUL, surrogates only as undecodable bytes
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=6),
+    ),
+)
+@example(choice=("synth", "--sigma"), value="nan")
+@example(choice=("synth", "--sigma"), value="1e400")
+@example(choice=("synth", "--dim"), value="2.5")
+def test_fuzzed_flag_exits_cleanly(choice, value):
+    command, flag = choice
+    argv = list(BASE_ARGV[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a fuzzed path lands in tmp
+        try:
+            synth = ["synth", "--subjects", "3", "--samples", "2", "--dim", "4", "--sigma", "0.3"]
+            assert main(synth + ["--out", "t.csv"]) == 0
+            small_config(Path(tmp), schemes=["biohash"], scenarios=["normal"])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = _run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code != 2 or flag in err.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)

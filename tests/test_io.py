@@ -341,6 +341,11 @@ class TestBenchmarkConfig:
                 schemes=[SchemeSpec(SchemeId.BIOHASH)], scenarios=["normal"]
             )
 
+    def test_scheme_entries_must_be_scheme_specs(self):
+        # a bare name once passed here and failed in run_benchmark, outside any cell
+        with pytest.raises(InvalidArgumentError, match="^schemes "):
+            BenchmarkConfig(schemes=["biohash"], scenarios=["normal"], templates_path="x.csv")
+
     def test_sample_specific_not_a_grid_scenario(self):
         with pytest.raises(InvalidArgumentError, match="sample-specific"):
             BenchmarkConfig(

@@ -101,6 +101,8 @@ class TestGenerate:
             {"seed": -1},
             {"seed": 2**64},
             {"noise_sigma": 1e308},
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
         ],
     )
     def test_config_invariants(self, kwargs):
