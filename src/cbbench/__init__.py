@@ -9,19 +9,7 @@ information between unprotected and protected template sets.
 
 __version__ = "0.1.0"
 
-from .core import (
-    BitString,
-    BloomSet,
-    CodeVector,
-    Dataset,
-    ProtectedTemplate,
-    Scenario,
-    SchemeId,
-    SchemeKey,
-    SchemeParams,
-    Template,
-    validate_dataset,
-)
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, validate_dataset
 from .errors import (
     CbBenchError,
     DegenerateInputError,
@@ -64,14 +52,13 @@ from .io import (
     write_templates,
 )
 from .protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
-from .schemes import chance_level, compare, instantiate, protect, protect_batch
+from .schemes import chance_level, compare, instantiate, protect, protect_batch, similarities
 from .synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_scores
 
 __all__ = [
     "__version__",
     # core
-    "Template", "Dataset", "SchemeId", "Scenario", "SchemeParams", "SchemeKey",
-    "ProtectedTemplate", "BitString", "CodeVector", "BloomSet", "validate_dataset",
+    "Dataset", "SchemeId", "Scenario", "SchemeParams", "SchemeKey", "validate_dataset",
     # errors
     "CbBenchError", "InvalidArgumentError", "DegenerateInputError", "NumericError",
     "ParseError",
@@ -79,7 +66,7 @@ __all__ = [
     "RandomStream", "derive_stream", "gaussian_matrix", "gram_schmidt", "PcaModel",
     "pca_fit", "pca_transform", "covariance", "default_ridge", "gaussian_entropy",
     # schemes
-    "instantiate", "protect", "protect_batch", "compare", "chance_level",
+    "instantiate", "protect_batch", "similarities", "protect", "compare", "chance_level",
     # protocol
     "KeyPolicy", "ScoreSet", "derive_key", "pair_indices", "run_scenario",
     # metrics

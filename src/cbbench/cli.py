@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import _PAYLOAD_FOR_SCHEME, CodeVector, Scenario, SchemeId, SchemeParams, _check_ranges
+from .core import Scenario, SchemeId, SchemeParams, _check_ranges
 from .errors import CbBenchError, InvalidArgumentError
 from .io import (
     BenchmarkConfig,
@@ -40,6 +40,7 @@ from .metrics import (
     unlinkability,
 )
 from .protocol import KeyPolicy, run_scenario
+from .schemes import _KIND_OF_SCHEME
 from .synthdata import SynthConfig, generate, unprotected_scores
 
 __all__ = ["main", "run_benchmark"]
@@ -263,7 +264,7 @@ def _run_benchmark_cells(
                 **perf,
                 **asdict(irrev),
                 "realized_length": int(y.shape[1]),
-                "length_unit": "codes" if _PAYLOAD_FOR_SCHEME[scheme] is CodeVector else "bits",
+                "length_unit": "codes" if _KIND_OF_SCHEME[scheme] == "codes" else "bits",
                 "det_csv": det_path.name,
             }
             if scheme is SchemeId.RAND_HASH:

@@ -1,5 +1,5 @@
-"""Domain types shared by every module: templates, keys, protected payloads,
-scores and scenario tags."""
+"""Domain types shared by every module: scheme and scenario tags, keys, the
+columnar template dataset and the typed field declarations."""
 
 from __future__ import annotations
 
@@ -19,14 +19,8 @@ __all__ = [
     "Scenario",
     "SchemeParams",
     "SchemeKey",
-    "Template",
     "Dataset",
-    "BitString",
-    "CodeVector",
-    "BloomSet",
-    "ProtectedTemplate",
     "validate_dataset",
-    "as_score",
 ]
 
 
@@ -70,6 +64,12 @@ def _param(default, help: str, low, high):
     """A dataclass field in [low, high] for an ``int``, (low, high] for a ``float``,
     checked by ``_check_ranges``; pass ``dataclasses.MISSING`` for no default."""
     return field(default=default, metadata={"help": help, "range": (low, high)})
+
+
+def _declared_as(cls, name: str):
+    """A field with the default, help and range of field ``name`` of the dataclass ``cls``."""
+    (f,) = (f for f in fields(cls) if f.name == name)
+    return field(default=f.default, metadata=f.metadata)
 
 
 def _seed(default, help: str):
@@ -153,24 +153,6 @@ class SchemeKey:
 
 
 @dataclass
-class Template:
-    """An unprotected real-valued feature vector with subject/sample identity."""
-
-    subject_id: str
-    sample_id: str
-    features: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise InvalidArgumentError("features must be a 1-D vector")
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass
 class Dataset:
     """Templates of one dimension, column-wise: row ``i`` of the ``(n, d)`` float64
     ``features`` matrix is sample ``sample_ids[i]`` of subject ``subject_ids[i]``."""
@@ -185,29 +167,9 @@ class Dataset:
         if len(shape) != 2 or not shape[0] == len(self.subject_ids) == len(self.sample_ids):
             raise InvalidArgumentError(f"features of shape {shape} need one id pair per row")
 
-    @classmethod
-    def from_templates(cls, templates: list[Template]) -> "Dataset":
-        """Stack a non-empty list of templates of one dimension, in order."""
-        if not templates:
-            raise InvalidArgumentError("dataset needs at least one template")
-        d = templates[0].dimension
-        for t in templates:
-            if t.dimension != d:
-                raise InvalidArgumentError(
-                    f"subject {t.subject_id} sample {t.sample_id}: dimension "
-                    f"{t.dimension} != dataset dimension {d}"
-                )
-        ids = [(t.subject_id, t.sample_id) for t in templates]
-        return cls(np.stack([t.features for t in templates]), *map(list, zip(*ids)))
-
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def templates(self) -> list[Template]:
-        """The rows as templates whose features are views of ``features``."""
-        return [Template(*row) for row in zip(self.subject_ids, self.sample_ids, self.features)]
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -244,104 +206,3 @@ def validate_dataset(ds: Dataset) -> list[str]:
         if len(rows) < 2:
             issues.append(f"subject {subject} has only {len(rows)} sample(s); need >= 2")
     return issues
-
-
-def as_score(value: float) -> float:
-    """Validate a similarity score. Out-of-range values are an error, never a
-    clamp: a score outside [0, 1] means a comparator is broken."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidArgumentError(f"score {value!r} outside [0, 1]")
-    return value
-
-
-@dataclass(frozen=True)
-class BitString:
-    """Binary protected payload (entries 0/1, length = output_length)."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise InvalidArgumentError("bits must be a 1-D array")
-        if bits.size and bits.max() > 1:
-            raise InvalidArgumentError("bits must be 0/1")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-
-@dataclass(frozen=True)
-class CodeVector:
-    """Index-of-max protected payload: integer codes, each in [0, k)."""
-
-    codes: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.int64)
-        if codes.ndim != 1:
-            raise InvalidArgumentError("codes must be a 1-D array")
-        if self.k < 2:
-            raise InvalidArgumentError(f"k must be >= 2, got {self.k}")
-        if codes.size and (codes.min() < 0 or codes.max() >= self.k):
-            raise InvalidArgumentError(f"codes must lie in [0, {self.k})")
-        object.__setattr__(self, "codes", codes)
-
-    def __len__(self) -> int:
-        return self.codes.shape[0]
-
-
-@dataclass(frozen=True)
-class BloomSet:
-    """Bloom protected payload: B filter blocks of 2**word_bits bits each,
-    stored as a (B, 2**word_bits) 0/1 array."""
-
-    blocks: np.ndarray
-
-    def __post_init__(self) -> None:
-        blocks = np.asarray(self.blocks, dtype=np.uint8)
-        if blocks.ndim != 2:
-            raise InvalidArgumentError("blocks must be a 2-D array")
-        if blocks.size and blocks.max() > 1:
-            raise InvalidArgumentError("block entries must be 0/1")
-        object.__setattr__(self, "blocks", blocks)
-
-
-_PAYLOAD_FOR_SCHEME = {
-    SchemeId.BIOHASH: BitString,
-    SchemeId.MLP_HASH: BitString,
-    SchemeId.RAND_HASH: BitString,
-    SchemeId.IOM_GRP: CodeVector,
-    SchemeId.IOM_URP: CodeVector,
-    SchemeId.BLOOM_FILTER: BloomSet,
-}
-
-
-@dataclass(frozen=True)
-class ProtectedTemplate:
-    """Scheme output. The payload variant must match the scheme: binary
-    schemes carry a BitString, index-of-max schemes a CodeVector and the
-    Bloom scheme a BloomSet."""
-
-    scheme_id: SchemeId
-    payload: BitString | CodeVector | BloomSet
-
-    def __post_init__(self) -> None:
-        expected = _PAYLOAD_FOR_SCHEME[self.scheme_id]
-        if not isinstance(self.payload, expected):
-            raise InvalidArgumentError(
-                f"scheme {self.scheme_id.value} requires a {expected.__name__} payload, "
-                f"got {type(self.payload).__name__}"
-            )
-
-    def to_real_vector(self) -> np.ndarray:
-        """Flatten the payload to a real vector (bits and codes as floats,
-        Bloom blocks concatenated)."""
-        if isinstance(self.payload, BitString):
-            return self.payload.bits.astype(np.float64)
-        if isinstance(self.payload, CodeVector):
-            return self.payload.codes.astype(np.float64)
-        return self.payload.blocks.astype(np.float64).ravel()

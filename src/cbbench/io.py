@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SchemeId, SchemeParams, _check_ranges, _param, _seed, validate_dataset
+from .core import (
+    Dataset, SchemeId, SchemeParams, _check_ranges, _declared_as, _seed, validate_dataset,
+)
 from .errors import CbBenchError, InvalidArgumentError, ParseError
-from .metrics import DetCurve
+from .metrics import DetCurve, _Estimators
 from .synthdata import STANDARD_CONFIG, SynthConfig
 
 __all__ = [
@@ -259,10 +261,8 @@ class BenchmarkConfig:
     schemes: list[SchemeSpec]
     scenarios: list[str]
     master_seed: int = _seed(42, "master seed every key derives from")
-    # 10 000 bins keep the histograms and the local curve at 80 KB each
-    unlinkability_bins: int = _param(100, "unlinkability histogram bins", 10, 10_000)
-    # r_used never exceeds either matrix's width; 4096 is the output_length cap
-    mi_components: int = _param(100, "reduced feature count for both MI sets", 1, 4096)
+    unlinkability_bins: int = _declared_as(_Estimators, "bins")
+    mi_components: int = _declared_as(_Estimators, "r")
     synthetic: SynthConfig | None = None
     templates_path: str | None = None
     output_dir: str = "."

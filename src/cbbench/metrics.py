@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario
+from .core import Scenario, _check_ranges, _param
 from .errors import InvalidArgumentError
 from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit, pca_transform
 from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
@@ -31,6 +31,18 @@ __all__ = [
 # variance sits at the ridge floor: the protected set is effectively a
 # deterministic function of the unprotected one
 _NEAR_DETERMINISTIC_NATS_PER_DIM = 3.0
+
+
+@dataclass(frozen=True)
+class _Estimators:
+    """The estimator settings' one declaration: ``unlinkability`` and
+    ``mutual_information`` check their arguments against it, and
+    ``BenchmarkConfig`` declares its two fields as these."""
+
+    # 10 000 bins keep the histograms and the local curve at 80 KB each
+    bins: int = _param(100, "unlinkability histogram bins", 10, 10_000)
+    # r_used never exceeds either matrix's width; 4096 is the output_length cap
+    r: int = _param(100, "reduced feature count for both MI sets", 1, 4096)
 
 
 @dataclass
@@ -97,7 +109,7 @@ class UnlinkabilityReport:
     degenerate_range: bool = False
 
 
-def unlinkability(scores: ScoreSet, bins: int = 100) -> UnlinkabilityReport:
+def unlinkability(scores: ScoreSet, bins: int = _Estimators.bins) -> UnlinkabilityReport:
     """Posterior-difference unlinkability over shared equal-width score bins.
 
     Requires scores generated under sample-specific keys. Per bin, with equal
@@ -111,8 +123,7 @@ def unlinkability(scores: ScoreSet, bins: int = 100) -> UnlinkabilityReport:
         raise InvalidArgumentError(
             "unlinkability requires scores generated under the sample-specific scenario"
         )
-    if bins < 10:
-        raise InvalidArgumentError(f"bins must be >= 10, got {bins}")
+    _check_ranges(_Estimators, bins=bins)
     mated, nonmated = scores.mated, scores.nonmated
     if mated.size == 0 or nonmated.size == 0:
         raise InvalidArgumentError("both score lists must be non-empty")
@@ -155,7 +166,9 @@ class IrreversibilityReport:
     near_deterministic: bool = False
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray, r: int = 100) -> IrreversibilityReport:
+def mutual_information(
+    x: np.ndarray, y: np.ndarray, r: int = _Estimators.r
+) -> IrreversibilityReport:
     """MI(X_r, Y_r) = H(X_r) + H(Y_r) - H(X_r, Y_r) under a Gaussian fit.
 
     Both matrices are reduced to r_used = min(r, rows-1, cols(x), cols(y))
@@ -165,6 +178,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, r: int = 100) -> Irreversib
     so the estimate is a genuine Gaussian MI: non-negative up to rounding and
     exactly invariant when either input is rescaled by a positive constant.
     """
+    _check_ranges(_Estimators, r=r)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:

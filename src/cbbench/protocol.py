@@ -115,9 +115,9 @@ class ScoreSet:
 
 
 def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.ndarray:
-    """Protect the whole dataset under the policy and stack the payloads as
-    real-valued rows in dataset order (bits as 0/1, codes as integers, Bloom
-    blocks concatenated): the attacker's view of the protected database.
+    """Protect the whole dataset under the policy and stack the ``protect_batch``
+    rows in dataset order (bits as 0/1, codes as integers, Bloom blocks
+    concatenated): the attacker's view of the protected database.
 
     Rows are grouped by the identity their scenario keys on, and each
     group's key is derived and instantiated once, protects its rows with one
@@ -173,8 +173,8 @@ def run_scenario(
 ) -> ScoreSet:
     """Score the mated and non-mated pairs of ``pair_indices`` on the dataset
     protected under the policy, in chunks of 64 or more pairs (up to 2**14
-    values a side) with the formulas of ``compare`` (so scores equal
-    pair-by-pair comparison).
+    values a side) with ``similarities`` (so scores equal ``compare`` of each
+    pair).
 
     ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
     has; without it the matrix is computed here, on ``workers`` threads.

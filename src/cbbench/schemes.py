@@ -2,9 +2,11 @@
 
 Every transform is a pure function of (key, input dimension, template):
 ``instantiate`` materializes all key-derived randomness up front, and the
-per-scheme batch kernels behind ``protect_batch`` never draw randomness. All six
-constructions are sign/argmax based, so protecting c*x for any c > 0 yields
-exactly the same protected template as protecting x.
+per-scheme batch kernels behind ``protect_batch`` never draw randomness.
+``similarities`` scores protected rows; ``protect`` and ``compare`` are the
+one-template forms of the two. All six constructions are sign/argmax based,
+so protecting c*x for any c > 0 yields exactly the same protected row as
+protecting x.
 """
 
 from __future__ import annotations
@@ -13,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _PAYLOAD_FOR_SCHEME,
-    BitString,
-    BloomSet,
-    CodeVector,
-    ProtectedTemplate,
-    SchemeId,
-    SchemeKey,
-    Template,
-    as_score,
-)
+from .core import SchemeId, SchemeKey
 from .errors import InvalidArgumentError
 from .numerics import derive_stream, gaussian_matrix, gram_schmidt
 
@@ -42,6 +34,17 @@ __all__ = [
     "similarities",
     "chance_level",
 ]
+
+# what a protected row holds: 0/1 bits, index-of-max codes in [0, iom_k), or
+# the 0/1 Bloom filter blocks of 2**bloom_word_bits bits each, concatenated
+_KIND_OF_SCHEME = {
+    SchemeId.BIOHASH: "bits",
+    SchemeId.MLP_HASH: "bits",
+    SchemeId.RAND_HASH: "bits",
+    SchemeId.IOM_GRP: "codes",
+    SchemeId.IOM_URP: "codes",
+    SchemeId.BLOOM_FILTER: "bloom",
+}
 
 # slope of the negative branch of the leaky ramp nonlinearity; positively
 # homogeneous, so sign patterns are exactly invariant under positive scaling
@@ -88,10 +91,6 @@ class BloomInstance(TransformInstance):
 @dataclass(frozen=True)
 class IomGrpInstance(TransformInstance):
     directions: np.ndarray  # (m, k, dim) Gaussian projection directions
-
-    @property
-    def k(self) -> int:
-        return self.directions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,8 @@ _KERNEL_FOR_SCHEME = {
 
 def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     """Protect each row of the (n, dim) feature block ``x`` with the transform
-    the instance was built for, as float64 rows in the ``to_real_vector``
-    layout (bits as 0/1, codes as integers, Bloom blocks concatenated)."""
+    the instance was built for, as float64 protected rows (bits as 0/1, codes
+    as integers, Bloom blocks concatenated)."""
     expected, kernel = _KERNEL_FOR_SCHEME[inst.scheme_id]
     if not isinstance(inst, expected):
         raise InvalidArgumentError(f"instance is {type(inst).__name__}, not {expected.__name__}")
@@ -266,16 +265,9 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     return kernel(x, inst).astype(np.float64)
 
 
-def protect(t: Template, inst: TransformInstance) -> ProtectedTemplate:
-    """Apply the transform the instance was built for to one template: the
-    one-row call of ``protect_batch``, wrapped in the scheme's payload type."""
-    row = protect_batch(t.features[None], inst)[0]
-    payload = _PAYLOAD_FOR_SCHEME[inst.scheme_id]
-    if payload is BloomSet:
-        return ProtectedTemplate(inst.scheme_id, BloomSet(row.reshape(inst.n_blocks, -1)))
-    if payload is CodeVector:
-        return ProtectedTemplate(inst.scheme_id, CodeVector(row, k=inst.k))
-    return ProtectedTemplate(inst.scheme_id, BitString(row))
+def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
+    """The protected row of the one ``(dim,)`` feature row ``x``: ``protect_batch`` of one row."""
+    return protect_batch(np.asarray(x, dtype=np.float64)[None], inst)[0]
 
 
 def _bit_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,46 +290,34 @@ def _bloom_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``compare`` of protected rows ``a`` and ``b``, element-wise over their
-    (broadcast) leading axes, all in the ``to_real_vector`` layout of a
-    protected matrix (not range-checked)."""
-    payload = _PAYLOAD_FOR_SCHEME[scheme_id]
-    if payload is BloomSet:
+    """Similarity in [0, 1] of protected rows ``a`` and ``b``, element-wise over
+    their (broadcast) leading axes (not range-checked).
+
+    Bits: 1 - Hamming distance / length. Codes: fraction of equal codes.
+    Bloom: 1 - mean over blocks of |A xor B| / (|A| + |B|) with popcounts; an
+    empty block pair contributes dissimilarity 0.
+    """
+    kind = _KIND_OF_SCHEME[scheme_id]
+    if kind == "bloom":
         f = 2**params.bloom_word_bits
         return _bloom_similarity(a.reshape(*a.shape[:-1], -1, f), b.reshape(*b.shape[:-1], -1, f))
-    return (_code_similarity if payload is CodeVector else _bit_similarity)(a, b)
+    return (_code_similarity if kind == "codes" else _bit_similarity)(a, b)
 
 
-def compare(a: ProtectedTemplate, b: ProtectedTemplate) -> float:
-    """Similarity in [0, 1] between two protected templates of one scheme.
-
-    BitString: 1 - Hamming distance / length. CodeVector: fraction of equal
-    codes. BloomSet: 1 - mean over blocks of |A xor B| / (|A| + |B|) with
-    popcounts; an empty block pair contributes dissimilarity 0. Uses the
-    kernels of ``similarities``, so both give bit-identical scores.
-    """
-    if a.scheme_id is not b.scheme_id:
+def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
+    """``similarities`` of the one pair of protected rows ``a`` and ``b``."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape:
         raise InvalidArgumentError(
-            f"cannot compare {a.scheme_id.value} against {b.scheme_id.value}"
+            f"protected rows must be two 1-D rows of one length, got shapes {a.shape} and {b.shape}"
         )
-    pa, pb = a.payload, b.payload  # of one class, which ProtectedTemplate ties to the scheme
-    if isinstance(pa, BitString):
-        if len(pa) != len(pb):
-            raise InvalidArgumentError(f"bit lengths differ: {len(pa)} vs {len(pb)}")
-        return as_score(_bit_similarity(pa.bits, pb.bits[None])[0])
-    if isinstance(pa, CodeVector):
-        if len(pa) != len(pb) or pa.k != pb.k:
-            raise InvalidArgumentError("code vectors have mismatched shape or alphabet")
-        return as_score(_code_similarity(pa.codes, pb.codes[None])[0])
-    if pa.blocks.shape != pb.blocks.shape:
-        raise InvalidArgumentError("bloom block shapes differ")
-    return as_score(_bloom_similarity(pa.blocks, pb.blocks[None])[0])
+    return float(similarities(scheme_id, params, a, b))
 
 
 def chance_level(scheme_id: SchemeId, params) -> float | None:
     """Expected cross-key similarity: 0.5 for bit schemes, 1/k for
     index-of-max schemes; None for Bloom, whose level depends on fill rate."""
-    payload = _PAYLOAD_FOR_SCHEME[scheme_id]
-    if payload is BloomSet:
+    kind = _KIND_OF_SCHEME[scheme_id]
+    if kind == "bloom":
         return None
-    return 0.5 if payload is BitString else 1.0 / params.iom_k
+    return 0.5 if kind == "bits" else 1.0 / params.iom_k

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template, validate_dataset
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, validate_dataset
 from cbbench.errors import ParseError
 from cbbench.metrics import mutual_information, protected_matrix
 from cbbench.protocol import KeyPolicy, run_scenario
@@ -67,12 +67,9 @@ def oracle_fnmr_at_fmr(mated: np.ndarray, nonmated: np.ndarray, target: float) -
 
 def make_dataset(features_by_subject: dict[str, list]) -> Dataset:
     """Hand-build a dataset from {subject_id: [feature vectors]}."""
-    templates = [
-        Template(subject_id=s, sample_id=str(i), features=np.asarray(f, dtype=float))
-        for s, feats in features_by_subject.items()
-        for i, f in enumerate(feats)
-    ]
-    return Dataset.from_templates(templates)
+    ids = [(s, str(i)) for s, feats in features_by_subject.items() for i in range(len(feats))]
+    rows = [f for feats in features_by_subject.values() for f in feats]
+    return Dataset(rows, [s for s, _ in ids], [i for _, i in ids])
 
 
 def oracle_pairs(ds: Dataset) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -101,7 +98,7 @@ def oracle_read_templates(path) -> Dataset:
         d = len(header) - 2
         if header[2:] != [f"f{i}" for i in range(d)]:
             raise ParseError(f"{path}:1: feature columns must be named f0..f{d - 1}")
-        templates = []
+        rows, subject_ids, sample_ids = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -113,10 +110,12 @@ def oracle_read_templates(path) -> Dataset:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not np.isfinite(features).all():
                 raise ParseError(f"{path}:{lineno}: non-finite feature value")
-            templates.append(Template(subject_id=row[0], sample_id=row[1], features=features))
-    if not templates:
+            rows.append(features)
+            subject_ids.append(row[0])
+            sample_ids.append(row[1])
+    if not rows:
         raise ParseError(f"{path}: no template rows")
-    ds = Dataset.from_templates(templates)
+    ds = Dataset(np.stack(rows), subject_ids, sample_ids)
     issues = validate_dataset(ds)
     if issues:
         raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))

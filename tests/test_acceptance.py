@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from cbbench.cli import main
-from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams, Template
+from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.io import read_det_points
 from cbbench.metrics import compute_det, eer, fnmr_at_fmr, mutual_information, unlinkability
 from cbbench.numerics import covariance, derive_stream, pca_fit
 from cbbench.protocol import KeyPolicy, ScoreSet, run_scenario
-from cbbench.schemes import chance_level, compare, instantiate, protect
+from cbbench.schemes import chance_level, instantiate, protect_batch, similarities
 from cbbench.synthdata import SynthConfig, generate
 
 from conftest import (
@@ -179,7 +179,7 @@ def test_criterion_09_renewability(announce):
     with criterion(9, "cross-key similarity sits at chance level (3 SE)", 60.0, announce):
         d = 32
         params = SchemeParams(output_length=64, iom_k=16, bloom_block_cols=4)
-        fixed = Template("s", "0", derive_stream(99, b"acceptance.renewability").normals(d))
+        fixed = derive_stream(99, b"acceptance.renewability").normals(d)[None]
         for scheme in (
             SchemeId.BIOHASH,
             SchemeId.MLP_HASH,
@@ -189,9 +189,9 @@ def test_criterion_09_renewability(announce):
         ):
             scores = np.empty(1000)
             for i in range(1000):
-                a = protect(fixed, instantiate(SchemeKey(2 * i, scheme, params), d))
-                b = protect(fixed, instantiate(SchemeKey(2 * i + 1, scheme, params), d))
-                scores[i] = compare(a, b)
+                a = protect_batch(fixed, instantiate(SchemeKey(2 * i, scheme, params), d))
+                b = protect_batch(fixed, instantiate(SchemeKey(2 * i + 1, scheme, params), d))
+                scores[i] = similarities(scheme, params, a, b)[0]
             target = chance_level(scheme, params)
             se = scores.std(ddof=1) / math.sqrt(scores.size)
             assert abs(scores.mean() - target) <= 3.0 * se, (
@@ -203,24 +203,23 @@ def test_criterion_10_determinism_and_invariance(announce):
     with criterion(10, "replay, positive-scale invariance, symmetry, parallelism", 60.0, announce):
         d = 16
         params = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
-        t1 = Template("s", "0", derive_stream(55, b"acceptance.det1").normals(d))
-        t2 = Template("s", "1", derive_stream(55, b"acceptance.det2").normals(d))
+        t1 = derive_stream(55, b"acceptance.det1").normals(d)[None]
+        t2 = derive_stream(55, b"acceptance.det2").normals(d)[None]
         for scheme in SchemeId:
             inst = instantiate(SchemeKey(7, scheme, params), d)
             inst_replay = instantiate(SchemeKey(7, scheme, params), d)
-            p1, p1_replay = protect(t1, inst), protect(t1, inst_replay)
-            p2 = protect(t2, inst)
-            # replay determinism across protect and compare
-            assert np.array_equal(p1.to_real_vector(), p1_replay.to_real_vector())
-            assert compare(p1, p2) == compare(p1, p2)
+            p1, p1_replay = protect_batch(t1, inst), protect_batch(t1, inst_replay)
+            p2 = protect_batch(t2, inst)
+            score = similarities(scheme, params, p1, p2)[0]
+            # replay determinism across protect_batch and similarities
+            assert np.array_equal(p1, p1_replay)
+            assert similarities(scheme, params, p1_replay, p2)[0] == score
             # exact positive-scale invariance
             for c in (0.5, 3.0, 100.0):
-                scaled = protect(Template("s", "0", c * t1.features), inst)
-                assert np.array_equal(p1.to_real_vector(), scaled.to_real_vector()), (
-                    scheme.value, c,
-                )
+                scaled = protect_batch(c * t1, inst)
+                assert np.array_equal(p1, scaled), (scheme.value, c)
             # comparator symmetry
-            assert compare(p1, p2) == compare(p2, p1)
+            assert similarities(scheme, params, p2, p1)[0] == score
 
         ds = generate(SynthConfig(6, 3, d, 0.35, 5))
         for scheme in SchemeId:

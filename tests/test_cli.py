@@ -137,7 +137,7 @@ class TestProtect:
         )
         ref = tmp_path / "ref.csv"
         oracle_write_rows(ref, ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])],
-                          y, [(t.subject_id, t.sample_id) for t in ds.templates])
+                          y, list(zip(ds.subject_ids, ds.sample_ids)))
         assert out.read_bytes() == ref.read_bytes()
 
 
@@ -420,6 +420,30 @@ def test_irrev_outputs_identical_for_any_blas_thread_count(tmp_path):
                         *(s.value for s in SchemeId)], env=env, check=True, timeout=300)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == len(SchemeId) and outputs[0] == outputs[1]
+
+
+def test_bench_outputs_identical_for_any_blas_thread_count(tmp_path):
+    if _openblas_threads() is None:
+        pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose thread count can be set")
+    # the same replay for the whole battery: six schemes, normal and stolen,
+    # and the sample-specific pass; on 90 templates of 64 features with 64 MI
+    # components the MI fields of unpinned OpenBLAS differ between 1 and 2 threads
+    synthetic = {**SMALL_SYNTHETIC, "subjects": 30, "dimension": 64}
+    config = small_config(tmp_path, schemes=[s.value for s in SchemeId], params={},
+                          mi_components=100, synthetic=synthetic)
+    src = str(Path(cbbench.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "cbbench", "bench", "--config", str(config),
+                        "--out-dir", str(out)], env=env, check=True, timeout=300,
+                       stdout=subprocess.DEVNULL)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        report.pop("timestamp")
+        dets = {p.name: p.read_bytes() for p in sorted(out.glob("det_*.csv"))}
+        outputs.append((json.dumps(report, sort_keys=True), dets))
+    assert len(outputs[0][1]) == 2 * len(SchemeId) and outputs[0] == outputs[1]
 
 
 def _run(argv):

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from cbbench.core import (
-    BitString,
-    BloomSet,
-    CodeVector,
-    Dataset,
-    ProtectedTemplate,
-    Scenario,
-    SchemeId,
-    SchemeKey,
-    SchemeParams,
-    Template,
-    as_score,
-    validate_dataset,
-)
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, validate_dataset
 from cbbench.errors import InvalidArgumentError
+from cbbench.protocol import ScoreSet
+from cbbench.schemes import (
+    BioHashInstance,
+    BloomInstance,
+    IomGrpInstance,
+    IomUrpInstance,
+    MlpHashInstance,
+    RandHashInstance,
+    protect_batch,
+)
 
 from conftest import make_dataset
 
@@ -73,53 +70,60 @@ class TestSchemeNames:
 
 
 class TestPayloads:
-    def test_variant_scheme_pairing_enforced(self):
-        bits = BitString(np.array([1, 0, 1], dtype=np.uint8))
-        codes = CodeVector(np.array([0, 1]), k=4)
-        blocks = BloomSet(np.zeros((2, 16), dtype=np.uint8))
-        ProtectedTemplate(SchemeId.BIOHASH, bits)
-        ProtectedTemplate(SchemeId.IOM_GRP, codes)
-        ProtectedTemplate(SchemeId.BLOOM_FILTER, blocks)
-        with pytest.raises(InvalidArgumentError):
-            ProtectedTemplate(SchemeId.BIOHASH, codes)
-        with pytest.raises(InvalidArgumentError):
-            ProtectedTemplate(SchemeId.IOM_URP, bits)
-        with pytest.raises(InvalidArgumentError):
-            ProtectedTemplate(SchemeId.BLOOM_FILTER, bits)
+    """Protected rows hold what their scheme's kind admits, whatever the input."""
+
+    # zeros, ties, signed extremes and subnormals: the inputs a sign or argmax could mishandle
+    EDGES = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [-1e300, 1e300, -5e-324, 5e-324],
+        [1e300, -1e300, 0.0, -0.0],
+    ])
 
     def test_code_alphabet_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            CodeVector(np.array([0, 4]), k=4)
-        with pytest.raises(InvalidArgumentError):
-            CodeVector(np.array([-1, 0]), k=4)
+        directions = np.stack([np.eye(4)] * 3)  # three hashes, k=4, axis directions
+        urp = IomUrpInstance(SchemeId.IOM_URP, 4, perms=np.arange(4).reshape(1, 1, 4), k=4)
+        for inst in (IomGrpInstance(SchemeId.IOM_GRP, 4, directions=directions), urp):
+            codes = protect_batch(self.EDGES, inst)
+            assert np.array_equal(codes, np.floor(codes))
+            assert codes.min() >= 0 and codes.max() < 4
+        # ties resolve to the lowest index; the largest entry wins otherwise
+        assert np.array_equal(protect_batch(self.EDGES, urp)[:, 0], [0, 0, 1, 0])
 
     def test_bits_binary_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            BitString(np.array([0, 2], dtype=np.uint8))
+        pad = np.ones(2, dtype=np.uint8)
+        for inst in (
+            BioHashInstance(SchemeId.BIOHASH, 4, projection=np.vstack([np.eye(4), -np.eye(4)])),
+            MlpHashInstance(SchemeId.MLP_HASH, 4, layers=(np.eye(4), -np.eye(4))),
+            RandHashInstance(SchemeId.RAND_HASH, 4, perm=np.arange(4), scales=np.full(4, 2.0),
+                             signs=-np.ones(4), pad_bits=pad, output_length=6),
+        ):
+            bits = protect_batch(self.EDGES, inst)
+            assert set(np.unique(bits)) <= {0.0, 1.0}, inst.scheme_id
+            assert not bits[0, :4].any()  # 0 is not > 0; rand-hash pads with key bits after
 
     def test_real_vector_views(self):
-        assert np.array_equal(
-            ProtectedTemplate(SchemeId.BIOHASH, BitString(np.array([1, 0]))).to_real_vector(),
-            [1.0, 0.0],
+        # bits and codes as floats, Bloom blocks concatenated block by block
+        bio = BioHashInstance(SchemeId.BIOHASH, 2, projection=np.eye(2))
+        assert np.array_equal(protect_batch([[1.0, -1.0]], bio), [[1.0, 0.0]])
+        grp = IomGrpInstance(SchemeId.IOM_GRP, 4, directions=np.stack([np.eye(4)] * 2))
+        codes = protect_batch([[0.0, 1.0, 0.0, 3.0]], grp)
+        assert codes.dtype == np.float64 and np.array_equal(codes, [[3.0, 3.0]])
+        # w=2, one column per block: the second block's column word (1,0) sets bit 2
+        bloom = BloomInstance(
+            SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=1, masks=np.zeros(2, dtype=np.int64)
         )
-        assert np.array_equal(
-            ProtectedTemplate(SchemeId.IOM_GRP, CodeVector(np.array([3, 1]), k=4)).to_real_vector(),
-            [3.0, 1.0],
-        )
-        blocks = np.zeros((2, 4), dtype=np.uint8)
-        blocks[1, 2] = 1
-        flat = ProtectedTemplate(SchemeId.BLOOM_FILTER, BloomSet(blocks)).to_real_vector()
-        assert flat.shape == (8,) and flat[6] == 1.0
+        flat = protect_batch([[-1.0, -1.0, 1.0, -1.0]], bloom)[0]
+        assert flat.shape == (8,) and flat.dtype == np.float64
+        assert np.array_equal(flat, [1, 0, 0, 0, 0, 0, 1, 0])
 
 
 class TestScore:
     def test_range_is_error_not_clamp(self):
-        assert as_score(0.0) == 0.0
-        assert as_score(1.0) == 1.0
-        with pytest.raises(InvalidArgumentError):
-            as_score(1.0000001)
-        with pytest.raises(InvalidArgumentError):
-            as_score(-0.0000001)
+        ScoreSet(np.array([0.0, 1.0]), np.array([1.0]), None, None)
+        for bad in (1.0000001, -0.0000001, np.nan):
+            with pytest.raises(InvalidArgumentError, match="within \\[0, 1\\]"):
+                ScoreSet(np.array([0.5, bad]), np.array([0.5]), None, None)
 
 
 class TestValidateDataset:
@@ -145,20 +149,8 @@ class TestValidateDataset:
         assert any("subject b" in i and "only 1 sample" in i for i in issues)
 
     def test_duplicate_pair_flagged(self):
-        t = Template("a", "0", np.array([1.0, 2.0]))
-        ds = Dataset.from_templates([t, Template("a", "0", np.array([2.0, 1.0]))])
+        ds = Dataset([[1.0, 2.0], [2.0, 1.0]], ["a", "a"], ["0", "0"])
         assert any("duplicate" in i for i in validate_dataset(ds))
-
-    def test_dimension_mismatch_flagged(self):
-        # a columnar dataset cannot hold rows of two dimensions: building one is refused
-        templates = [
-            Template("a", "0", np.array([1.0, 2.0])),
-            Template("a", "1", np.array([1.0, 2.0, 3.0])),
-        ]
-        with pytest.raises(
-            InvalidArgumentError, match=r"^subject a sample 1: dimension 3 != dataset dimension 2$"
-        ):
-            Dataset.from_templates(templates)
 
     def test_messages_in_row_order(self):
         # duplicates and non-finite values are reported row by row, as a
@@ -183,23 +175,12 @@ class TestValidateDataset:
 
 
 class TestDataset:
-    def test_from_templates_stacks_rows(self):
-        templates = [Template("b", "x", [1.0, 2.0]), Template("a", "y", [3.0, 4.0])]
-        ds = Dataset.from_templates(templates)
+    def test_feature_rows_stack_as_float64(self):
+        ds = Dataset([[1, 2], np.array([3.0, 4.0])], ["b", "a"], ["x", "y"])
         assert ds.features.dtype == np.float64 and ds.features.shape == (2, 2)
         assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
         assert ds.subject_ids == ["b", "a"] and ds.sample_ids == ["x", "y"]
         assert ds.dimension == 2 and len(ds) == 2
-
-    def test_templates_are_row_views(self):
-        ds = Dataset(np.arange(6.0).reshape(3, 2), ["a", "a", "b"], ["0", "1", "0"])
-        templates = ds.templates
-        assert [(t.subject_id, t.sample_id) for t in templates] == [
-            ("a", "0"), ("a", "1"), ("b", "0")
-        ]
-        for i, t in enumerate(templates):
-            assert np.shares_memory(t.features, ds.features)
-            assert np.array_equal(t.features, ds.features[i])
 
     def test_subject_rows_in_first_appearance_order(self):
         ds = Dataset(np.zeros((5, 2)), ["b", "a", "b", "c", "a"], list("01234"))
@@ -207,8 +188,8 @@ class TestDataset:
         assert list(ds.subject_rows()) == ["b", "a", "c"]
 
     def test_empty_template_list_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="at least one template"):
-            Dataset.from_templates([])
+        with pytest.raises(InvalidArgumentError, match="one id pair per row"):
+            Dataset([], [], [])
 
     @pytest.mark.parametrize("features, subjects, samples", [
         (np.zeros((2, 3)), ["a"], ["0", "1"]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cbbench.core import Dataset, SchemeId, Template
+from cbbench.core import Dataset, SchemeId
 from cbbench.errors import InvalidArgumentError, ParseError
 from cbbench.io import (
     BenchmarkConfig,
@@ -39,7 +39,8 @@ def read_outcome(read, path):
         ds = read(path)
     except ParseError as exc:
         return f"ParseError: {exc}"
-    return ds.dimension, [(t.subject_id, t.sample_id, t.features.tobytes()) for t in ds.templates]
+    rows = zip(ds.subject_ids, ds.sample_ids, ds.features)
+    return ds.dimension, [(subject, sample, x.tobytes()) for subject, sample, x in rows]
 
 
 class TestTemplateRoundTrip:
@@ -55,8 +56,8 @@ class TestTemplateRoundTrip:
         )
         ds = read_templates(path)
         assert len(ds) == 4 and ds.dimension == 3
-        assert ds.templates[2].subject_id == "b"
-        assert np.array_equal(ds.templates[2].features, [-1.0, 0.25, 0.125])
+        assert ds.subject_ids[2] == "b"
+        assert np.array_equal(ds.features[2], [-1.0, 0.25, 0.125])
 
     def test_round_trip_lossless(self, tmp_path):
         ds = generate(SynthConfig(4, 3, 16, 0.37, 19))
@@ -64,9 +65,8 @@ class TestTemplateRoundTrip:
         write_templates(ds, path)
         back = read_templates(path)
         assert back.dimension == ds.dimension
-        for ta, tb in zip(ds.templates, back.templates):
-            assert (ta.subject_id, ta.sample_id) == (tb.subject_id, tb.sample_id)
-            assert np.array_equal(ta.features, tb.features)
+        assert (back.subject_ids, back.sample_ids) == (ds.subject_ids, ds.sample_ids)
+        assert np.array_equal(back.features, ds.features)
 
     def test_row_width_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -168,10 +168,9 @@ class TestRowWriter:
     IDS = ["a,b", 'q"t', "x y", "na\u00efve", "line\nbreak", "plain"]
 
     def dataset(self, values):
-        return Dataset.from_templates([
-            Template(self.IDS[(i // 2) % len(self.IDS)] + str(i // 2), str(i % 2), values[i])
-            for i in range(values.shape[0])
-        ])
+        n = values.shape[0]
+        subjects = [self.IDS[(i // 2) % len(self.IDS)] + str(i // 2) for i in range(n)]
+        return Dataset(values, subjects, [str(i % 2) for i in range(n)])
 
     @pytest.mark.parametrize("kind", ["repeats", "distinct"])
     def test_templates_bytes_and_round_trip(self, tmp_path, kind):
@@ -190,13 +189,11 @@ class TestRowWriter:
         write_templates(ds, path)
         oracle_write_rows(
             ref, ["subject_id", "sample_id"] + [f"f{i}" for i in range(7)],
-            values, [(t.subject_id, t.sample_id) for t in ds.templates],
+            values, list(zip(ds.subject_ids, ds.sample_ids)),
         )
         assert path.read_bytes() == ref.read_bytes()
         back = read_templates(path)
-        assert [(t.subject_id, t.sample_id) for t in back.templates] == [
-            (t.subject_id, t.sample_id) for t in ds.templates
-        ]
+        assert (back.subject_ids, back.sample_ids) == (ds.subject_ids, ds.sample_ids)
         assert back.features.tobytes() == values.tobytes()
 
     def test_det_points_bytes(self, tmp_path):
@@ -371,4 +368,4 @@ def test_write_templates_rejects_nothing_valid(tmp_path):
     path = tmp_path / "t.csv"
     write_templates(ds, path)
     back = read_templates(path)
-    assert [t.subject_id for t in back.templates] == ["subject one"] * 2 + ["b,c"] * 2
+    assert back.subject_ids == ["subject one"] * 2 + ["b,c"] * 2

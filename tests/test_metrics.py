@@ -185,6 +185,12 @@ class TestUnlinkability:
         with pytest.raises(InvalidArgumentError):
             unlinkability(score_set([0.5], [0.4], Scenario.SAMPLE_SPECIFIC), 9)
 
+    @pytest.mark.parametrize("bins", [12.5, True, 9, 10**12])
+    def test_bins_checked_against_declaration(self, bins):
+        # refused before any histogram is allocated, naming the argument
+        with pytest.raises(InvalidArgumentError, match="^bins "):
+            unlinkability(score_set([0.5], [0.4], Scenario.SAMPLE_SPECIFIC), bins)
+
 
 def gaussian_pair(rho: float, n: int, seed: int = 8):
     stream = derive_stream(seed, b"mi-pair")
@@ -253,6 +259,12 @@ class TestMutualInformation:
     def test_row_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             mutual_information(np.ones((5, 3)), np.ones((6, 3)), 2)
+
+    @pytest.mark.parametrize("r", [2.5, True, 0, 4097])
+    def test_components_checked_against_declaration(self, r):
+        x = derive_stream(14, b"mi-r").normals(10 * 4).reshape(10, 4)
+        with pytest.raises(InvalidArgumentError, match="^r "):
+            mutual_information(x, x, r)
 
 
 class TestProtectedMatrix:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, Template
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams
 from cbbench.errors import InvalidArgumentError
 from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
@@ -12,10 +12,14 @@ from conftest import make_dataset, oracle_pairs
 PARAMS = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
 
 
-def template_pairs(ds):
-    """(mated, non-mated) lists of the template pairs ``pair_indices`` names."""
-    t = ds.templates
-    return [[(t[i], t[j]) for i, j in zip(*pairs)] for pairs in pair_indices(ds)]
+def row_pairs(ds):
+    """(mated, non-mated) lists of the row-index pairs ``pair_indices`` names."""
+    return [list(zip(i.tolist(), j.tolist())) for i, j in pair_indices(ds)]
+
+
+def key_of(p, ds, i):
+    """The key row ``i`` of the dataset is protected with under the policy."""
+    return derive_key(p, ds.subject_ids[i], ds.sample_ids[i])
 
 
 def policy(scenario, scheme=SchemeId.BIOHASH, seed=7):
@@ -68,38 +72,38 @@ class TestDeriveKey:
 class TestPairGeneration:
     def test_single_subject_six_samples(self):
         ds = make_dataset({"a": [[float(i), 1.0] for i in range(6)], "b": [[9.0, 1.0], [8.0, 1.0]]})
-        per_subject = [p for p in template_pairs(ds)[0] if p[0].subject_id == "a"]
+        per_subject = [(i, j) for i, j in row_pairs(ds)[0] if ds.subject_ids[i] == "a"]
         assert len(per_subject) == 15  # C(6, 2)
 
     def test_subject_with_two_samples(self):
         ds = make_dataset({"a": [[1.0, 0.0], [2.0, 0.0]], "b": [[1.0, 1.0], [2.0, 1.0]]})
-        assert len(template_pairs(ds)[0]) == 2  # one per subject
+        assert len(row_pairs(ds)[0]) == 2  # one per subject
 
     def test_finger_vein_shape_unordered_count(self):
         # 318 subjects x 6 samples: unordered within-subject combinations
         ds = make_dataset(
             {f"s{i}": [[float(j), float(i)] for j in range(6)] for i in range(318)}
         )
-        assert len(template_pairs(ds)[0]) == 318 * 15 == 4770
+        assert len(row_pairs(ds)[0]) == 318 * 15 == 4770
 
     def test_nonmated_three_subjects(self):
         ds = make_dataset({s: [[1.0, 0.0], [0.0, 1.0]] for s in "abc"})
-        assert len(template_pairs(ds)[1]) == 3
+        assert len(row_pairs(ds)[1]) == 3
 
     def test_nonmated_150_subjects(self):
         ds = make_dataset(
             {f"s{i}": [[1.0, float(i)], [2.0, float(i)]] for i in range(150)}
         )
-        assert len(template_pairs(ds)[1]) == 150 * 149 // 2 == 11175
+        assert len(row_pairs(ds)[1]) == 150 * 149 // 2 == 11175
 
     def test_nonmated_two_subjects(self):
         ds = make_dataset({"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 1.0], [0.0, 2.0]]})
-        assert len(template_pairs(ds)[1]) == 1
+        assert len(row_pairs(ds)[1]) == 1
 
     def test_nonmated_uses_first_sample(self):
         ds = make_dataset({"a": [[1.0, 0.0], [5.0, 5.0]], "b": [[0.0, 1.0], [6.0, 6.0]]})
-        (pair,) = template_pairs(ds)[1]
-        assert pair[0].sample_id == "0" and pair[1].sample_id == "0"
+        ((i, j),) = row_pairs(ds)[1]
+        assert ds.sample_ids[i] == "0" and ds.sample_ids[j] == "0"
 
     @pytest.mark.parametrize("order", [
         "abab", "aabbcc", "abcabc", "cbacab", "aaaa", "abcdefgabcdefgcdg", "baab", "ab",
@@ -108,11 +112,12 @@ class TestPairGeneration:
         # subjects interleave, repeat unevenly or hold one sample (pairs need
         # no valid dataset)
         counts = {}
-        templates = []
+        samples = []
         for s in order:
             counts[s] = counts.get(s, 0) + 1
-            templates.append(Template(s, str(counts[s]), np.array([float(len(templates)), 1.0])))
-        ds = Dataset.from_templates(templates)
+            samples.append(str(counts[s]))
+        rows = [[float(i), 1.0] for i in range(len(order))]
+        ds = Dataset(rows, list(order), samples)
         (mated_i, mated_j), (nonmated_i, nonmated_j) = pair_indices(ds)
         mated, nonmated = oracle_pairs(ds)
         for arr in (mated_i, mated_j, nonmated_i, nonmated_j):
@@ -157,16 +162,14 @@ class TestRunScenario:
     def test_stolen_single_instance(self):
         p = policy(Scenario.STOLEN_TOKEN)
         ds = generate(SynthConfig(3, 2, 16, 0.3, 5))
-        keys = {derive_key(p, t.subject_id, t.sample_id).seed for t in ds.templates}
+        keys = {key_of(p, ds, i).seed for i in range(len(ds))}
         assert len(keys) == 1
 
     def test_normal_mated_pair_shares_key(self):
         p = policy(Scenario.NORMAL)
         ds = generate(SynthConfig(3, 2, 16, 0.3, 5))
-        for a, b in template_pairs(ds)[0]:
-            assert derive_key(p, a.subject_id, a.sample_id) == derive_key(
-                p, b.subject_id, b.sample_id
-            )
+        for i, j in row_pairs(ds)[0]:
+            assert key_of(p, ds, i) == key_of(p, ds, j)
 
     def test_repeat_runs_bit_identical(self):
         ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
@@ -194,17 +197,17 @@ class TestRunScenario:
 
         p = policy(scenario, scheme=scheme)
 
-        def uncached_score(a, b):
-            pa = protect(a, instantiate(derive_key(p, a.subject_id, a.sample_id), ds.dimension))
-            pb = protect(b, instantiate(derive_key(p, b.subject_id, b.sample_id), ds.dimension))
-            return compare(pa, pb)
+        def uncached_score(i, j):
+            pa = protect(ds.features[i], instantiate(key_of(p, ds, i), ds.dimension))
+            pb = protect(ds.features[j], instantiate(key_of(p, ds, j), ds.dimension))
+            return compare(p.scheme_id, p.params, pa, pb)
 
         # the second dataset has 78 non-mated pairs, so scoring crosses a 64-pair chunk
         for cfg in (SynthConfig(4, 3, 16, 0.3, 6), SynthConfig(13, 3, 16, 0.3, 6)):
             ds = generate(cfg)
-            m_pairs, nm_pairs = template_pairs(ds)
-            mated = np.sort([uncached_score(a, b) for a, b in m_pairs])
-            nonmated = np.sort([uncached_score(a, b) for a, b in nm_pairs])
+            m_pairs, nm_pairs = row_pairs(ds)
+            mated = np.sort([uncached_score(i, j) for i, j in m_pairs])
+            nonmated = np.sort([uncached_score(i, j) for i, j in nm_pairs])
             protected = protected_matrix(ds, p)
             for cached in (run_scenario(ds, p), run_scenario(ds, p, protected=protected)):
                 assert np.array_equal(cached.mated, mated)
@@ -220,23 +223,23 @@ class TestRunScenario:
         p = KeyPolicy(7, scenario, SchemeId.BLOOM_FILTER, params)
         ds = generate(SynthConfig(4, 3, 640, 0.3, 6))
 
-        def blocks(t):
-            inst = instantiate(derive_key(p, t.subject_id, t.sample_id), ds.dimension)
-            return protect(t, inst).payload.blocks
+        def blocks(i):
+            inst = instantiate(key_of(p, ds, i), ds.dimension)
+            return protect(ds.features[i], inst).reshape(-1, 2**params.bloom_word_bits)
 
-        def reference(a, b):
-            ba, bb = blocks(a), blocks(b)
+        def reference(i, j):
+            ba, bb = blocks(i), blocks(j)
             sym_diff = np.count_nonzero(ba != bb, axis=1).astype(np.float64)
             total = (ba.sum(axis=1) + bb.sum(axis=1)).astype(np.float64)
             dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
             return 1.0 - float(dissim.mean())
 
-        assert blocks(ds.templates[0]).shape[0] == 10
+        assert blocks(0).shape[0] == 10
         scores = run_scenario(ds, p)
-        m_pairs, nm_pairs = template_pairs(ds)
-        assert np.array_equal(scores.mated, np.sort([reference(a, b) for a, b in m_pairs]))
+        m_pairs, nm_pairs = row_pairs(ds)
+        assert np.array_equal(scores.mated, np.sort([reference(i, j) for i, j in m_pairs]))
         assert np.array_equal(
-            scores.nonmated, np.sort([reference(a, b) for a, b in nm_pairs])
+            scores.nonmated, np.sort([reference(i, j) for i, j in nm_pairs])
         )
 
 
@@ -246,9 +249,7 @@ class TestProtectedMatrix:
 
     def dataset(self):
         feats = derive_stream(3, b"test.interleaved").normals(5 * 16).reshape(5, 16)
-        return Dataset.from_templates(
-            [Template(s, j, f) for (s, j), f in zip(self.INTERLEAVED, feats)]
-        )
+        return Dataset(feats, *map(list, zip(*self.INTERLEAVED)))
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -259,8 +260,7 @@ class TestProtectedMatrix:
         ds = self.dataset()
         p = policy(scenario, scheme=scheme)
         expected = np.vstack([
-            protect(t, instantiate(derive_key(p, t.subject_id, t.sample_id), 16)).to_real_vector()
-            for t in ds.templates
+            protect(ds.features[i], instantiate(key_of(p, ds, i), 16)) for i in range(len(ds))
         ])
         assert np.array_equal(protected_matrix(ds, p), expected)
         assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
@@ -275,7 +275,7 @@ class TestProtectedMatrix:
         assert len(ds) == 2 * 64 + 1
         p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
         inst = instantiate(derive_key(p, "", ""), 16)
-        expected = np.vstack([protect(t, inst).to_real_vector() for t in ds.templates])
+        expected = np.vstack([protect(x, inst) for x in ds.features])
         assert np.array_equal(protected_matrix(ds, p), expected)
         assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
 
@@ -287,11 +287,10 @@ class TestProtectedMatrix:
 
         feats = derive_stream(4, b"test.stripes").normals(keys * 3 * 16).reshape(keys * 3, 16)
         # subjects interleave, so no key's rows are contiguous
-        ds = Dataset.from_templates(
-            [Template(f"s{i % keys}", str(i // keys), f) for i, f in enumerate(feats)]
-        )
+        n = len(feats)
+        ds = Dataset(feats, [f"s{i % keys}" for i in range(n)], [str(i // keys) for i in range(n)])
         p = policy(Scenario.NORMAL, scheme=scheme)
-        assert len({derive_key(p, t.subject_id) for t in ds.templates}) == keys
+        assert len({derive_key(p, subject) for subject in ds.subject_ids}) == keys
         serial = protected_matrix(ds, p)
         for workers in (2, 3):
             assert np.array_equal(protected_matrix(ds, p, workers=workers), serial)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbbench.core import SchemeId, SchemeKey, SchemeParams, Template
+from cbbench.core import SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import InvalidArgumentError
 from cbbench.numerics import derive_stream
 from cbbench.schemes import (
@@ -20,18 +20,20 @@ from cbbench.schemes import (
     instantiate,
     protect,
     protect_batch,
+    similarities,
 )
 
 ALL_SCHEMES = list(SchemeId)
 SMALL = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
 
 
-def template(vec) -> Template:
-    return Template("s", "0", np.asarray(vec, dtype=float))
+def random_template(d: int, seed: int = 5) -> np.ndarray:
+    return derive_stream(seed, b"test-template").normals(d)
 
 
-def random_template(d: int, seed: int = 5) -> Template:
-    return template(derive_stream(seed, b"test-template").normals(d))
+def blocks_of(row: np.ndarray, inst: BloomInstance) -> np.ndarray:
+    """A protected Bloom row as its (n_blocks, 2**word_bits) filter blocks."""
+    return row.reshape(inst.n_blocks, 2**inst.word_bits)
 
 
 class TestInstantiate:
@@ -75,12 +77,12 @@ class TestInstantiate:
 class TestBioHash:
     def test_forced_identity_projection(self):
         inst = BioHashInstance(SchemeId.BIOHASH, 2, projection=np.eye(2))
-        bits = protect(template([1.0, 0.0]), inst).payload.bits
+        bits = protect([1.0, 0.0], inst)
         assert np.array_equal(bits, [1, 0])  # <x,e1>=1 > 0; <x,e2>=0 is not > 0
 
     def test_zero_vector_gives_zero_bits(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
-        bits = protect(template(np.zeros(8)), inst).payload.bits
+        bits = protect(np.zeros(8), inst)
         assert not bits.any()
 
     def test_dimension_mismatch_rejected(self):
@@ -92,14 +94,14 @@ class TestBioHash:
 class TestMlpHash:
     def test_forced_identity_single_layer(self):
         inst = MlpHashInstance(SchemeId.MLP_HASH, 2, layers=(np.eye(2),))
-        bits = protect(template([2.0, -1.0]), inst).payload.bits
+        bits = protect([2.0, -1.0], inst)
         assert np.array_equal(bits, [1, 0])  # activations (2, -0.01)
 
     def test_replay(self):
         inst = instantiate(SchemeKey(9, SchemeId.MLP_HASH, SMALL), 12)
         t = random_template(12)
-        a = protect(t, inst).payload.bits
-        b = protect(t, inst).payload.bits
+        a = protect(t, inst)
+        b = protect(t, inst)
         assert np.array_equal(a, b)
 
     def test_layer_shapes(self):
@@ -116,7 +118,7 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
             masks=np.zeros(2, dtype=np.int64),
         )
-        blocks = protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
+        blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert blocks.shape == (1, 4)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])
 
@@ -125,7 +127,7 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
             masks=np.array([1, 1], dtype=np.int64),
         )
-        blocks = protect(template([1.0, -1.0, 0.5, 2.0]), inst).payload.blocks
+        blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])  # 2^1=3, 3^1=2: same set
 
     def test_duplicate_columns_idempotent(self):
@@ -134,7 +136,7 @@ class TestBloom:
             SchemeId.BLOOM_FILTER, 8, word_bits=2, block_cols=4,
             masks=np.zeros(4, dtype=np.int64),
         )
-        blocks = protect(template(np.ones(8)), inst).payload.blocks
+        blocks = blocks_of(protect(np.ones(8), inst), inst)
         assert blocks.sum() == 1 and blocks[0, 3] == 1
 
     def test_determinism_and_padding(self):
@@ -142,23 +144,23 @@ class TestBloom:
         t = random_template(10)
         a = protect(t, inst)
         b = protect(t, inst)
-        assert np.array_equal(a.payload.blocks, b.payload.blocks)
-        assert a.payload.blocks.shape == (1, 16)  # 10 bits pad to 4*4=16
+        assert np.array_equal(a, b)
+        assert blocks_of(a, inst).shape == (1, 16)  # 10 bits pad to 4*4=16
 
 
 class TestIomGrp:
     def test_forced_directions(self):
         directions = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one hash, k=2, e1/e2
         inst = IomGrpInstance(SchemeId.IOM_GRP, 2, directions=directions)
-        codes = protect(template([2.0, 1.0]), inst).payload.codes
+        codes = protect([2.0, 1.0], inst)
         assert np.array_equal(codes, [0])  # projections (2,1): argmax at 0
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(21, SchemeId.IOM_GRP, SMALL), 16)
-        payload = protect(random_template(16), inst).payload
-        assert payload.k == SMALL.iom_k
-        assert payload.codes.min() >= 0 and payload.codes.max() < SMALL.iom_k
-        assert len(payload) == SMALL.output_length
+        codes = protect(random_template(16), inst)
+        assert inst.directions.shape[1] == SMALL.iom_k
+        assert codes.min() >= 0 and codes.max() < SMALL.iom_k
+        assert codes.shape == (SMALL.output_length,)
 
 
 class TestIomUrp:
@@ -166,7 +168,7 @@ class TestIomUrp:
         x = np.array([0.1, 0.9, 0.5, 0.3, 0.8])
         perms = np.arange(5).reshape(1, 1, 5)
         inst = IomUrpInstance(SchemeId.IOM_URP, 5, perms=perms, k=3)
-        codes = protect(template(x), inst).payload.codes
+        codes = protect(x, inst)
         assert np.array_equal(codes, [1])  # argmax of (0.1, 0.9, 0.5)
 
     @pytest.mark.parametrize("d", [16, 128])
@@ -183,8 +185,8 @@ class TestIomUrp:
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(22, SchemeId.IOM_URP, SMALL), 16)
-        payload = protect(random_template(16), inst).payload
-        assert payload.codes.min() >= 0 and payload.codes.max() < SMALL.iom_k
+        codes = protect(random_template(16), inst)
+        assert codes.min() >= 0 and codes.max() < SMALL.iom_k
 
 
 class TestRandHash:
@@ -197,22 +199,22 @@ class TestRandHash:
             pad_bits=np.zeros(0, dtype=np.uint8),
             output_length=2,
         )
-        bits = protect(template([3.0, -1.0]), inst).payload.bits
+        bits = protect([3.0, -1.0], inst)
         assert np.array_equal(bits, [1, 1])  # y = (3, 2)
 
     def test_truncation_when_length_below_dim(self):
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SchemeParams(output_length=8)), 16)
-        bits = protect(random_template(16), inst).payload.bits
+        bits = protect(random_template(16), inst)
         assert bits.shape == (8,)
 
     def test_padding_when_length_above_dim(self):
         params = SchemeParams(output_length=32)
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, params), 16)
         t = random_template(16)
-        bits = protect(t, inst).payload.bits
+        bits = protect(t, inst)
         assert bits.shape == (32,)
         # pad bits are key-derived constants, independent of the template
-        other = protect(random_template(16, seed=77), inst).payload.bits
+        other = protect(random_template(16, seed=77), inst)
         assert np.array_equal(bits[16:], other[16:])
 
     def test_scales_positive_and_log_bounded(self):
@@ -248,7 +250,7 @@ class TestProtectBatch:
         for i in range(n):
             one = protect_batch(x[i : i + 1], inst)[0]
             assert np.array_equal(y[i], one)
-            assert np.array_equal(one, protect(template(x[i]), inst).to_real_vector())
+            assert np.array_equal(one, protect(x[i], inst))
 
     def test_instance_type_mismatch_rejected(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
@@ -259,20 +261,60 @@ class TestProtectBatch:
             protect_batch(np.ones(8), inst)  # one row must still be a (1, dim) block
 
 
+BIT_SCHEMES = {SchemeId.BIOHASH, SchemeId.MLP_HASH, SchemeId.RAND_HASH}
+CODE_SCHEMES = {SchemeId.IOM_GRP, SchemeId.IOM_URP}
+
+
+class TestRowInvariants:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        d=st.integers(2, 24),
+        length=st.integers(8, 40),
+        k=st.integers(2, 8),
+        p=st.integers(1, 3),
+        word_bits=st.integers(2, 5),
+        cols=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_rows_hold_their_kind_and_score_in_unit_range(self, scheme, d, length, k, p,
+                                                          word_bits, cols, seed, data):
+        params = SchemeParams(output_length=length, iom_k=min(k, d), iom_p=p,
+                              bloom_word_bits=word_bits, bloom_block_cols=cols)
+        inst = instantiate(SchemeKey(seed, scheme, params), d)
+        # zeros, ties, subnormals and large values; 1e6 keeps iom-urp's products finite
+        row = st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)
+        x = np.array(data.draw(st.lists(row, min_size=2, max_size=6)))
+        y = protect_batch(x, inst)
+        assert y.dtype == np.float64
+        if scheme in BIT_SCHEMES:
+            assert y.shape == (len(x), length)
+            assert set(np.unique(y)) <= {0.0, 1.0}
+        elif scheme in CODE_SCHEMES:
+            assert y.shape == (len(x), length)
+            assert np.array_equal(y, np.floor(y)) and y.min() >= 0 and y.max() < params.iom_k
+        else:
+            assert y.shape == (len(x), inst.n_blocks * 2**word_bits)
+            blocks = y.reshape(len(x), inst.n_blocks, 2**word_bits)
+            assert set(np.unique(blocks)) <= {0.0, 1.0}
+            ones = blocks.sum(axis=2)
+            assert ones.min() >= 1 and ones.max() <= cols
+        # every pair of rows at once, (n, 1) against (1, n)
+        scores = similarities(scheme, params, y[:, None], y[None, :])
+        assert scores.shape == (len(x), len(x))
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
+        assert np.array_equal(scores, scores.T)
+        assert (np.diag(scores) == 1.0).all()
+
+
 class TestScaleInvariance:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("c", [0.5, 3.0, 100.0])
     def test_positive_scaling_exact(self, scheme, c):
         inst = instantiate(SchemeKey(31, scheme, SMALL), 16)
         t = random_template(16, seed=13)
-        scaled = template(c * t.features)
-        a, b = protect(t, inst), protect(scaled, inst)
-        if scheme is SchemeId.BLOOM_FILTER:
-            assert np.array_equal(a.payload.blocks, b.payload.blocks)
-        elif scheme in (SchemeId.IOM_GRP, SchemeId.IOM_URP):
-            assert np.array_equal(a.payload.codes, b.payload.codes)
-        else:
-            assert np.array_equal(a.payload.bits, b.payload.bits)
+        assert np.array_equal(protect(t, inst), protect(c * t, inst))
 
 
 class TestCompare:
@@ -280,32 +322,26 @@ class TestCompare:
     def test_self_similarity_is_one(self, scheme):
         inst = instantiate(SchemeKey(41, scheme, SMALL), 16)
         p = protect(random_template(16), inst)
-        assert compare(p, p) == 1.0
+        assert compare(scheme, SMALL, p, p) == 1.0
 
     def test_complementary_bitstrings(self):
-        from cbbench.core import BitString, ProtectedTemplate
-
-        a = ProtectedTemplate(SchemeId.BIOHASH, BitString(np.array([1, 0, 1, 0] * 8)))
-        b = ProtectedTemplate(SchemeId.BIOHASH, BitString(np.array([0, 1, 0, 1] * 8)))
-        assert compare(a, b) == 0.0
+        a = np.array([1.0, 0.0, 1.0, 0.0] * 8)
+        assert compare(SchemeId.BIOHASH, SMALL, a, 1.0 - a) == 0.0
 
     def test_bloom_hand_example(self):
-        from cbbench.core import BloomSet, ProtectedTemplate
-
-        a_blocks = np.zeros((1, 8), dtype=np.uint8)
-        a_blocks[0, [1, 2]] = 1
-        b_blocks = np.zeros((1, 8), dtype=np.uint8)
-        b_blocks[0, [2, 3]] = 1
-        a = ProtectedTemplate(SchemeId.BLOOM_FILTER, BloomSet(a_blocks))
-        b = ProtectedTemplate(SchemeId.BLOOM_FILTER, BloomSet(b_blocks))
-        assert compare(a, b) == 0.5  # |xor|=2 over |A|+|B|=4
+        params = SchemeParams(bloom_word_bits=3)  # one block of 2**3 bits
+        a = np.zeros(8)
+        a[[1, 2]] = 1
+        b = np.zeros(8)
+        b[[2, 3]] = 1
+        assert compare(SchemeId.BLOOM_FILTER, params, a, b) == 0.5  # |xor|=2 over |A|+|B|=4
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_symmetry(self, scheme):
         inst = instantiate(SchemeKey(43, scheme, SMALL), 16)
         pa = protect(random_template(16, seed=1), inst)
         pb = protect(random_template(16, seed=2), inst)
-        assert compare(pa, pb) == compare(pb, pa)
+        assert compare(scheme, SMALL, pa, pb) == compare(scheme, SMALL, pb, pa)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_range(self, scheme):
@@ -313,27 +349,17 @@ class TestCompare:
         for seed in range(10):
             pa = protect(random_template(16, seed=seed), inst)
             pb = protect(random_template(16, seed=seed + 100), inst)
-            assert 0.0 <= compare(pa, pb) <= 1.0
-
-    def test_scheme_mismatch_rejected(self):
-        bio = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, SMALL), 16))
-        mlp = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.MLP_HASH, SMALL), 16))
-        with pytest.raises(InvalidArgumentError):
-            compare(bio, mlp)
+            assert 0.0 <= compare(scheme, SMALL, pa, pb) <= 1.0
 
     def test_shape_mismatch_rejected(self):
         short = SchemeParams(output_length=16)
         a = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, SMALL), 16))
         b = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, short), 16))
-        with pytest.raises(InvalidArgumentError):
-            compare(a, b)
-
-    def test_alphabet_mismatch_rejected(self):
-        other = SchemeParams(output_length=32, iom_k=4)
-        a = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.IOM_GRP, SMALL), 16))
-        b = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.IOM_GRP, other), 16))
-        with pytest.raises(InvalidArgumentError):
-            compare(a, b)
+        with pytest.raises(InvalidArgumentError, match="one length"):
+            compare(SchemeId.BIOHASH, SMALL, a, b)
+        # one pair is two rows, not two blocks of rows
+        with pytest.raises(InvalidArgumentError, match="1-D"):
+            compare(SchemeId.BIOHASH, SMALL, a[None], a[None])
 
 
 class TestStatisticalProperties:
@@ -348,7 +374,7 @@ class TestStatisticalProperties:
             freqs = np.zeros(64)
             for i, row in enumerate(feats):
                 inst = instantiate(SchemeKey(i, scheme, params), d)
-                freqs += protect(Template("s", "0", row), inst).payload.bits
+                freqs += protect(row, inst)
             freqs /= n
             assert np.abs(freqs - 0.5).max() <= 0.02, scheme
 

@@ -21,8 +21,8 @@ class TestGenerate:
 
     def test_unit_norm_rows(self):
         ds = generate(SynthConfig(4, 3, 64, 0.5, 3))
-        for t in ds.templates:
-            assert abs(np.linalg.norm(t.features) - 1.0) < 1e-12
+        for row in ds.features:
+            assert abs(np.linalg.norm(row) - 1.0) < 1e-12
 
     def test_vanishing_noise_collapses_mated_pairs(self):
         ds = generate(SynthConfig(4, 3, 64, 1e-9, 4))
@@ -32,9 +32,8 @@ class TestGenerate:
     def test_determinism(self):
         a = generate(SynthConfig(4, 3, 16, 0.4, 9))
         b = generate(SynthConfig(4, 3, 16, 0.4, 9))
-        for ta, tb in zip(a.templates, b.templates):
-            assert ta.subject_id == tb.subject_id and ta.sample_id == tb.sample_id
-            assert np.array_equal(ta.features, tb.features)
+        assert a.subject_ids == b.subject_ids and a.sample_ids == b.sample_ids
+        assert np.array_equal(a.features, b.features)
 
     @pytest.mark.parametrize("cfg", [SynthConfig(4, 3, 16, 0.4, 9), SynthConfig(11, 2, 7, 0.9, 3)])
     def test_equals_per_row_draws(self, cfg):
@@ -58,7 +57,7 @@ class TestGenerate:
     def test_seed_changes_data(self):
         a = generate(SynthConfig(4, 3, 16, 0.4, 9))
         b = generate(SynthConfig(4, 3, 16, 0.4, 10))
-        assert not np.array_equal(a.templates[0].features, b.templates[0].features)
+        assert not np.array_equal(a.features[0], b.features[0])
 
     def test_example_config_eer_regression(self):
         # concentration at d=128 leaves the mated/non-mated supports disjoint
