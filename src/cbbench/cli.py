@@ -436,9 +436,7 @@ def _one_blas_thread():
 
 
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
+    config = load_config(args.config, master_seed=args.seed)
     out_dir = Path(args.out_dir if args.out_dir is not None else config.output_dir)
     try:
         report, written = run_benchmark(config, out_dir, workers)

@@ -162,7 +162,12 @@ class Dataset:
     sample_ids: list[str]
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        try:
+            self.features = np.asarray(self.features, dtype=np.float64)
+        except ValueError as exc:  # rows of different lengths, as numpy words it
+            raise InvalidArgumentError(
+                f"features: the rows differ in length or hold a non-number ({exc})"
+            ) from None
         shape = self.features.shape
         if len(shape) != 2 or not shape[0] == len(self.subject_ids) == len(self.sample_ids):
             raise InvalidArgumentError(f"features of shape {shape} need one id pair per row")

@@ -249,7 +249,7 @@ class SchemeSpec:
         _check_ranges(self, **vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkConfig:
     """Full benchmark description.
 
@@ -342,7 +342,7 @@ def _build(cls, data, where: str, **base):
         return cls(**{**base, **data})
 
 
-def load_config(path: str | Path) -> BenchmarkConfig:
+def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkConfig:
     """Parse and validate a JSON benchmark config.
 
     Scheme entries are either a bare name ("biohash") or an object
@@ -350,7 +350,8 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     defaults for schemes without their own. Settings the file leaves out take
     their dataclass defaults; the synthetic seed defaults to the master seed.
     A missing, unknown or ill-typed key, or a value out of range, raises
-    ParseError naming the key.
+    ParseError naming the key. A ``master_seed`` other than None stands in for
+    the file's, as if the file held it (so it also seeds ``synthetic``).
     """
     path = Path(path)
     try:
@@ -365,6 +366,8 @@ def load_config(path: str | Path) -> BenchmarkConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"{path}: unknown config key(s) {sorted(unknown)}")
+    if master_seed is not None:
+        data["master_seed"] = master_seed
 
     scalars = ("master_seed", "unlinkability_bins", "mi_components", "output_dir")
     settings = {k: data[k] for k in scalars if k in data}

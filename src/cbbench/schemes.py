@@ -1,8 +1,9 @@
 """The six keyed template-protection transforms and their comparators.
 
 Every transform is a pure function of (key, input dimension, template):
-``instantiate`` materializes all key-derived randomness up front, and the
-per-scheme batch kernels behind ``protect_batch`` never draw randomness.
+``instantiate`` materializes all key-derived randomness up front into the
+scheme's instance class, whose batch kernel ``rows`` (behind
+``protect_batch``) never draws randomness.
 ``similarities`` scores protected rows; ``protect`` and ``compare`` are the
 one-template forms of the two. All six constructions are sign/argmax based,
 so protecting c*x for any c > 0 yields exactly the same protected row as
@@ -12,6 +13,7 @@ protecting x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,17 +37,6 @@ __all__ = [
     "chance_level",
 ]
 
-# what a protected row holds: 0/1 bits, index-of-max codes in [0, iom_k), or
-# the 0/1 Bloom filter blocks of 2**bloom_word_bits bits each, concatenated
-_KIND_OF_SCHEME = {
-    SchemeId.BIOHASH: "bits",
-    SchemeId.MLP_HASH: "bits",
-    SchemeId.RAND_HASH: "bits",
-    SchemeId.IOM_GRP: "codes",
-    SchemeId.IOM_URP: "codes",
-    SchemeId.BLOOM_FILTER: "bloom",
-}
-
 # slope of the negative branch of the leaky ramp nonlinearity; positively
 # homogeneous, so sign patterns are exactly invariant under positive scaling
 _LEAKY_SLOPE = 0.01
@@ -55,26 +46,48 @@ _LEAKY_SLOPE = 0.01
 class TransformInstance:
     """Key-derived transform parameters for one scheme at one input dimension.
 
-    Instances carry materialized arrays only; shapes define the output
-    length, which keeps hand-built instances usable in tests.
+    Each subclass is one scheme: its ``scheme_id``, the ``kind`` of its
+    protected rows (0/1 ``bits``, index-of-max ``codes`` in [0, iom_k), or
+    ``bloom``: the 0/1 filter blocks of 2**bloom_word_bits bits each,
+    concatenated), its arrays and its batch kernel ``rows(x)``, which maps the
+    float64 ``(n, dim)`` feature block ``x`` to its protected rows. Instances
+    carry materialized arrays only; shapes define the output length, which
+    keeps hand-built instances usable in tests.
     """
 
-    scheme_id: SchemeId
+    scheme_id: ClassVar[SchemeId]
+    kind: ClassVar[str]
     dim: int
 
 
 @dataclass(frozen=True)
 class BioHashInstance(TransformInstance):
+    scheme_id, kind = SchemeId.BIOHASH, "bits"
     projection: np.ndarray  # (L, dim), rows orthonormal per block
+
+    def rows(self, x):
+        """Project onto the orthonormalized random rows and threshold at zero."""
+        return x @ self.projection.T > 0
 
 
 @dataclass(frozen=True)
 class MlpHashInstance(TransformInstance):
+    scheme_id, kind = SchemeId.MLP_HASH, "bits"
     layers: tuple[np.ndarray, ...]  # (L, dim) then (L, L) weight matrices
+
+    def rows(self, x):
+        """Pass through the random orthonormal layers with a leaky ramp between
+        them, then threshold the final activations at zero."""
+        h = x
+        for w in self.layers:
+            z = h @ w.T
+            h = np.where(z > 0, z, _LEAKY_SLOPE * z)
+        return h > 0
 
 
 @dataclass(frozen=True)
 class BloomInstance(TransformInstance):
+    scheme_id, kind = SchemeId.BLOOM_FILTER, "bloom"
     word_bits: int
     block_cols: int
     masks: np.ndarray  # (n_words,) int64, one XOR mask per column word
@@ -87,25 +100,73 @@ class BloomInstance(TransformInstance):
     def n_blocks(self) -> int:
         return self.masks.shape[0] // self.block_cols
 
+    def rows(self, x):
+        """Sign-binarize, split into key-masked column words and populate one
+        filter block per group of columns."""
+        n = x.shape[0]
+        padded = np.pad(x > 0, ((0, 0), (0, self.padded_bits - self.dim)))
+        # consecutive w-bit runs form column words, most significant bit first
+        weights = 1 << np.arange(self.word_bits - 1, -1, -1, dtype=np.int64)
+        words = padded.reshape(n, -1, self.word_bits) @ weights
+        masked = (words ^ self.masks).reshape(n, self.n_blocks, self.block_cols)
+        blocks = np.zeros((n, self.n_blocks, 2**self.word_bits), dtype=np.uint8)
+        np.put_along_axis(blocks, masked, 1, axis=2)
+        return blocks.reshape(n, -1)
+
 
 @dataclass(frozen=True)
 class IomGrpInstance(TransformInstance):
+    scheme_id, kind = SchemeId.IOM_GRP, "codes"
     directions: np.ndarray  # (m, k, dim) Gaussian projection directions
+
+    def rows(self, x):
+        """For each hash, record which of its k Gaussian projections is largest
+        (ties resolve to the lowest index)."""
+        # (m, n, k): k last, so argmax reduces the contiguous axis without a copy
+        return np.argmax(x @ self.directions.transpose(0, 2, 1), axis=2).T
 
 
 @dataclass(frozen=True)
 class IomUrpInstance(TransformInstance):
+    scheme_id, kind = SchemeId.IOM_URP, "codes"
     perms: np.ndarray  # (m, p, dim) permutation index arrays
     k: int
+
+    def rows(self, x):
+        """For each hash, multiply p independently permuted copies of the input
+        elementwise and record the argmax among the first k entries."""
+        # scale each row by the power of two that brings its largest |x| into
+        # [0.5, 1): no product then overflows, and tiny rows no longer underflow into
+        # all-zero ties; an exact power-of-two scale leaves every other argmax as it was
+        x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
+        kept = self.perms[:, :, : self.k]  # (m, p, k): only the entries the argmax reads
+        products = x[:, kept[:, 0]]  # factor by factor, as np.prod: no (n, m, p, k) gather
+        for j in range(1, kept.shape[1]):
+            products *= x[:, kept[:, j]]
+        return np.argmax(products, axis=2)
 
 
 @dataclass(frozen=True)
 class RandHashInstance(TransformInstance):
+    scheme_id, kind = SchemeId.RAND_HASH, "bits"
     perm: np.ndarray  # (dim,) permutation indices
-    scales: np.ndarray  # (dim,) positive scales
     signs: np.ndarray  # (dim,) entries in {-1, +1}
     pad_bits: np.ndarray  # (max(0, L - dim),) key-derived fixed bits
     output_length: int
+
+    def rows(self, x):
+        """Sign-flip and permute, then binarize at zero. Output is truncated to
+        the requested length, or padded with key-derived fixed bits when the
+        length exceeds the input dimension."""
+        bits = (x * self.signs)[:, self.perm] > 0
+        if self.output_length <= self.dim:
+            return bits[:, : self.output_length]
+        return np.hstack([bits, np.broadcast_to(self.pad_bits, (x.shape[0], self.pad_bits.size))])
+
+
+# the kind of each scheme's protected rows, which similarities, chance_level
+# and the report's length unit read
+_KIND_OF_SCHEME = {c.scheme_id: c.kind for c in TransformInstance.__subclasses__()}
 
 
 def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
@@ -134,7 +195,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
 
     if scheme is SchemeId.BIOHASH:
         stream = derive_stream(key.seed, b"biohash.projection")
-        return BioHashInstance(scheme, d, projection=_block_orthonormal(stream, length, d))
+        return BioHashInstance(d, projection=_block_orthonormal(stream, length, d))
 
     if scheme is SchemeId.MLP_HASH:
         layers = []
@@ -143,7 +204,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
             stream = derive_stream(key.seed, b"mlphash.layer%d" % i)
             layers.append(_block_orthonormal(stream, length, in_dim))
             in_dim = length
-        return MlpHashInstance(scheme, d, layers=tuple(layers))
+        return MlpHashInstance(d, layers=tuple(layers))
 
     if scheme is SchemeId.BLOOM_FILTER:
         w = params.bloom_word_bits
@@ -153,12 +214,12 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
         n_words = n_blocks * cols
         stream = derive_stream(key.seed, b"bloom.masks")
         masks = stream.integers(n_words, 2**w)
-        return BloomInstance(scheme, d, word_bits=w, block_cols=cols, masks=masks)
+        return BloomInstance(d, word_bits=w, block_cols=cols, masks=masks)
 
     if scheme is SchemeId.IOM_GRP:
         stream = derive_stream(key.seed, b"iom-grp.directions")
         directions = stream.normals(length * params.iom_k * d).reshape(length, params.iom_k, d)
-        return IomGrpInstance(scheme, d, directions=directions)
+        return IomGrpInstance(d, directions=directions)
 
     if scheme is SchemeId.IOM_URP:
         if params.iom_k > d:
@@ -167,12 +228,9 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
             )
         stream = derive_stream(key.seed, b"iom-urp.perms")
         perms = stream.permutation(d, length * params.iom_p).reshape(length, params.iom_p, d)
-        return IomUrpInstance(scheme, d, perms=perms, k=params.iom_k)
+        return IomUrpInstance(d, perms=perms, k=params.iom_k)
 
     perm = derive_stream(key.seed, b"randhash.perm").permutation(d)
-    # log-uniform on [0.5, 2]: positive, centered on 1 in log space
-    u = derive_stream(key.seed, b"randhash.scale").uniforms(d)
-    scales = np.exp(np.log(0.5) + u * (np.log(2.0) - np.log(0.5)))
     signs = np.where(derive_stream(key.seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
     n_pad = max(0, length - d)
     pad_bits = (
@@ -180,89 +238,17 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
         if n_pad
         else np.zeros(0, dtype=np.uint8)
     )
-    return RandHashInstance(
-        scheme, d, perm=perm, scales=scales, signs=signs,
-        pad_bits=pad_bits, output_length=length,
-    )
-
-
-def _biohash_kernel(x: np.ndarray, inst: BioHashInstance) -> np.ndarray:
-    """Project onto the orthonormalized random rows and threshold at zero."""
-    return x @ inst.projection.T > 0
-
-
-def _mlphash_kernel(x: np.ndarray, inst: MlpHashInstance) -> np.ndarray:
-    """Pass through the random orthonormal layers with a leaky ramp between
-    them, then threshold the final activations at zero."""
-    h = x
-    for w in inst.layers:
-        z = h @ w.T
-        h = np.where(z > 0, z, _LEAKY_SLOPE * z)
-    return h > 0
-
-
-def _bloom_kernel(x: np.ndarray, inst: BloomInstance) -> np.ndarray:
-    """Sign-binarize, split into key-masked column words and populate one
-    filter block per group of columns."""
-    n = x.shape[0]
-    padded = np.pad(x > 0, ((0, 0), (0, inst.padded_bits - inst.dim)))
-    # consecutive w-bit runs form column words, most significant bit first
-    weights = 1 << np.arange(inst.word_bits - 1, -1, -1, dtype=np.int64)
-    words = padded.reshape(n, -1, inst.word_bits) @ weights
-    masked = (words ^ inst.masks).reshape(n, inst.n_blocks, inst.block_cols)
-    blocks = np.zeros((n, inst.n_blocks, 2**inst.word_bits), dtype=np.uint8)
-    np.put_along_axis(blocks, masked, 1, axis=2)
-    return blocks.reshape(n, -1)
-
-
-def _iom_grp_kernel(x: np.ndarray, inst: IomGrpInstance) -> np.ndarray:
-    """For each hash, record which of its k Gaussian projections is largest
-    (ties resolve to the lowest index)."""
-    # (m, n, k): k last, so argmax reduces the contiguous axis without a copy
-    return np.argmax(x @ inst.directions.transpose(0, 2, 1), axis=2).T
-
-
-def _iom_urp_kernel(x: np.ndarray, inst: IomUrpInstance) -> np.ndarray:
-    """For each hash, multiply p independently permuted copies of the input
-    elementwise and record the argmax among the first k entries."""
-    kept = inst.perms[:, :, : inst.k]  # (m, p, k): only the entries the argmax reads
-    products = x[:, kept[:, 0]]  # factor by factor, as np.prod: no (n, m, p, k) gather
-    for j in range(1, kept.shape[1]):
-        products *= x[:, kept[:, j]]
-    return np.argmax(products, axis=2)
-
-
-def _randhash_kernel(x: np.ndarray, inst: RandHashInstance) -> np.ndarray:
-    """Scale, sign-flip and permute, then binarize at zero. Output is
-    truncated to the requested length, or padded with key-derived fixed bits
-    when the length exceeds the input dimension."""
-    bits = (x * inst.signs * inst.scales)[:, inst.perm] > 0
-    if inst.output_length <= inst.dim:
-        return bits[:, : inst.output_length]
-    return np.hstack([bits, np.broadcast_to(inst.pad_bits, (x.shape[0], inst.pad_bits.size))])
-
-
-_KERNEL_FOR_SCHEME = {
-    SchemeId.BIOHASH: (BioHashInstance, _biohash_kernel),
-    SchemeId.MLP_HASH: (MlpHashInstance, _mlphash_kernel),
-    SchemeId.BLOOM_FILTER: (BloomInstance, _bloom_kernel),
-    SchemeId.IOM_GRP: (IomGrpInstance, _iom_grp_kernel),
-    SchemeId.IOM_URP: (IomUrpInstance, _iom_urp_kernel),
-    SchemeId.RAND_HASH: (RandHashInstance, _randhash_kernel),
-}
+    return RandHashInstance(d, perm=perm, signs=signs, pad_bits=pad_bits, output_length=length)
 
 
 def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     """Protect each row of the (n, dim) feature block ``x`` with the transform
     the instance was built for, as float64 protected rows (bits as 0/1, codes
     as integers, Bloom blocks concatenated)."""
-    expected, kernel = _KERNEL_FOR_SCHEME[inst.scheme_id]
-    if not isinstance(inst, expected):
-        raise InvalidArgumentError(f"instance is {type(inst).__name__}, not {expected.__name__}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != inst.dim:
         raise InvalidArgumentError(f"feature block shape {x.shape} is not (n, {inst.dim})")
-    return kernel(x, inst).astype(np.float64)
+    return inst.rows(x).astype(np.float64)
 
 
 def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
@@ -300,6 +286,10 @@ def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> n
     kind = _KIND_OF_SCHEME[scheme_id]
     if kind == "bloom":
         f = 2**params.bloom_word_bits
+        for name, rows in (("a", a), ("b", b)):
+            if rows.shape[-1] % f:
+                raise InvalidArgumentError(f"{name} rows of length {rows.shape[-1]} are not "
+                                           f"whole blocks of 2**bloom_word_bits = {f} bits")
         return _bloom_similarity(a.reshape(*a.shape[:-1], -1, f), b.reshape(*b.shape[:-1], -1, f))
     return (_code_similarity if kind == "codes" else _bit_similarity)(a, b)
 

@@ -3,12 +3,14 @@ import contextlib
 import copy
 import io
 import json
+import math
 import numbers
 import os
+import platform
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,24 @@ class TestBench:
         assert r1["config"]["master_seed"] == 11 and r2["config"]["master_seed"] == 99
         assert [c["mi"] for c in r1["cells"]] != [c["mi"] for c in r2["cells"]]
 
+    def test_seed_override_equals_config_seed(self, tmp_path):
+        # without a synthetic seed, --seed 7 must seed the data as master_seed 7 does
+        synthetic = {k: v for k, v in SMALL_SYNTHETIC.items() if k != "seed"}
+        outputs = []
+        for name, seed, flags in (("flag", 42, ["--seed", "7"]), ("file", 7, [])):
+            cfg = tmp_path / f"{name}.json"
+            data = small_config_data(tmp_path, master_seed=seed, synthetic=synthetic)
+            cfg.write_text(json.dumps(data), encoding="utf-8")
+            out = tmp_path / name
+            assert main(["bench", "--config", str(cfg), "--out-dir", str(out), *flags]) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            report.pop("timestamp")
+            outputs.append((report, {p.name: p.read_bytes() for p in out.glob("det_*.csv")}))
+        assert len(outputs[0][1]) == 2 * 2 and outputs[0] == outputs[1]
+        # a loaded config is frozen: nothing changes it after its checks have run
+        with pytest.raises(FrozenInstanceError):
+            load_config(tmp_path / "file.json").master_seed = 42
+
 
 def test_missing_templates_file_is_runtime_error(tmp_path, capsys):
     rc = main(
@@ -422,28 +442,91 @@ def test_irrev_outputs_identical_for_any_blas_thread_count(tmp_path):
     assert len(outputs[0]) == len(SchemeId) and outputs[0] == outputs[1]
 
 
+def _bench_child(config, out, **env) -> tuple[dict, dict]:
+    """``(report minus timestamp, {DET CSV name: bytes})`` of ``cbbench bench``
+    in a child process whose environment adds ``env`` and forces no OpenBLAS kernel
+    unless ``env`` does."""
+    src = str(Path(cbbench.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    subprocess.run([sys.executable, "-m", "cbbench", "bench", "--config", str(config),
+                    "--out-dir", str(out)], env={**child_env, **env, "PYTHONPATH": src},
+                   check=True, timeout=300, stdout=subprocess.DEVNULL)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    report.pop("timestamp")
+    return report, {p.name: p.read_bytes() for p in sorted(out.glob("det_*.csv"))}
+
+
+def _battery_config(tmp_path, mi_components: int):
+    """Six schemes, normal and stolen, on 30 x 3 x 64 templates."""
+    synthetic = {**SMALL_SYNTHETIC, "subjects": 30, "dimension": 64}
+    return small_config(tmp_path, schemes=[s.value for s in SchemeId], params={},
+                        mi_components=mi_components, synthetic=synthetic)
+
+
 def test_bench_outputs_identical_for_any_blas_thread_count(tmp_path):
     if _openblas_threads() is None:
         pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose thread count can be set")
-    # the same replay for the whole battery: six schemes, normal and stolen,
-    # and the sample-specific pass; on 90 templates of 64 features with 64 MI
-    # components the MI fields of unpinned OpenBLAS differ between 1 and 2 threads
-    synthetic = {**SMALL_SYNTHETIC, "subjects": 30, "dimension": 64}
-    config = small_config(tmp_path, schemes=[s.value for s in SchemeId], params={},
-                          mi_components=100, synthetic=synthetic)
-    src = str(Path(cbbench.__file__).resolve().parents[1])
+    # the same replay for the whole battery, the sample-specific pass included;
+    # at this size the MI fields of unpinned OpenBLAS differ between 1 and 2 threads
+    config = _battery_config(tmp_path, mi_components=100)
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-m", "cbbench", "bench", "--config", str(config),
-                        "--out-dir", str(out)], env=env, check=True, timeout=300,
-                       stdout=subprocess.DEVNULL)
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        report.pop("timestamp")
-        dets = {p.name: p.read_bytes() for p in sorted(out.glob("det_*.csv"))}
+        report, dets = _bench_child(config, tmp_path / f"threads{threads}",
+                                    OPENBLAS_NUM_THREADS=threads)
         outputs.append((json.dumps(report, sort_keys=True), dets))
     assert len(outputs[0][1]) == 2 * len(SchemeId) and outputs[0] == outputs[1]
+
+
+# the CPU flags each forced OpenBLAS kernel needs
+_KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Nehalem": {"sse4_2"}}
+# prints the kernel numpy's bundled OpenBLAS runs (scipy-openblas, or openblas64_)
+_CORENAME = (
+    "import ctypes, pathlib, numpy as np\n"
+    "for path in sorted((pathlib.Path(np.__file__).resolve().parents[1] / 'numpy.libs')\n"
+    "                   .glob('lib*openblas*')):\n"
+    "    lib = ctypes.CDLL(str(path))\n"
+    "    for prefix in ('scipy_openblas', 'openblas'):\n"
+    "        corename = getattr(lib, prefix + '_get_corename64_', None)\n"
+    "        if corename is not None:\n"
+    "            corename.argtypes, corename.restype = [], ctypes.c_char_p\n"
+    "            print(corename().decode())\n"
+)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
+def test_bench_outputs_replay_across_blas_kernels(tmp_path, kernel):
+    # LAPACK's SVD in the PCA fit cannot be pinned across kernels, so only the
+    # MI fields may move there, and only in their last digits
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS kernels are forced on x86-64 only, not {platform.machine()}")
+    if _openblas_threads() is None:
+        pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose kernel can be set")
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = set(next(line for line in fh if line.startswith("flags")).split())
+    except (OSError, StopIteration):
+        pytest.skip("no /proc/cpuinfo lists the CPU flags, so no kernel is forced")
+    if not _KERNEL_FLAGS[kernel] <= flags:
+        pytest.skip(f"the CPU lacks {sorted(_KERNEL_FLAGS[kernel] - flags)}, which {kernel} needs")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+    core = subprocess.run([sys.executable, "-c", _CORENAME], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+    if core.lower() != kernel.lower():
+        pytest.skip(f"numpy's OpenBLAS runs {core or 'no named kernel'} under "
+                    f"OPENBLAS_CORETYPE={kernel}, so its kernel cannot be set")
+    config = _battery_config(tmp_path, mi_components=64)
+    (base, base_dets), (forced, forced_dets) = (
+        _bench_child(config, tmp_path / "default"),
+        _bench_child(config, tmp_path / kernel, OPENBLAS_CORETYPE=kernel),
+    )
+    assert len(base_dets) == 2 * len(SchemeId) and forced_dets == base_dets
+    for a, b in zip(base["cells"], forced["cells"]):
+        for name in ("mi", "h_x", "h_y", "h_joint"):
+            assert math.isclose(a.pop(name), b.pop(name), rel_tol=1e-10, abs_tol=1e-8), (
+                a["scheme"], a["scenario"], name
+            )
+    # the rest, the unlinkability rows and the unprotected baseline among it, to the byte
+    assert json.dumps(base, sort_keys=True) == json.dumps(forced, sort_keys=True)
 
 
 def _run(argv):

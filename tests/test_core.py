@@ -82,8 +82,8 @@ class TestPayloads:
 
     def test_code_alphabet_enforced(self):
         directions = np.stack([np.eye(4)] * 3)  # three hashes, k=4, axis directions
-        urp = IomUrpInstance(SchemeId.IOM_URP, 4, perms=np.arange(4).reshape(1, 1, 4), k=4)
-        for inst in (IomGrpInstance(SchemeId.IOM_GRP, 4, directions=directions), urp):
+        urp = IomUrpInstance(4, perms=np.arange(4).reshape(1, 1, 4), k=4)
+        for inst in (IomGrpInstance(4, directions=directions), urp):
             codes = protect_batch(self.EDGES, inst)
             assert np.array_equal(codes, np.floor(codes))
             assert codes.min() >= 0 and codes.max() < 4
@@ -93,10 +93,10 @@ class TestPayloads:
     def test_bits_binary_enforced(self):
         pad = np.ones(2, dtype=np.uint8)
         for inst in (
-            BioHashInstance(SchemeId.BIOHASH, 4, projection=np.vstack([np.eye(4), -np.eye(4)])),
-            MlpHashInstance(SchemeId.MLP_HASH, 4, layers=(np.eye(4), -np.eye(4))),
-            RandHashInstance(SchemeId.RAND_HASH, 4, perm=np.arange(4), scales=np.full(4, 2.0),
-                             signs=-np.ones(4), pad_bits=pad, output_length=6),
+            BioHashInstance(4, projection=np.vstack([np.eye(4), -np.eye(4)])),
+            MlpHashInstance(4, layers=(np.eye(4), -np.eye(4))),
+            RandHashInstance(4, perm=np.arange(4), signs=-np.ones(4), pad_bits=pad,
+                             output_length=6),
         ):
             bits = protect_batch(self.EDGES, inst)
             assert set(np.unique(bits)) <= {0.0, 1.0}, inst.scheme_id
@@ -104,15 +104,13 @@ class TestPayloads:
 
     def test_real_vector_views(self):
         # bits and codes as floats, Bloom blocks concatenated block by block
-        bio = BioHashInstance(SchemeId.BIOHASH, 2, projection=np.eye(2))
+        bio = BioHashInstance(2, projection=np.eye(2))
         assert np.array_equal(protect_batch([[1.0, -1.0]], bio), [[1.0, 0.0]])
-        grp = IomGrpInstance(SchemeId.IOM_GRP, 4, directions=np.stack([np.eye(4)] * 2))
+        grp = IomGrpInstance(4, directions=np.stack([np.eye(4)] * 2))
         codes = protect_batch([[0.0, 1.0, 0.0, 3.0]], grp)
         assert codes.dtype == np.float64 and np.array_equal(codes, [[3.0, 3.0]])
         # w=2, one column per block: the second block's column word (1,0) sets bit 2
-        bloom = BloomInstance(
-            SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=1, masks=np.zeros(2, dtype=np.int64)
-        )
+        bloom = BloomInstance(4, word_bits=2, block_cols=1, masks=np.zeros(2, dtype=np.int64))
         flat = protect_batch([[-1.0, -1.0, 1.0, -1.0]], bloom)[0]
         assert flat.shape == (8,) and flat.dtype == np.float64
         assert np.array_equal(flat, [1, 0, 0, 0, 0, 0, 1, 0])
@@ -200,3 +198,7 @@ class TestDataset:
     def test_ids_must_match_rows(self, features, subjects, samples):
         with pytest.raises(InvalidArgumentError, match="one id pair per row"):
             Dataset(features, subjects, samples)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="^features: the rows differ in length"):
+            Dataset([[1.0, 2.0], [1.0, 2.0, 3.0]], ["a", "a"], ["0", "1"])

@@ -15,6 +15,7 @@ from cbbench.schemes import (
     IomUrpInstance,
     MlpHashInstance,
     RandHashInstance,
+    TransformInstance,
     chance_level,
     compare,
     instantiate,
@@ -76,7 +77,7 @@ class TestInstantiate:
 
 class TestBioHash:
     def test_forced_identity_projection(self):
-        inst = BioHashInstance(SchemeId.BIOHASH, 2, projection=np.eye(2))
+        inst = BioHashInstance(2, projection=np.eye(2))
         bits = protect([1.0, 0.0], inst)
         assert np.array_equal(bits, [1, 0])  # <x,e1>=1 > 0; <x,e2>=0 is not > 0
 
@@ -93,7 +94,7 @@ class TestBioHash:
 
 class TestMlpHash:
     def test_forced_identity_single_layer(self):
-        inst = MlpHashInstance(SchemeId.MLP_HASH, 2, layers=(np.eye(2),))
+        inst = MlpHashInstance(2, layers=(np.eye(2),))
         bits = protect([2.0, -1.0], inst)
         assert np.array_equal(bits, [1, 0])  # activations (2, -0.01)
 
@@ -114,28 +115,19 @@ class TestBloom:
     def test_forced_hand_example(self):
         # w=2, two columns in one block, zero masks; binarized input
         # (1,0,1,1) gives column words (1,0)->2 and (1,1)->3
-        inst = BloomInstance(
-            SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
-            masks=np.zeros(2, dtype=np.int64),
-        )
+        inst = BloomInstance(4, word_bits=2, block_cols=2, masks=np.zeros(2, dtype=np.int64))
         blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert blocks.shape == (1, 4)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])
 
     def test_masks_relocate_bits(self):
-        inst = BloomInstance(
-            SchemeId.BLOOM_FILTER, 4, word_bits=2, block_cols=2,
-            masks=np.array([1, 1], dtype=np.int64),
-        )
+        inst = BloomInstance(4, word_bits=2, block_cols=2, masks=np.array([1, 1], dtype=np.int64))
         blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])  # 2^1=3, 3^1=2: same set
 
     def test_duplicate_columns_idempotent(self):
         # all-positive input: every column word is 3; one bit set per block
-        inst = BloomInstance(
-            SchemeId.BLOOM_FILTER, 8, word_bits=2, block_cols=4,
-            masks=np.zeros(4, dtype=np.int64),
-        )
+        inst = BloomInstance(8, word_bits=2, block_cols=4, masks=np.zeros(4, dtype=np.int64))
         blocks = blocks_of(protect(np.ones(8), inst), inst)
         assert blocks.sum() == 1 and blocks[0, 3] == 1
 
@@ -151,7 +143,7 @@ class TestBloom:
 class TestIomGrp:
     def test_forced_directions(self):
         directions = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one hash, k=2, e1/e2
-        inst = IomGrpInstance(SchemeId.IOM_GRP, 2, directions=directions)
+        inst = IomGrpInstance(2, directions=directions)
         codes = protect([2.0, 1.0], inst)
         assert np.array_equal(codes, [0])  # projections (2,1): argmax at 0
 
@@ -167,7 +159,7 @@ class TestIomUrp:
     def test_forced_identity_permutation(self):
         x = np.array([0.1, 0.9, 0.5, 0.3, 0.8])
         perms = np.arange(5).reshape(1, 1, 5)
-        inst = IomUrpInstance(SchemeId.IOM_URP, 5, perms=perms, k=3)
+        inst = IomUrpInstance(5, perms=perms, k=3)
         codes = protect(x, inst)
         assert np.array_equal(codes, [1])  # argmax of (0.1, 0.9, 0.5)
 
@@ -188,19 +180,25 @@ class TestIomUrp:
         codes = protect(random_template(16), inst)
         assert codes.min() >= 0 and codes.max() < SMALL.iom_k
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-190, 1.0, 1e190, 1e300])
+    def test_products_neither_overflow_nor_underflow(self, c):
+        # squares c^2 * (1, 4, 1e-20): unscaled they overflow to ties of inf
+        # from c = 1e190 and underflow to ties of 0 below c = 1e-162
+        inst = IomUrpInstance(3, perms=np.stack([np.arange(3)] * 2)[None], k=3)
+        assert np.array_equal(protect(c * np.array([1.0, 2.0, 1e-10]), inst), [1])
+
 
 class TestRandHash:
     def test_forced_hand_example(self):
         inst = RandHashInstance(
-            SchemeId.RAND_HASH, 2,
+            2,
             perm=np.array([0, 1]),
-            scales=np.array([1.0, 2.0]),
             signs=np.array([1.0, -1.0]),
             pad_bits=np.zeros(0, dtype=np.uint8),
             output_length=2,
         )
         bits = protect([3.0, -1.0], inst)
-        assert np.array_equal(bits, [1, 1])  # y = (3, 2)
+        assert np.array_equal(bits, [1, 1])  # y = (3, 1)
 
     def test_truncation_when_length_below_dim(self):
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SchemeParams(output_length=8)), 16)
@@ -216,10 +214,6 @@ class TestRandHash:
         # pad bits are key-derived constants, independent of the template
         other = protect(random_template(16, seed=77), inst)
         assert np.array_equal(bits[16:], other[16:])
-
-    def test_scales_positive_and_log_bounded(self):
-        inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SMALL), 64)
-        assert inst.scales.min() >= 0.5 and inst.scales.max() <= 2.0
 
 
 class TestProtectBatch:
@@ -253,16 +247,39 @@ class TestProtectBatch:
             assert np.array_equal(one, protect(x[i], inst))
 
     def test_instance_type_mismatch_rejected(self):
+        # the scheme is the instance's class: no instance is built or edited
+        # to claim another scheme than the kernel it runs
+        with pytest.raises(TypeError):
+            MlpHashInstance(SchemeId.BIOHASH, 8, layers=(np.eye(8),))
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
-        wrong = MlpHashInstance(SchemeId.BIOHASH, 8, layers=(np.eye(8),))
-        with pytest.raises(InvalidArgumentError):
-            protect_batch(np.ones((2, 8)), wrong)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.scheme_id = SchemeId.MLP_HASH
         with pytest.raises(InvalidArgumentError):
             protect_batch(np.ones(8), inst)  # one row must still be a (1, dim) block
 
 
 BIT_SCHEMES = {SchemeId.BIOHASH, SchemeId.MLP_HASH, SchemeId.RAND_HASH}
 CODE_SCHEMES = {SchemeId.IOM_GRP, SchemeId.IOM_URP}
+
+
+class TestInstanceClasses:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_one_class_per_scheme_fixes_id_and_kind(self, scheme):
+        (cls,) = [c for c in TransformInstance.__subclasses__() if c.scheme_id is scheme]
+        inst = instantiate(SchemeKey(3, scheme, SMALL), 16)
+        assert type(inst) is cls and inst.scheme_id is scheme
+        kind = "bits" if scheme in BIT_SCHEMES else "codes" if scheme in CODE_SCHEMES else "bloom"
+        assert cls.kind == kind
+        # chance_level and similarities score rows by that kind
+        assert chance_level(scheme, SMALL) == {"bits": 0.5, "codes": 1 / 8, "bloom": None}[kind]
+        a, b = protect_batch(derive_stream(3, b"test.kinds").normals(32).reshape(2, 16), inst)
+        if kind == "bloom":
+            blocks_a, blocks_b = blocks_of(a, inst), blocks_of(b, inst)
+            xor = (blocks_a != blocks_b).sum(axis=1)
+            expected = 1 - np.mean(xor / (blocks_a.sum(axis=1) + blocks_b.sum(axis=1)))
+        else:
+            expected = np.mean(a == b)
+        assert similarities(scheme, SMALL, a, b) == pytest.approx(expected, abs=1e-15)
 
 
 class TestRowInvariants:
@@ -350,6 +367,13 @@ class TestCompare:
             pa = protect(random_template(16, seed=seed), inst)
             pb = protect(random_template(16, seed=seed + 100), inst)
             assert 0.0 <= compare(scheme, SMALL, pa, pb) <= 1.0
+
+    def test_bloom_rows_must_be_whole_blocks(self):
+        params = SchemeParams(bloom_word_bits=3)  # blocks of 8 bits
+        with pytest.raises(InvalidArgumentError, match=r"^a rows of length 12 .*bloom_word_bits"):
+            compare(SchemeId.BLOOM_FILTER, params, np.zeros(12), np.zeros(12))
+        with pytest.raises(InvalidArgumentError, match="^b rows of length 4 "):
+            similarities(SchemeId.BLOOM_FILTER, params, np.zeros((2, 8)), np.zeros((2, 4)))
 
     def test_shape_mismatch_rejected(self):
         short = SchemeParams(output_length=16)
