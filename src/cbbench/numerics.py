@@ -91,9 +91,11 @@ def derive_stream(seed: int, label: bytes | str) -> RandomStream:
     """Derive the deterministic stream identified by (seed, label)."""
     if isinstance(label, str):
         label = label.encode("utf-8")
+    if not isinstance(label, bytes):  # bytes(5) would silently be five NUL bytes
+        raise InvalidArgumentError(f"label must be bytes or str, got {label!r}")
     _check_ranges(RandomStream, origin_seed=seed)
     gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, label)))
-    return RandomStream(origin_seed=int(seed), label=bytes(label), _gen=gen)
+    return RandomStream(origin_seed=int(seed), label=label, _gen=gen)
 
 
 def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:

@@ -8,8 +8,8 @@ ordered convention would only duplicate scores without moving any metric.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _check_ranges, _seed
 from .errors import InvalidArgumentError
-from .schemes import instantiate, protect_batch, similarities
+from .schemes import _pair_scorer, instantiate, protect_batch
 
 __all__ = [
     "KeyPolicy", "ScoreSet", "derive_key", "pair_indices", "protected_matrix", "run_scenario",
@@ -25,7 +25,8 @@ __all__ = [
 
 _STOLEN_LABEL = b"stolen-token"
 _ID_SEPARATOR = b"\x1f"  # keeps ("ab", "c") distinct from ("a", "bc")
-_BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries), pairs per score call
+_BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries)
+_SCORE_PAIRS = 4096  # pairs per scoring call: 128 KiB a side of packed 256-bit rows
 
 
 def _hash64(parts: list[bytes]) -> int:
@@ -115,22 +116,27 @@ class ScoreSet:
 
 
 def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.ndarray:
-    """Protect the whole dataset under the policy and stack the ``protect_batch``
-    rows in dataset order (bits as 0/1, codes as integers, Bloom blocks
-    concatenated): the attacker's view of the protected database.
+    """Protect the whole dataset under the policy and stack the float64
+    ``protect_batch`` rows in dataset order (bits as 0/1, codes as integers,
+    Bloom blocks concatenated): the attacker's view of the protected database.
 
     Rows are grouped by the identity their scenario keys on, and each
     group's key is derived and instantiated once, protects its rows with one
-    ``protect_batch`` call per block of up to 64 rows and is dropped, so at
-    most ``workers`` instances are alive. The first key's rows are stacked
-    on the calling thread and size the result (allocating the result before
-    them left the CLI's serial peak RSS 0.4-1.5 MB higher, from heap
-    layout); every other key writes its blocks straight into the result.
-    Those keys are dealt round-robin to the calling thread and up to
-    ``workers - 1`` pool threads (key instantiation, Philox draws and LAPACK
-    QR, releases the GIL); no thread starts for a single key or
-    ``workers == 1``. Results are bit-identical for every ``workers``.
+    ``protect_batch`` call per block of up to 64 rows from the key's first row
+    and is dropped, so at most ``workers`` instances are alive. The first
+    block of the first key is protected on the calling thread and sizes the
+    result (allocating the result before it left the CLI's serial peak RSS
+    0.4-1.5 MB higher, from heap layout); every other block is written
+    straight into the result. With several keys, the first key's other blocks
+    follow on the calling thread, and the other keys are dealt round-robin to
+    the calling thread and up to ``workers - 1`` pool threads (key
+    instantiation, Philox draws and LAPACK QR, releases the GIL). A lone key
+    (stolen) deals its other blocks round-robin the same way, every thread
+    sharing its one instance. No thread starts for ``workers == 1`` or a lone
+    key of at most 64 rows. Results are bit-identical for every ``workers``.
     """
+    if not len(ds):
+        raise InvalidArgumentError("ds holds no templates to protect")
     rows_of: dict[tuple[str, ...], list[int]] = {}
     for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
         rows_of.setdefault(_identity(policy, *ident), []).append(i)
@@ -139,30 +145,38 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
         for rows in rows_of.values()
     }
 
-    def protected_blocks(key: SchemeKey):
-        """(rows, protected rows) per block of the key's rows, from one instance."""
-        inst = instantiate(key, ds.dimension)
+    def blocks(key: SchemeKey) -> list[list[int]]:
         rows = groups[key]
-        for s in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[s : s + _BLOCK_ROWS]
-            yield block, protect_batch(ds.features[block], inst)
+        return [rows[s : s + _BLOCK_ROWS] for s in range(0, len(rows), _BLOCK_ROWS)]
 
-    def fill(blocks) -> None:
-        for rows, part in blocks:
-            y[rows] = part
+    def fill(inst, rows_of_blocks) -> None:
+        for rows in rows_of_blocks:
+            y[rows] = protect_batch(ds.features[rows], inst)
+
+    def fill_keys(keys) -> None:
+        for key in keys:
+            fill(instantiate(key, ds.dimension), blocks(key))
 
     first, *rest = groups
-    head = np.vstack([part for _, part in protected_blocks(first)])
-    y = np.empty((len(ds), head.shape[1]))
-    y[groups[first]] = head
-    n = max(1, min(workers, len(rest)))
-    stripes = [itertools.chain.from_iterable(map(protected_blocks, rest[s::n])) for s in range(n)]
+    inst = instantiate(first, ds.dimension)
+    head, *tail = blocks(first)
+    part = protect_batch(ds.features[head], inst)
+    y = np.empty((len(ds), part.shape[1]))
+    y[head] = part
+    if rest:
+        fill(inst, tail)
+        del inst  # at most ``workers`` instances alive from here on
+        n = max(1, min(workers, len(rest)))
+        jobs = [functools.partial(fill_keys, rest[s::n]) for s in range(n)]
+    else:
+        n = max(1, min(workers, len(tail)))
+        jobs = [functools.partial(fill, inst, tail[s::n]) for s in range(n)]
     if n == 1:
-        fill(stripes[0])
+        jobs[0]()
         return y
     with ThreadPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(fill, stripe) for stripe in stripes[1:]]
-        fill(stripes[0])
+        futures = [pool.submit(job) for job in jobs[1:]]
+        jobs[0]()
         for future in futures:
             future.result()
     return y
@@ -172,26 +186,27 @@ def run_scenario(
     ds: Dataset, policy: KeyPolicy, workers: int = 1, protected: np.ndarray | None = None
 ) -> ScoreSet:
     """Score the mated and non-mated pairs of ``pair_indices`` on the dataset
-    protected under the policy, in chunks of 64 or more pairs (up to 2**14
-    values a side) with ``similarities`` (so scores equal ``compare`` of each
-    pair).
+    protected under the policy. The float64 protected matrix is packed to
+    bytes once (bits eight to a byte, codes one to a byte, Bloom blocks to
+    bytes with their popcounts), then scored on the calling thread in chunks
+    of 4096 pairs by the scorer ``similarities`` uses, so scores equal
+    ``compare`` of each pair, bit for bit.
 
     ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
     has; without it the matrix is computed here, on ``workers`` threads.
     """
+    if not len(ds):
+        raise InvalidArgumentError("ds holds no templates to score")
     y = protected_matrix(ds, policy, workers) if protected is None else protected
     if y.shape[0] != len(ds):
         raise InvalidArgumentError(f"protected matrix has {y.shape[0]} rows, expected {len(ds)}")
-
-    # 64 pairs of the default 256-value rows per call, more pairs of shorter rows,
-    # whose per-call overhead (Bloom's ~10 small numpy calls) would dominate
-    chunk = max(_BLOCK_ROWS, 2**14 // max(1, y.shape[1]))
+    score = _pair_scorer(policy.scheme_id, policy.params, y)
 
     def scores(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         out = np.empty(len(i))
-        for s in range(0, len(i), chunk):
-            c = slice(s, s + chunk)
-            out[c] = similarities(policy.scheme_id, policy.params, y[i[c]], y[j[c]])
+        for s in range(0, len(i), _SCORE_PAIRS):
+            c = slice(s, s + _SCORE_PAIRS)
+            out[c] = score(i[c], j[c])
         return out
 
     mated, nonmated = pair_indices(ds)

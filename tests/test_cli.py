@@ -355,6 +355,56 @@ class TestBench:
         assert reports[0] == reports[1]
         assert len(files[0]) == 3 * 2 and files[0] == files[1]
 
+    def test_bench_is_the_eval_commands_composed(self, tmp_path, monkeypatch):
+        # bench and the eval-* commands share the protect pass, the lone-key
+        # split and the packed scorer: on one CSV and seed, every DET CSV, MI
+        # block and D_sys must agree
+        from cbbench import cli
+
+        templates = tmp_path / "templates.csv"
+        assert main(["synth", "--subjects", "40", "--samples", "3", "--dim", "64",
+                     "--sigma", "0.3", "--seed", "9", "--out", str(templates)]) == 0
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "master_seed": 9, "schemes": [s.value for s in SchemeId],
+            "scenarios": ["normal", "stolen"], "unlinkability_bins": 20, "mi_components": 8,
+            "templates": str(templates),
+        }), encoding="utf-8")
+        assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "bench")]) == 0
+        report = json.loads((tmp_path / "bench" / "report.json").read_text(encoding="utf-8"))
+
+        # eval-unlink prints D_sys to 4 places; record the value it computed
+        d_sys = {}
+        measure = cli.unlinkability
+
+        def recorded(scores, bins):
+            result = measure(scores, bins)
+            d_sys[scores.scheme_id.value] = result.d_sys
+            return result
+
+        monkeypatch.setattr(cli, "unlinkability", recorded)
+        out = tmp_path / "eval"
+        for scheme in SchemeId:
+            flags = ["--templates", str(templates), "--master-seed", "9", "--scheme", scheme.value,
+                     "--out-dir", str(out)]
+            for scenario in ("normal", "stolen"):
+                assert main(["eval-perf", *flags, "--scenario", scenario]) == 0
+                assert main(["eval-irrev", *flags, "--scenario", scenario, "--r", "8"]) == 0
+            assert main(["eval-unlink", *flags, "--bins", "20"]) == 0
+
+        det = sorted(p.name for p in (tmp_path / "bench").glob("det_*.csv"))
+        assert len(det) == 2 * len(SchemeId)
+        for name in det:
+            assert (out / name).read_bytes() == (tmp_path / "bench" / name).read_bytes(), name
+        assert len(report["cells"]) == 2 * len(SchemeId)
+        for cell in report["cells"]:
+            irrev = json.loads((out / f"irrev_{cell['scheme']}_{cell['scenario']}.json")
+                               .read_text(encoding="utf-8"))
+            mi_block = {k: v for k, v in irrev.items() if k not in ("scheme", "scenario")}
+            assert mi_block == {k: cell[k] for k in mi_block}, cell["scheme"]
+        assert len(d_sys) == len(SchemeId)
+        assert {row["scheme"]: row["d_sys"] for row in report["unlinkability"]} == d_sys
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o1")]) == 0

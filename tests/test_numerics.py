@@ -45,6 +45,11 @@ class TestRandomStream:
     def test_str_label_equivalent_to_bytes(self):
         assert np.array_equal(derive_stream(7, "a").words(4), derive_stream(7, b"a").words(4))
 
+    @pytest.mark.parametrize("label", [5, 0, None, bytearray(b"a"), [97]])
+    def test_label_neither_bytes_nor_str_rejected(self, label):
+        with pytest.raises(InvalidArgumentError, match="^label must be bytes or str"):
+            derive_stream(1, label)
+
     def test_seed_out_of_range(self):
         for seed in (-1, 2**64, 1.5, True):
             with pytest.raises(InvalidArgumentError, match="^origin_seed "):

@@ -295,19 +295,74 @@ class TestProtectedMatrix:
         for workers in (2, 3):
             assert np.array_equal(protected_matrix(ds, p, workers=workers), serial)
 
-    @pytest.mark.parametrize("scenario, workers", [(Scenario.STOLEN_TOKEN, 4), (Scenario.NORMAL, 1)])
+    @pytest.mark.parametrize(
+        "scenario, workers",
+        [(Scenario.STOLEN_TOKEN, 4), (Scenario.NORMAL, 1), (Scenario.STOLEN_TOKEN, 1)],
+    )
     def test_serial_pass_starts_no_thread(self, monkeypatch, scenario, workers):
-        # one key (stolen) or one worker runs on the calling thread alone
+        # one worker, or one key whose rows fill one block (21 x 3 = 63 rows),
+        # runs on the calling thread alone
         from cbbench import protocol
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        ds = generate(SynthConfig(43, 3, 16, 0.3, 5))
+        subjects = 43 if workers == 1 else 21
+        ds = generate(SynthConfig(subjects, 3, 16, 0.3, 5))
         p = policy(scenario, scheme=SchemeId.IOM_GRP)
         expected = protocol.protected_matrix(ds, p, workers=2)
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", no_pool)
         assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+
+    @pytest.mark.parametrize("workers, pool_threads", [(2, 1), (3, 2), (8, 3)])
+    def test_lone_key_deals_its_blocks_to_every_worker(self, monkeypatch, workers, pool_threads):
+        # one key for 100 x 3 = 300 rows: four blocks of 64 rows and one of 44;
+        # the first sizes the result, the other four go to the calling thread
+        # and up to three pool threads
+        from cbbench import protocol
+
+        pools = []
+
+        class CountingPool(protocol.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        ds = generate(SynthConfig(100, 3, 16, 0.3, 5))
+        p = policy(Scenario.STOLEN_TOKEN, scheme=SchemeId.IOM_GRP)
+        expected = protocol.protected_matrix(ds, p)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+        assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+        assert pools == [pool_threads]
+
+    @pytest.mark.parametrize("rows", [1, 64, 65, 129, 1500])
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_lone_key_equal_for_every_worker_count(self, scheme, rows):
+        # the stolen key's blocks start every 64 rows from its first row, on
+        # whichever thread protects them; a lost or misplaced block changes
+        # the matrix or the scores
+        import sys
+
+        from cbbench.metrics import protected_matrix
+        from cbbench.schemes import instantiate, protect_batch
+
+        feats = derive_stream(8, b"test.lone-key").normals(rows * 16).reshape(rows, 16)
+        ds = Dataset(feats, [f"s{i // 3}" for i in range(rows)], [str(i % 3) for i in range(rows)])
+        p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
+        inst = instantiate(derive_key(p, "", ""), 16)
+        expected = np.vstack([protect_batch(feats[s : s + 64], inst) for s in range(0, rows, 64)])
+        scores = run_scenario(ds, p, protected=expected)
+        interval = sys.getswitchinterval()
+        try:
+            for switch in (interval, 1e-6):
+                sys.setswitchinterval(switch)
+                for workers in (1, 2, 3, 8):
+                    assert np.array_equal(protected_matrix(ds, p, workers), expected)
+                    run = run_scenario(ds, p, workers)
+                    assert np.array_equal(run.mated, scores.mated)
+                    assert np.array_equal(run.nonmated, scores.nonmated)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "scenario, calls",
@@ -353,6 +408,14 @@ class TestProtectedMatrix:
         scores = run_scenario(ds, policy(Scenario.NORMAL))
         assert scores.mated.size == 4  # C(3, 2) for a, C(2, 2) for b
         assert scores.nonmated.size == 1
+
+    def test_empty_dataset_rejected(self):
+        from cbbench.metrics import protected_matrix
+
+        ds = Dataset(np.empty((0, 4)), [], [])
+        for call in (protected_matrix, run_scenario):
+            with pytest.raises(InvalidArgumentError, match="^ds "):
+                call(ds, policy(Scenario.NORMAL))
 
     def test_row_count_mismatch_rejected(self):
         ds = self.dataset()

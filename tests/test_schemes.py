@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,36 @@ class TestCompare:
         with pytest.raises(InvalidArgumentError, match="^b rows of length 4 "):
             similarities(SchemeId.BLOOM_FILTER, params, np.zeros((2, 8)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_empty_rows_rejected(self, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^a rows are empty"):
+                compare(scheme, SchemeParams(), np.zeros(0), np.zeros(0))
+            with pytest.raises(InvalidArgumentError, match="^b rows are empty"):
+                similarities(scheme, SchemeParams(), np.zeros((2, 16)), np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_rows_that_do_not_broadcast_rejected(self, scheme):
+        with pytest.raises(InvalidArgumentError, match=r"^a rows of shape \(3, 16\) .* broadcast"):
+            similarities(scheme, SMALL, np.zeros((3, 16)), np.zeros((2, 16)))
+        with pytest.raises(InvalidArgumentError, match="^a rows of length 16 and b .* 32 differ"):
+            similarities(scheme, SMALL, np.zeros((2, 16)), np.zeros((2, 32)))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_values_outside_the_row_kind_rejected(self, scheme):
+        # packing would silently read such values as other bits or codes
+        top = 256.0 if scheme in CODE_SCHEMES else 2.0
+        for value in (0.5, -1.0, top, np.nan, np.inf):
+            row = np.zeros(16)
+            row[3] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgumentError, match="^b rows hold values other than"):
+                    compare(scheme, SMALL, np.zeros(16), row)
+        if scheme in CODE_SCHEMES:
+            assert compare(scheme, SMALL, np.full(16, 255.0), np.full(16, 255.0)) == 1.0
+
     def test_shape_mismatch_rejected(self):
         short = SchemeParams(output_length=16)
         a = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, SMALL), 16))
@@ -384,6 +415,75 @@ class TestCompare:
         # one pair is two rows, not two blocks of rows
         with pytest.raises(InvalidArgumentError, match="1-D"):
             compare(SchemeId.BIOHASH, SMALL, a[None], a[None])
+
+
+def unpacked_similarities(kind: str, f: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float formulas on unpacked float64 rows: the reference that packed
+    scoring must equal bit for bit."""
+    if kind == "bits":
+        return 1.0 - np.count_nonzero(a != b, axis=-1) / a.shape[-1]
+    if kind == "codes":
+        return np.count_nonzero(a == b, axis=-1) / a.shape[-1]
+    a, b = a.reshape(*a.shape[:-1], -1, f), b.reshape(*b.shape[:-1], -1, f)
+    sym_diff = np.count_nonzero(a != b, axis=-1).astype(np.float64)
+    total = (np.count_nonzero(a, axis=-1) + np.count_nonzero(b, axis=-1)).astype(np.float64)
+    dissim = np.divide(sym_diff, total, out=np.zeros_like(sym_diff), where=total > 0)
+    return 1.0 - dissim.mean(axis=-1)
+
+
+SCHEME_OF_KIND = {"bits": SchemeId.BIOHASH, "codes": SchemeId.IOM_GRP, "bloom": SchemeId.BLOOM_FILTER}
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPackedScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["bits", "codes", "bloom"]),
+        length=st.integers(1, 70),  # mostly not a multiple of 8
+        word_bits=st.sampled_from([2, 3, 4, 5, 8]),
+        blocks=st.integers(1, 12),  # from 8 blocks on, the mean sums pairwise
+        codes=st.integers(1, 256),
+        fill=st.floats(0.0, 1.0),
+        shapes=st.sampled_from([
+            ((), ()), ((5,), (5,)), ((4, 1), (1, 3)), ((2, 3), (3,)), ((), (4,)), ((2, 1, 2), (3, 1)),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_unpacked_formulas(self, kind, length, word_bits, blocks, codes, fill,
+                                      shapes, seed):
+        rng = np.random.default_rng(seed)
+        f = 2**word_bits
+
+        def rows(lead):
+            if kind == "codes":
+                return rng.integers(0, codes, (*lead, length)).astype(np.float64)
+            if kind == "bits":
+                return (rng.random((*lead, length)) < fill).astype(np.float64)
+            # about half the blocks all zero, so some block pairs hold no bit at all
+            bits = (rng.random((*lead, blocks, f)) < fill) & (rng.random((*lead, blocks, 1)) < 0.5)
+            return bits.reshape(*lead, blocks * f).astype(np.float64)
+
+        a, b = rows(shapes[0]), rows(shapes[1])
+        got = similarities(SCHEME_OF_KIND[kind], SchemeParams(bloom_word_bits=word_bits), a, b)
+        assert_same_bits(got, unpacked_similarities(kind, f, a, b))
+
+    def test_bloom_blocks_of_two_to_the_sixteen_bits(self):
+        f = 2**16
+        rng = np.random.default_rng(16)
+        a, b = np.zeros((3, 4, f)), np.zeros((2, 4, f))
+        for rows in (a, b):  # block 3 stays empty in every row
+            for index in np.ndindex(rows.shape[:1] + (3,)):
+                rows[index][rng.choice(f, size=rng.integers(0, 40), replace=False)] = 1.0
+        a[0, :, :5] = b[0, :, :5] = 1.0  # shared bits
+        a, b = a.reshape(3, 1, 4 * f), b.reshape(1, 2, 4 * f)
+        got = similarities(SchemeId.BLOOM_FILTER, SchemeParams(bloom_word_bits=16), a, b)
+        assert got.shape == (3, 2)
+        assert_same_bits(got, unpacked_similarities("bloom", f, a, b))
 
 
 class TestStatisticalProperties:
