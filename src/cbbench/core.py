@@ -105,12 +105,43 @@ def _check_ranges(cls, **values) -> None:
             if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
                 raise InvalidArgumentError(f"{f.name} must be {f.type}, got {value!r}")
             if "range" in f.metadata:
-                low, high = f.metadata["range"]
                 closed = kinds == (numbers.Integral,)
-                if not (low <= value <= high if closed else low < value <= high):
-                    raise InvalidArgumentError(
-                        f"{f.name} must be in {'[' if closed else '('}{low}, {high}], got {value}"
-                    )
+                _number(value, f.name, int if closed else float, *f.metadata["range"], closed)
+
+
+def _number(value, name: str, kind: type, low, high=float("inf"), closed: bool = True):
+    """``value`` if it is a ``kind`` (any integer for ``int``, any real for
+    ``float``, never a bool) in [low, high], or (low, high] unless ``closed``,
+    else an error naming ``name``: the one check of a scalar. NaN is in no range."""
+    if (isinstance(value, bool) or not isinstance(value, _NUMBERS[kind])
+            or not (low <= value if closed else low < value) or not value <= high):
+        interval = f"{'[' if closed else '('}{low}, {high}]"
+        raise InvalidArgumentError(f"{name} must be {kind.__name__} in {interval}, got {value!r}")
+    return value
+
+
+def _array(value, name: str, ndim: int = 2, rows: int = 0, cols: int | None = None, *,
+           square: bool = False, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array of ``ndim`` axes: the one check of an array
+    argument. Refuses, with a message that starts with ``name``, ragged rows, a
+    dtype other than bool, integer or real (complex, object, str), another
+    rank, fewer than ``rows`` rows, a width other than ``cols`` (the row count
+    if ``square``) and, if ``finite``, NaN or inf."""
+    try:
+        m = np.asarray(value)
+    except ValueError as exc:  # rows of different lengths, as numpy words it
+        raise InvalidArgumentError(f"{name}: the rows differ in length ({exc})") from None
+    if m.dtype.kind not in "biuf" or m.ndim != ndim:  # numpy 1.24 has no np.isdtype
+        raise InvalidArgumentError(f"{name} must be a {ndim}-D array of real numbers, "
+                                   f"got {m.dtype} of shape {m.shape}")
+    width = m.shape[0] if square else cols
+    if m.shape[0] < rows or width not in (None, m.shape[-1]):
+        raise InvalidArgumentError(f"{name} of shape {m.shape} needs at least {rows} rows"
+                                   + ("" if width is None else f" and {width} columns"))
+    m = m.astype(np.float64, copy=False)
+    if finite and not np.isfinite(m).all():
+        raise InvalidArgumentError(f"{name} holds NaN or inf")
+    return m
 
 
 @dataclass(frozen=True)
@@ -162,14 +193,13 @@ class Dataset:
     sample_ids: list[str]
 
     def __post_init__(self) -> None:
-        try:
-            self.features = np.asarray(self.features, dtype=np.float64)
-        except ValueError as exc:  # rows of different lengths, as numpy words it
-            raise InvalidArgumentError(
-                f"features: the rows differ in length or hold a non-number ({exc})"
-            ) from None
+        for name, ids in (("subject_ids", self.subject_ids), ("sample_ids", self.sample_ids)):
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise InvalidArgumentError(f"{name} must be a list of str, got {ids!r:.70}")
+        # non-finite values are validate_dataset's report, which names the sample
+        self.features = _array(self.features, "features", finite=False)
         shape = self.features.shape
-        if len(shape) != 2 or not shape[0] == len(self.subject_ids) == len(self.sample_ids):
+        if not shape[0] == len(self.subject_ids) == len(self.sample_ids):
             raise InvalidArgumentError(f"features of shape {shape} need one id pair per row")
 
     @property

@@ -231,10 +231,12 @@ def read_det_points(path: str | Path) -> DetCurve:
 
 def write_report(report: dict, path: str | Path) -> None:
     """Serialize a benchmark report as pretty-printed JSON with sorted keys
-    (deterministic apart from whatever timestamp the caller put in)."""
+    (deterministic apart from whatever timestamp the caller put in). A numpy
+    scalar is written as its Python value; any other value json cannot write
+    raises json's TypeError, from ``np.generic.item``."""
     path = Path(path)
     with _open_write(path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=np.generic.item)
         fh.write("\n")
 
 

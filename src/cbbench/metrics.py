@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario, _check_ranges, _param
+from .core import Scenario, _array, _check_ranges, _param
 from .errors import InvalidArgumentError
 from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit, pca_transform
 from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
@@ -179,18 +179,12 @@ def mutual_information(
     exactly invariant when either input is rescaled by a positive constant.
     """
     _check_ranges(_Estimators, r=r)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise InvalidArgumentError("expected 2-D matrices")
-    if x.shape[0] != y.shape[0]:
-        raise InvalidArgumentError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    rows = x.shape[0]
-    if rows < 3:
-        raise InvalidArgumentError(f"need at least 3 rows, got {rows}")
-    r_used = min(r, rows - 1, x.shape[1], y.shape[1])
+    x, y = _array(x, "x", rows=3), _array(y, "y", rows=3)
+    if y.shape[0] != x.shape[0]:
+        raise InvalidArgumentError(f"y has {y.shape[0]} rows, x has {x.shape[0]}")
+    r_used = min(r, x.shape[0] - 1, x.shape[1], y.shape[1])
     if r_used < 1:
-        raise InvalidArgumentError("no usable components (empty input?)")
+        raise InvalidArgumentError(f"{'y' if x.size else 'x'} has no columns")
 
     x_r = pca_transform(pca_fit(x, r_used), x)
     y_r = pca_transform(pca_fit(y, r_used), y)

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .core import _check_ranges, _seed
+from .core import _array, _check_ranges, _number, _seed
 from .errors import DegenerateInputError, InvalidArgumentError, NumericError
 
 __all__ = [
@@ -59,21 +59,21 @@ class RandomStream:
 
     def words(self, n: int) -> np.ndarray:
         """Return ``n`` uniform 64-bit words."""
+        n = _number(n, "n", int, 0)
         return self._gen.integers(_U64_MAX, dtype=np.uint64, endpoint=True, size=n)
 
     def normals(self, n: int) -> np.ndarray:
         """Return ``n`` standard-normal draws."""
-        return self._gen.standard_normal(n)
+        return self._gen.standard_normal(_number(n, "n", int, 0))
 
     def uniforms(self, n: int) -> np.ndarray:
         """Return ``n`` uniform reals in [0, 1)."""
-        return self._gen.random(n)
+        return self._gen.random(_number(n, "n", int, 0))
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """Return ``n`` uniform integers in [0, high)."""
-        if high < 1:
-            raise InvalidArgumentError("high must be >= 1")
-        return self._gen.integers(0, high, size=n, dtype=np.int64)
+        high = _number(high, "high", int, 1)
+        return self._gen.integers(0, high, size=_number(n, "n", int, 0), dtype=np.int64)
 
     def permutation(self, n: int, count: int | None = None) -> np.ndarray:
         """Return a uniform permutation of range(n), or a (count, n) array of them.
@@ -82,8 +82,10 @@ class RandomStream:
         ``permutation(n)`` calls would return, and the stream is left in the
         same state: both run the same Fisher-Yates shuffle, row after row.
         """
+        n = _number(n, "n", int, 0)
         if count is None:
             return self._gen.permutation(n)
+        count = _number(count, "count", int, 0)
         return self._gen.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
@@ -100,8 +102,7 @@ def derive_stream(seed: int, label: bytes | str) -> RandomStream:
 
 def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:
     """Matrix of i.i.d. standard-normal entries, consumed in row-major order."""
-    if rows < 1 or cols < 1:
-        raise InvalidArgumentError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
+    rows, cols = _number(rows, "rows", int, 1), _number(cols, "cols", int, 1)
     return stream.normals(rows * cols).reshape(rows, cols)
 
 
@@ -114,17 +115,14 @@ def gram_schmidt(m: np.ndarray) -> np.ndarray:
     rows <= cols; raises DegenerateInputError naming the first row whose
     |R_ii| is below 1e-12 (it is linearly dependent on the rows before it).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidArgumentError("expected a 2-D matrix")
-    rows, cols = m.shape
-    if rows > cols:
-        raise InvalidArgumentError(f"need rows <= cols to orthonormalize rows, got {rows}x{cols}")
+    m = _array(m, "m")
+    if m.shape[0] > m.shape[1]:
+        raise InvalidArgumentError(f"m needs rows <= cols to orthonormalize rows, got {m.shape}")
     q, r = np.linalg.qr(m.T)
     diag = np.diag(r)
     dependent = np.flatnonzero(np.abs(diag) < 1e-12)
     if dependent.size:
-        raise DegenerateInputError(f"row {dependent[0]} is linearly dependent on previous rows")
+        raise DegenerateInputError(f"m row {dependent[0]} is linearly dependent on previous rows")
     return np.ascontiguousarray((q * np.sign(diag)).T)
 
 
@@ -152,18 +150,9 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     this toolkit routinely feeds in. Explained variances are the eigenvalues
     of the unbiased sample covariance (divisor rows - 1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidArgumentError("expected a 2-D matrix")
+    x = _array(x, "x", rows=2)
     rows, cols = x.shape
-    if rows < 2:
-        raise InvalidArgumentError(f"need at least 2 rows to fit a PCA, got {rows}")
-    if not np.isfinite(x).all():
-        raise InvalidArgumentError("input contains non-finite values")
-    if not 1 <= r <= min(rows - 1, cols):
-        raise InvalidArgumentError(
-            f"r={r} out of range, need 1 <= r <= min(rows-1, cols) = {min(rows - 1, cols)}"
-        )
+    r = _number(r, "r", int, 1, min(rows - 1, cols))
     mean = x.mean(axis=0)
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -173,24 +162,14 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project centered data onto the model's components (rows x r output)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise InvalidArgumentError(
-            f"expected rows of dimension {model.input_dim}, got shape {x.shape}"
-        )
+    x = _array(x, "x", cols=model.input_dim)
     return (x - model.mean) @ model.components.T
 
 
 def covariance(x: np.ndarray) -> np.ndarray:
     """Unbiased sample covariance (divisor rows - 1), exactly symmetric."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidArgumentError("expected a 2-D matrix")
+    x = _array(x, "x", rows=2)
     rows = x.shape[0]
-    if rows < 2:
-        raise InvalidArgumentError(f"need at least 2 rows for a covariance, got {rows}")
-    if not np.isfinite(x).all():
-        raise InvalidArgumentError("input contains non-finite values")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (rows - 1)
     return (cov + cov.T) / 2.0
@@ -202,9 +181,8 @@ def default_ridge(cov: np.ndarray) -> float:
     Rank-deficient covariances (stolen-scenario protected templates are a
     routine source) need the floor to stay factorizable.
     """
-    cov = np.asarray(cov, dtype=np.float64)
-    dim = cov.shape[0]
-    return max(1e-12, 1e-6 * float(np.trace(cov)) / dim)
+    cov = _array(cov, "cov", rows=1, square=True)
+    return max(1e-12, 1e-6 * float(np.trace(cov)) / len(cov))
 
 
 def gaussian_entropy(cov: np.ndarray, ridge: float = 0.0) -> float:
@@ -214,19 +192,16 @@ def gaussian_entropy(cov: np.ndarray, ridge: float = 0.0) -> float:
     log-determinant taken from a Cholesky factorization; raises NumericError
     when the regularized matrix is still not positive definite.
     """
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InvalidArgumentError("covariance must be square")
-    if ridge < 0:
-        raise InvalidArgumentError("ridge must be >= 0")
+    cov = _array(cov, "cov", square=True)
+    ridge = _number(ridge, "ridge", float, 0)
     dim = cov.shape[0]
     scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
     if float(np.abs(cov - cov.T).max(initial=0.0)) > 1e-8 * scale:
-        raise InvalidArgumentError("covariance must be symmetric")
+        raise InvalidArgumentError("cov must be symmetric")
     a = cov + ridge * np.eye(dim)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"covariance not positive definite after ridge={ridge!r}") from exc
+        raise NumericError(f"cov is not positive definite after ridge={ridge!r}") from exc
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return dim * _HALF_LN_2PI_E + 0.5 * logdet

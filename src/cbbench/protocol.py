@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _check_ranges, _seed
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _array, _check_ranges, _seed
 from .errors import InvalidArgumentError
 from .schemes import _pair_scorer, instantiate, protect_batch
 
@@ -106,13 +106,12 @@ class ScoreSet:
     scenario: Scenario | None
 
     def __post_init__(self) -> None:
-        self.mated = np.sort(np.asarray(self.mated, dtype=np.float64))
-        self.nonmated = np.sort(np.asarray(self.nonmated, dtype=np.float64))
-        for name, arr in (("mated", self.mated), ("nonmated", self.nonmated)):
-            if arr.ndim != 1:
-                raise InvalidArgumentError(f"{name} scores must be 1-D")
-            if arr.size and (not np.isfinite(arr).all() or arr.min() < 0 or arr.max() > 1):
+        for name in ("mated", "nonmated"):
+            # sorted, so a NaN is last and fails the range check, as inf does
+            scores = np.sort(_array(getattr(self, name), name, ndim=1, finite=False))
+            if scores.size and not (scores[0] >= 0 and scores[-1] <= 1):
                 raise InvalidArgumentError(f"{name} scores must be finite and within [0, 1]")
+            setattr(self, name, scores)
 
 
 def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.ndarray:
@@ -198,8 +197,9 @@ def run_scenario(
     if not len(ds):
         raise InvalidArgumentError("ds holds no templates to score")
     y = protected_matrix(ds, policy, workers) if protected is None else protected
+    y = _array(y, "protected", finite=False)  # NaN fails the row-kind check in scoring
     if y.shape[0] != len(ds):
-        raise InvalidArgumentError(f"protected matrix has {y.shape[0]} rows, expected {len(ds)}")
+        raise InvalidArgumentError(f"protected has {y.shape[0]} rows, expected {len(ds)}")
     score = _pair_scorer(policy.scheme_id, policy.params, y)
 
     def scores(i: np.ndarray, j: np.ndarray) -> np.ndarray:

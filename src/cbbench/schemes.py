@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import SchemeId, SchemeKey
+from .core import SchemeId, SchemeKey, _array, _number
 from .errors import InvalidArgumentError
 from .numerics import derive_stream, gaussian_matrix, gram_schmidt
 
@@ -187,8 +187,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
     equal keys reproduce identical parameters and different components of one
     scheme never share randomness.
     """
-    if d < 2:
-        raise InvalidArgumentError(f"input dimension must be >= 2, got {d}")
+    d = _number(d, "d", int, 2)
     params = key.params
     length = params.output_length
     scheme = key.scheme_id
@@ -245,16 +244,14 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     """Protect each row of the (n, dim) feature block ``x`` with the transform
     the instance was built for, as float64 protected rows (bits as 0/1, codes
     as integers, Bloom blocks concatenated). Rows stay float64, the form every
-    stored matrix and fingerprint holds; only scoring packs them to bytes."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != inst.dim:
-        raise InvalidArgumentError(f"feature block shape {x.shape} is not (n, {inst.dim})")
-    return inst.rows(x).astype(np.float64)
+    stored matrix and fingerprint holds; only scoring packs them to bytes.
+    Refuses, naming ``x``, a block that is not a finite real ``(n, dim)`` matrix."""
+    return inst.rows(_array(x, "x", cols=inst.dim)).astype(np.float64)
 
 
 def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     """The protected row of the one ``(dim,)`` feature row ``x``: ``protect_batch`` of one row."""
-    return protect_batch(np.asarray(x, dtype=np.float64)[None], inst)[0]
+    return protect_batch([x], inst)[0]
 
 
 # set bits of every byte value: the one popcount of packed scoring, on every numpy
@@ -265,11 +262,12 @@ def _packed(kind: str, params, name: str, rows) -> tuple[np.ndarray, ...]:
     """Protected rows of one kind as the uint8 arrays ``_scores`` reads: bits
     packed eight to a byte, codes one to a byte, or Bloom blocks packed to
     bytes, ``(..., blocks, bytes)``, with each block's popcount beside them.
-    Refuses, naming ``name``, rows that are empty, hold other values than their
-    kind or are not whole Bloom blocks."""
+    Refuses, naming ``name``, rows that are empty or not real, hold other
+    values than their kind or are not whole Bloom blocks."""
     rows = np.asarray(rows)
-    if rows.ndim == 0 or rows.shape[-1] == 0:
-        raise InvalidArgumentError(f"{name} rows are empty, got shape {rows.shape}")
+    if rows.ndim == 0 or rows.shape[-1] == 0 or rows.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"{name} rows are empty or not real, got {rows.dtype} "
+                                   f"of shape {rows.shape}")
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some byte, then fail the check
         u = rows.astype(np.uint8)
     if not ((u == rows) & (u <= (255 if kind == "codes" else 1))).all():
@@ -321,9 +319,9 @@ def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> n
     Bloom: 1 - mean over blocks of |A xor B| / (|A| + |B|) with popcounts; an
     empty block pair contributes dissimilarity 0. Rows are packed to bytes
     first and scored as ``run_scenario`` scores them. Refuses, naming ``a`` or
-    ``b``, empty rows, rows of other values than their kind, Bloom rows that
-    are not whole blocks, and rows of different lengths or leading axes that
-    do not broadcast.
+    ``b``, empty or non-real rows, rows of other values than their kind, Bloom
+    rows that are not whole blocks, and rows of different lengths or leading
+    axes that do not broadcast.
     """
     kind = _KIND_OF_SCHEME[scheme_id]
     pa, pb = _packed(kind, params, "a", a), _packed(kind, params, "b", b)
@@ -346,7 +344,7 @@ def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 1 or a.shape != b.shape:
         raise InvalidArgumentError(
-            f"protected rows must be two 1-D rows of one length, got shapes {a.shape} and {b.shape}"
+            f"a and b must be two 1-D rows of one length, got shapes {a.shape} and {b.shape}"
         )
     return float(similarities(scheme_id, params, a, b))
 

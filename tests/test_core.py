@@ -186,7 +186,7 @@ class TestDataset:
         assert list(ds.subject_rows()) == ["b", "a", "c"]
 
     def test_empty_template_list_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="one id pair per row"):
+        with pytest.raises(InvalidArgumentError, match="^features must be a 2-D array"):
             Dataset([], [], [])
 
     @pytest.mark.parametrize("features, subjects, samples", [
@@ -196,7 +196,9 @@ class TestDataset:
         (np.zeros((1, 2, 3)), ["a"], ["0"]),
     ])
     def test_ids_must_match_rows(self, features, subjects, samples):
-        with pytest.raises(InvalidArgumentError, match="one id pair per row"):
+        wrong_rank = np.ndim(features) != 2
+        match = "^features must be a 2-D array" if wrong_rank else "one id pair per row"
+        with pytest.raises(InvalidArgumentError, match=match):
             Dataset(features, subjects, samples)
 
     def test_ragged_rows_rejected(self):
