@@ -9,7 +9,7 @@ information between unprotected and protected template sets.
 
 __version__ = "0.1.0"
 
-from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, validate_dataset
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from .errors import (
     CbBenchError,
     DegenerateInputError,
@@ -58,7 +58,7 @@ from .synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_score
 __all__ = [
     "__version__",
     # core
-    "Dataset", "SchemeId", "Scenario", "SchemeParams", "SchemeKey", "validate_dataset",
+    "Dataset", "SchemeId", "Scenario", "SchemeParams", "SchemeKey",
     # errors
     "CbBenchError", "InvalidArgumentError", "DegenerateInputError", "NumericError",
     "ParseError",

@@ -20,7 +20,6 @@ __all__ = [
     "SchemeParams",
     "SchemeKey",
     "Dataset",
-    "validate_dataset",
 ]
 
 
@@ -186,7 +185,9 @@ class SchemeKey:
 @dataclass
 class Dataset:
     """Templates of one dimension, column-wise: row ``i`` of the ``(n, d)`` float64
-    ``features`` matrix is sample ``sample_ids[i]`` of subject ``subject_ids[i]``."""
+    ``features`` matrix is sample ``sample_ids[i]`` of subject ``subject_ids[i]``.
+    Valid by construction: at least 2 rows, and none of ``validate_dataset``'s
+    issues, which one error starting with ``features`` lists."""
 
     features: np.ndarray
     subject_ids: list[str]
@@ -197,10 +198,12 @@ class Dataset:
             if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                 raise InvalidArgumentError(f"{name} must be a list of str, got {ids!r:.70}")
         # non-finite values are validate_dataset's report, which names the sample
-        self.features = _array(self.features, "features", finite=False)
+        self.features = _array(self.features, "features", rows=2, finite=False)
         shape = self.features.shape
         if not shape[0] == len(self.subject_ids) == len(self.sample_ids):
             raise InvalidArgumentError(f"features of shape {shape} need one id pair per row")
+        if issues := validate_dataset(self):
+            raise InvalidArgumentError("features: " + "; ".join(issues))
 
     @property
     def dimension(self) -> int:
@@ -218,12 +221,11 @@ class Dataset:
 
 
 def validate_dataset(ds: Dataset) -> list[str]:
-    """Collect every invariant violation; an empty list means the dataset is valid.
-
-    Checks: at least 2 feature dimensions, finite values (named per
-    subject/sample/index), unique (subject, sample) pairs, and at least two
-    samples per subject (needed for mated pairs).
-    """
+    """Every invariant violation of the dataset's rows, in row order, for
+    ``Dataset`` to raise: at least 2 feature dimensions, finite values (named
+    per subject/sample/index), unique (subject, sample) pairs, and at least two
+    samples per subject (needed for mated pairs). Empty for every ``Dataset``
+    a caller can hold."""
     issues = [f"dimension must be >= 2, got {ds.dimension}"] if ds.dimension < 2 else []
     finite = np.isfinite(ds.features)
     flagged = set(np.flatnonzero(~finite.all(axis=1)).tolist())

@@ -14,9 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Dataset, SchemeId, SchemeParams, _check_ranges, _declared_as, _seed, validate_dataset,
-)
+from .core import Dataset, SchemeId, SchemeParams, _check_ranges, _declared_as, _seed
 from .errors import CbBenchError, InvalidArgumentError, ParseError
 from .metrics import DetCurve, _Estimators
 from .synthdata import STANDARD_CONFIG, SynthConfig
@@ -177,11 +175,8 @@ def read_templates(path: str | Path) -> Dataset:
             lineno += len(lines)
     if not ids:
         raise ParseError(f"{path}: no template rows")
-    ds = Dataset(np.concatenate(blocks), *map(list, zip(*ids)))
-    issues = validate_dataset(ds)
-    if issues:
-        raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))
-    return ds
+    with _naming(f"{path}: invalid dataset"):
+        return Dataset(np.concatenate(blocks), *map(list, zip(*ids)))
 
 
 def write_templates(ds: Dataset, path: str | Path) -> None:

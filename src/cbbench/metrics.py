@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario, _array, _check_ranges, _param
+from .core import Scenario, _array, _check_ranges, _number, _param
 from .errors import InvalidArgumentError
 from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit, pca_transform
 from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
@@ -67,8 +67,6 @@ def compute_det(scores: ScoreSet) -> DetCurve:
     maximum; fmr(t) counts non-mated scores >= t, fnmr(t) mated scores < t.
     """
     mated, nonmated = scores.mated, scores.nonmated
-    if mated.size == 0 or nonmated.size == 0:
-        raise InvalidArgumentError("both score lists must be non-empty")
     pooled = np.unique(np.concatenate([mated, nonmated]))
     thresholds = np.concatenate(
         [[pooled[0] - 1.0], (pooled[:-1] + pooled[1:]) / 2.0, [pooled[-1] + 1.0]]
@@ -89,7 +87,7 @@ def eer(curve: DetCurve) -> float:
 def fnmr_at_fmr(curve: DetCurve, target_fmr: float) -> float:
     """FNMR at the smallest threshold whose FMR is at most the target (the
     conservative operating point)."""
-    if not 0.0 < target_fmr < 1.0:
+    if not _number(target_fmr, "target_fmr", float, 0, closed=False) < 1:
         raise InvalidArgumentError(f"target_fmr must be in (0, 1), got {target_fmr}")
     # fmr is non-increasing in the threshold: take the first qualifying point
     i = int(np.argmax(curve.fmr <= target_fmr))
@@ -125,8 +123,6 @@ def unlinkability(scores: ScoreSet, bins: int = _Estimators.bins) -> Unlinkabili
         )
     _check_ranges(_Estimators, bins=bins)
     mated, nonmated = scores.mated, scores.nonmated
-    if mated.size == 0 or nonmated.size == 0:
-        raise InvalidArgumentError("both score lists must be non-empty")
     lo = min(mated[0], nonmated[0])
     hi = max(mated[-1], nonmated[-1])
     if hi == lo:
@@ -175,8 +171,10 @@ def mutual_information(
     principal components, fitted separately. Each marginal covariance gets
     its trace-scaled default ridge and the joint covariance the matching
     block-diagonal ridge. That keeps the regularized joint's marginals exact,
-    so the estimate is a genuine Gaussian MI: non-negative up to rounding and
-    exactly invariant when either input is rescaled by a positive constant.
+    so the estimate is a genuine Gaussian MI: non-negative up to rounding and,
+    as the ridges scale with the covariances, invariant to rounding (1e-9
+    relative over power-of-two scales 2**-60 to 2**60) when either input is
+    rescaled by a positive constant.
     """
     _check_ranges(_Estimators, r=r)
     x, y = _array(x, "x", rows=3), _array(y, "y", rows=3)

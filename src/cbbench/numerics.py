@@ -176,13 +176,15 @@ def covariance(x: np.ndarray) -> np.ndarray:
 
 
 def default_ridge(cov: np.ndarray) -> float:
-    """Trace-scaled diagonal regularizer: 1e-6 * trace/dim, floored at 1e-12.
+    """Trace-scaled diagonal regularizer: 1e-6 * trace/dim for a positive
+    trace, so it scales with the covariance, else 1e-12.
 
     Rank-deficient covariances (stolen-scenario protected templates are a
-    routine source) need the floor to stay factorizable.
+    routine source) need the ridge to stay factorizable.
     """
     cov = _array(cov, "cov", rows=1, square=True)
-    return max(1e-12, 1e-6 * float(np.trace(cov)) / len(cov))
+    trace = float(np.trace(cov))
+    return 1e-6 * trace / len(cov) if trace > 0 else 1e-12
 
 
 def gaussian_entropy(cov: np.ndarray, ridge: float = 0.0) -> float:

@@ -96,8 +96,8 @@ def pair_indices(ds: Dataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 class ScoreSet:
     """Mated and non-mated similarity scores for one (scheme, scenario) run.
 
-    Score arrays are stored sorted ascending so that any evaluation order
-    (serial or parallel) produces a bit-identical value.
+    Score arrays are non-empty, within [0, 1] and stored sorted ascending so
+    that any evaluation order (serial or parallel) produces a bit-identical value.
     """
 
     mated: np.ndarray
@@ -108,8 +108,8 @@ class ScoreSet:
     def __post_init__(self) -> None:
         for name in ("mated", "nonmated"):
             # sorted, so a NaN is last and fails the range check, as inf does
-            scores = np.sort(_array(getattr(self, name), name, ndim=1, finite=False))
-            if scores.size and not (scores[0] >= 0 and scores[-1] <= 1):
+            scores = np.sort(_array(getattr(self, name), name, ndim=1, rows=1, finite=False))
+            if not (scores[0] >= 0 and scores[-1] <= 1):
                 raise InvalidArgumentError(f"{name} scores must be finite and within [0, 1]")
             setattr(self, name, scores)
 
@@ -134,8 +134,6 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     sharing its one instance. No thread starts for ``workers == 1`` or a lone
     key of at most 64 rows. Results are bit-identical for every ``workers``.
     """
-    if not len(ds):
-        raise InvalidArgumentError("ds holds no templates to protect")
     rows_of: dict[tuple[str, ...], list[int]] = {}
     for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
         rows_of.setdefault(_identity(policy, *ident), []).append(i)
@@ -194,8 +192,6 @@ def run_scenario(
     ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
     has; without it the matrix is computed here, on ``workers`` threads.
     """
-    if not len(ds):
-        raise InvalidArgumentError("ds holds no templates to score")
     y = protected_matrix(ds, policy, workers) if protected is None else protected
     y = _array(y, "protected", finite=False)  # NaN fails the row-kind check in scoring
     if y.shape[0] != len(ds):

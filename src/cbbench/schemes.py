@@ -107,11 +107,11 @@ class BloomInstance(TransformInstance):
         padded = np.pad(x > 0, ((0, 0), (0, self.padded_bits - self.dim)))
         # consecutive w-bit runs form column words, most significant bit first
         weights = 1 << np.arange(self.word_bits - 1, -1, -1, dtype=np.int64)
-        words = padded.reshape(n, -1, self.word_bits) @ weights
+        words = padded.reshape(n, self.masks.shape[0], self.word_bits) @ weights
         masked = (words ^ self.masks).reshape(n, self.n_blocks, self.block_cols)
         blocks = np.zeros((n, self.n_blocks, 2**self.word_bits), dtype=np.uint8)
         np.put_along_axis(blocks, masked, 1, axis=2)
-        return blocks.reshape(n, -1)
+        return blocks.reshape(n, self.n_blocks << self.word_bits)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams, validate_dataset
-from cbbench.errors import ParseError
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams
+from cbbench.errors import InvalidArgumentError, ParseError
 from cbbench.metrics import mutual_information, protected_matrix
 from cbbench.protocol import KeyPolicy, run_scenario
 from cbbench.synthdata import STANDARD_CONFIG, generate
@@ -115,11 +115,10 @@ def oracle_read_templates(path) -> Dataset:
             sample_ids.append(row[1])
     if not rows:
         raise ParseError(f"{path}: no template rows")
-    ds = Dataset(np.stack(rows), subject_ids, sample_ids)
-    issues = validate_dataset(ds)
-    if issues:
-        raise ParseError(f"{path}: invalid dataset: " + "; ".join(issues))
-    return ds
+    try:
+        return Dataset(np.stack(rows), subject_ids, sample_ids)
+    except InvalidArgumentError as exc:
+        raise ParseError(f"{path}: invalid dataset: {exc}") from None
 
 
 def oracle_write_rows(path, header, rows, ids=None) -> None:

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError
 from cbbench.io import write_report
-from cbbench.metrics import mutual_information
+from cbbench.metrics import compute_det, fnmr_at_fmr, mutual_information
 from cbbench.numerics import (
     PcaModel, covariance, default_ridge, derive_stream, gaussian_entropy, gaussian_matrix,
     gram_schmidt, pca_fit, pca_transform,
@@ -30,6 +30,7 @@ INSTANCES = [instantiate(SchemeKey(3, scheme, PARAMS), WIDTH) for scheme in Sche
 KEY = SchemeKey(3, SchemeId.BIOHASH, PARAMS)
 MODEL = PcaModel(mean=np.zeros(WIDTH), components=np.eye(WIDTH)[:2], explained_variance=np.ones(2))
 GOOD = np.arange(12.0).reshape(3, WIDTH) ** 2
+CURVE = compute_det(ScoreSet([0.2, 0.9], [0.1, 0.5], None, None))
 
 
 def scored_with(protected):
@@ -62,6 +63,16 @@ PROBES = {
     "None sample id": (lambda: Dataset(np.zeros((2, 2)), ["a", "a"], ["0", None]), "sample_ids"),
     "tuple of sample ids": (
         lambda: Dataset(np.zeros((2, 2)), ["a", "a"], ("0", "1")), "sample_ids"),
+    "Dataset with a duplicate pair": (
+        lambda: Dataset(np.zeros((2, 2)), ["a", "a"], ["0", "0"]), "features"),
+    "Dataset with a one-sample subject": (
+        lambda: Dataset(np.zeros((3, 2)), ["a", "a", "b"], ["0", "1", "0"]), "features"),
+    "Dataset of zero rows": (lambda: Dataset(np.zeros((0, 2)), [], []), "features"),
+    "Dataset of dimension 1": (
+        lambda: Dataset(np.zeros((2, 1)), ["a", "a"], ["0", "1"]), "features"),
+    "Dataset with a NaN feature": (
+        lambda: Dataset([[0.0, 1.0], [np.nan, 1.0]], ["a", "a"], ["0", "1"]),
+        "features: subject a sample 1"),
     "pca_fit with a bool r": (lambda: pca_fit(GOOD, True), "r"),
     "pca_fit with a float r": (lambda: pca_fit(GOOD, 1.0), "r"),
     "gaussian_entropy with a NaN ridge": (
@@ -85,6 +96,8 @@ PROBES = {
     "mutual_information of a str y": (lambda: mutual_information(GOOD, GOOD.astype(str)), "y"),
     "ScoreSet of a 2-D nonmated": (lambda: ScoreSet([0.5], [[0.5]], None, None), "nonmated"),
     "ScoreSet of a complex mated": (lambda: ScoreSet([0.5j], [0.5], None, None), "mated"),
+    "ScoreSet of an empty mated": (lambda: ScoreSet([], [0.5], None, None), "mated"),
+    "ScoreSet of an empty nonmated": (lambda: ScoreSet([0.5], [], None, None), "nonmated"),
     "run_scenario of a 3-D protected": (lambda: scored_with(np.zeros((6, 8, 1))), "protected"),
     "run_scenario of a short protected": (lambda: scored_with(np.zeros((5, 8))), "protected"),
     "gaussian_matrix with 0 rows": (lambda: gaussian_matrix(stream(), 0, 3), "rows"),
@@ -92,6 +105,8 @@ PROBES = {
     "permutation with a negative count": (lambda: stream().permutation(3, -1), "count"),
     **{f"{draw} of n = {n!r}": ((lambda d=d, n=n: d(stream(), n)), "n")
        for draw, d in DRAWS.items() for n in (-1, 2.5, True)},
+    **{f"fnmr_at_fmr at {t!r}": ((lambda t=t: fnmr_at_fmr(CURVE, t)), "target_fmr")
+       for t in ("0.1", True, float("nan"), 0, 1)},
 }
 
 
@@ -146,7 +161,7 @@ CONTRACT = {
     "pca_transform": (pca_transform, lambda a, i: (MODEL, a),
                       lambda z, a: z.shape == (len(a), 2) and _finite(z)),
     "covariance": (covariance, lambda a, i: (a,), lambda c, a: _finite(c) and (c == c.T).all()),
-    "default_ridge": (default_ridge, lambda a, i: (a,), lambda r, a: np.isfinite(r) and r >= 1e-12),
+    "default_ridge": (default_ridge, lambda a, i: (a,), lambda r, a: np.isfinite(r) and r >= 0),
     "gaussian_entropy": (gaussian_entropy, lambda a, i: (a, 1e-9), lambda h, a: np.isfinite(h)),
     "mutual_information x": (mutual_information, lambda a, i: (a, a), _mi),
     "mutual_information y": (mutual_information, lambda a, i: (GOOD, a), _mi),

@@ -125,6 +125,7 @@ class TestScore:
 
 
 class TestValidateDataset:
+    # a Dataset runs validate_dataset when built and raises its issues, joined
     def test_well_formed(self):
         ds = make_dataset(
             {
@@ -136,53 +137,53 @@ class TestValidateDataset:
         assert validate_dataset(ds) == []
 
     def test_nan_named_with_location(self):
-        ds = make_dataset({"a": [[1.0, 0.0], [0.9, np.nan]], "b": [[0.0, 1.0], [0.1, 0.9]]})
-        issues = validate_dataset(ds)
-        assert len(issues) == 1
-        assert "subject a" in issues[0] and "sample 1" in issues[0] and "index 1" in issues[0]
+        with pytest.raises(InvalidArgumentError) as info:
+            make_dataset({"a": [[1.0, 0.0], [0.9, np.nan]], "b": [[0.0, 1.0], [0.1, 0.9]]})
+        assert str(info.value) == "features: subject a sample 1: non-finite feature at index 1"
 
     def test_single_sample_subject_flagged(self):
-        ds = make_dataset({"a": [[1.0, 0.0], [0.9, 0.1]], "b": [[0.0, 1.0]]})
-        issues = validate_dataset(ds)
-        assert any("subject b" in i and "only 1 sample" in i for i in issues)
+        with pytest.raises(InvalidArgumentError, match="^features: subject b has only 1 sample"):
+            make_dataset({"a": [[1.0, 0.0], [0.9, 0.1]], "b": [[0.0, 1.0]]})
 
     def test_duplicate_pair_flagged(self):
-        ds = Dataset([[1.0, 2.0], [2.0, 1.0]], ["a", "a"], ["0", "0"])
-        assert any("duplicate" in i for i in validate_dataset(ds))
+        with pytest.raises(InvalidArgumentError, match="^features: duplicate"):
+            Dataset([[1.0, 2.0], [2.0, 1.0]], ["a", "a"], ["0", "0"])
 
     def test_messages_in_row_order(self):
         # duplicates and non-finite values are reported row by row, as a
         # per-template loop would, then the subject counts
         x = np.array([[1.0, np.inf], [1.0, 2.0], [np.nan, -np.inf], [3.0, 4.0], [5.0, 6.0]])
-        ds = Dataset(x, ["a", "a", "a", "b", "c"], ["0", "1", "0", "0", "0"])
-        assert validate_dataset(ds) == [
+        with pytest.raises(InvalidArgumentError) as info:
+            Dataset(x, ["a", "a", "a", "b", "c"], ["0", "1", "0", "0", "0"])
+        assert str(info.value) == "features: " + "; ".join([
             "subject a sample 0: non-finite feature at index 1",
             "duplicate (subject, sample) pair ('a', '0')",
             "subject a sample 0: non-finite feature at index 0",
             "subject a sample 0: non-finite feature at index 1",
             "subject b has only 1 sample(s); need >= 2",
             "subject c has only 1 sample(s); need >= 2",
-        ]
+        ])
 
     def test_one_dimension_flagged_first(self):
-        ds = Dataset(np.array([[1.0], [np.nan]]), ["a", "a"], ["0", "1"])
-        assert validate_dataset(ds) == [
-            "dimension must be >= 2, got 1",
-            "subject a sample 1: non-finite feature at index 0",
-        ]
+        with pytest.raises(InvalidArgumentError) as info:
+            Dataset(np.array([[1.0], [np.nan]]), ["a", "a"], ["0", "1"])
+        assert str(info.value) == (
+            "features: dimension must be >= 2, got 1; "
+            "subject a sample 1: non-finite feature at index 0"
+        )
 
 
 class TestDataset:
     def test_feature_rows_stack_as_float64(self):
-        ds = Dataset([[1, 2], np.array([3.0, 4.0])], ["b", "a"], ["x", "y"])
+        ds = Dataset([[1, 2], np.array([3.0, 4.0])], ["b", "b"], ["x", "y"])
         assert ds.features.dtype == np.float64 and ds.features.shape == (2, 2)
         assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
-        assert ds.subject_ids == ["b", "a"] and ds.sample_ids == ["x", "y"]
+        assert ds.subject_ids == ["b", "b"] and ds.sample_ids == ["x", "y"]
         assert ds.dimension == 2 and len(ds) == 2
 
     def test_subject_rows_in_first_appearance_order(self):
-        ds = Dataset(np.zeros((5, 2)), ["b", "a", "b", "c", "a"], list("01234"))
-        assert ds.subject_rows() == {"b": [0, 2], "a": [1, 4], "c": [3]}
+        ds = Dataset(np.zeros((6, 2)), ["b", "a", "b", "c", "a", "c"], list("012345"))
+        assert ds.subject_rows() == {"b": [0, 2], "a": [1, 4], "c": [3, 5]}
         assert list(ds.subject_rows()) == ["b", "a", "c"]
 
     def test_empty_template_list_rejected(self):

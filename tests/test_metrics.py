@@ -1,7 +1,11 @@
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbbench.core import Scenario, SchemeId, SchemeParams
 from cbbench.errors import InvalidArgumentError
@@ -64,7 +68,8 @@ class TestComputeDet:
             assert curve.fnmr.min() >= 0 and curve.fnmr.max() <= 1
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        # an empty score list is refused when the ScoreSet is built
+        with pytest.raises(InvalidArgumentError, match="^mated "):
             compute_det(score_set([], [0.5]))
 
 
@@ -200,6 +205,15 @@ def gaussian_pair(rho: float, n: int, seed: int = 8):
     return x.reshape(-1, 1), y.reshape(-1, 1)
 
 
+@functools.cache
+def scale_pair():
+    """200 rows of 12 Gaussian features and 8 noisy nonlinear functions of them."""
+    stream = derive_stream(15, b"mi-scale")
+    x = stream.normals(200 * 12).reshape(200, 12)
+    y = np.tanh(x @ stream.normals(12 * 8).reshape(12, 8))
+    return x, y + 0.3 * stream.normals(200 * 8).reshape(200, 8)
+
+
 class TestMutualInformation:
     def test_independent_inputs_near_zero(self):
         stream = derive_stream(9, b"mi-indep")
@@ -231,10 +245,20 @@ class TestMutualInformation:
         assert abs(a.mi - b.mi) < 1e-9
 
     def test_positive_rescaling_invariant(self):
+        # down to 1e-9, where an absolute ridge floor would bind and drop MI
         x, y = gaussian_pair(0.8, 2_000)
         base = mutual_information(x, y, 1).mi
-        for c in (1e-3, 7.0, 1e4):
+        for c in (1e-9, 1e-6, 1e-4, 1e-3, 7.0, 1e4):
             assert abs(mutual_information(x, c * y, 1).mi - base) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(ex=st.integers(-60, 60), ey=st.integers(-60, 60))
+    @example(ex=-60, ey=60)
+    def test_power_of_two_rescaling_invariant(self, ex, ey):
+        x, y = scale_pair()
+        base = mutual_information(x, y, 6).mi
+        scaled = mutual_information(x * 2.0**ex, y * 2.0**ey, 6).mi
+        assert abs(scaled - base) <= 1e-9 * base
 
     def test_nonnegative_and_identity(self):
         stream = derive_stream(12, b"mi-nn")

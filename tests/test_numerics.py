@@ -274,3 +274,8 @@ class TestGaussianEntropy:
 def test_default_ridge_floor_and_scale():
     assert default_ridge(np.zeros((3, 3))) == 1e-12
     assert abs(default_ridge(np.eye(4) * 2.0) - 2e-6) < 1e-18
+    # relative for every positive trace, however small: no floor binds
+    assert default_ridge(np.eye(4) * 2.0**-40) == 1e-6 * 2.0**-38 / 4
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for k in (-200, -60, 60, 200):
+        assert default_ridge(cov * 2.0**k) == default_ridge(cov) * 2.0**k

@@ -247,6 +247,12 @@ class TestProtectBatch:
             assert np.array_equal(y[i], one)
             assert np.array_equal(one, protect(x[i], inst))
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_zero_rows_give_zero_rows_of_the_row_width(self, scheme):
+        inst = instantiate(SchemeKey(4, scheme, SMALL), 8)
+        width = protect_batch(np.ones((1, 8)), inst).shape[1]
+        assert protect_batch(np.ones((0, 8)), inst).shape == (0, width)
+
     def test_instance_type_mismatch_rejected(self):
         # the scheme is the instance's class: no instance is built or edited
         # to claim another scheme than the kernel it runs
