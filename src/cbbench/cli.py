@@ -8,7 +8,6 @@ removed)."""
 from __future__ import annotations
 
 import argparse
-import os
 import platform
 import sys
 from contextlib import contextmanager
@@ -209,13 +208,9 @@ def _config_echo(config: BenchmarkConfig) -> dict:
     return echo
 
 
-def run_benchmark(
-    config: BenchmarkConfig, out_dir: str | Path, workers: int = 1
-) -> tuple[dict, list[Path]]:
+def run_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> tuple[dict, list[Path]]:
     """Run every benchmark cell, write ``report.json`` and return (report
-    dict, written paths: the DET CSVs, then the report). Each protect pass
-    runs its keys on ``workers`` threads; the outputs are identical for
-    every ``workers``.
+    dict, written paths: the DET CSVs, then the report).
 
     Per scheme: DET/EER/FNMR and mutual information for each configured
     scenario (normal/stolen), plus one sample-specific unlinkability pass.
@@ -226,7 +221,7 @@ def run_benchmark(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        report = _run_benchmark_cells(config, out_dir, written, workers)
+        report = _run_benchmark_cells(config, out_dir, written)
         report_path = out_dir / "report.json"
         written.append(report_path)
         write_report(report, report_path)
@@ -237,9 +232,7 @@ def run_benchmark(
     return report, written
 
 
-def _run_benchmark_cells(
-    config: BenchmarkConfig, out_dir: Path, written: list[Path], workers: int
-) -> dict:
+def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[Path]) -> dict:
     ds = generate(config.synthetic) if config.synthetic else read_templates(config.templates_path)
 
     _, baseline = _perf_block(unprotected_scores(ds))
@@ -252,8 +245,8 @@ def _run_benchmark_cells(
             scenario = Scenario.from_name(scenario_name)
             with _cell(scheme, scenario.value):
                 policy = KeyPolicy(config.master_seed, scenario, scheme, spec.params)
-                y = protected_matrix(ds, policy, workers)
-                curve, perf = _perf_block(run_scenario(ds, policy, protected=y))
+                y = protected_matrix(ds, policy)
+                curve, perf = _perf_block(run_scenario(ds, policy, y))
                 irrev = mutual_information(ds.features, y, config.mi_components)
                 det_path = out_dir / f"det_{scheme.value}_{scenario.value}.csv"
                 write_det_points(curve, det_path)
@@ -276,7 +269,7 @@ def _run_benchmark_cells(
             policy = KeyPolicy(
                 config.master_seed, Scenario.SAMPLE_SPECIFIC, scheme, spec.params
             )
-            scores = run_scenario(ds, policy, workers)
+            scores = run_scenario(ds, policy, protected_matrix(ds, policy))
             ul = unlinkability(scores, config.unlinkability_bins)
         unlink_rows.append(
             {
@@ -305,7 +298,7 @@ def _run_benchmark_cells(
     }
 
 
-def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
+def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _from_flags(
         parser, SynthConfig, **{f.name: getattr(args, f.name) for f in fields(SynthConfig)}
     )
@@ -318,20 +311,20 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser, worker
     return 0
 
 
-def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
+def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    y = protected_matrix(ds, policy, workers)
+    y = protected_matrix(ds, policy)
     header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
     _write_rows(args.out, header, y, list(zip(ds.subject_ids, ds.sample_ids)))
     print(f"wrote {args.out}: {y.shape[0]} protected templates of length {y.shape[1]}")
     return 0
 
 
-def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
+def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    curve, perf = _perf_block(run_scenario(ds, policy, workers))
+    curve, perf = _perf_block(run_scenario(ds, policy, protected_matrix(ds, policy)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     det_path = out_dir / f"det_{args.scheme}_{args.scenario}.csv"
@@ -343,12 +336,10 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser, wo
     return 0
 
 
-def _cmd_eval_unlink(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int
-) -> int:
+def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    report = unlinkability(run_scenario(ds, policy, workers), args.bins)
+    report = unlinkability(run_scenario(ds, policy, protected_matrix(ds, policy)), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / f"unlink_{args.scheme}.csv"
@@ -361,10 +352,10 @@ def _cmd_eval_unlink(
     return 0
 
 
-def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
+def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policy = _policy_from_args(args, parser)
     ds = read_templates(args.templates)
-    y = protected_matrix(ds, policy, workers)
+    y = protected_matrix(ds, policy)
     report = mutual_information(ds.features, y, args.r)
     if report.r_used < args.r:
         print(
@@ -435,14 +426,10 @@ def _one_blas_thread():
         set_(threads)
 
 
-def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser, workers: int) -> int:
+def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = load_config(args.config, master_seed=args.seed)
     out_dir = Path(args.out_dir if args.out_dir is not None else config.output_dir)
-    try:
-        report, written = run_benchmark(config, out_dir, workers)
-    except CbBenchError as exc:
-        print(f"error: bench: {exc}", file=sys.stderr)
-        return 1
+    report, written = run_benchmark(config, out_dir)
     for cell in report["cells"]:
         print(
             f"{cell['scheme']:12s} {cell['scenario']:8s} eer={cell['eer']:.4f} "
@@ -467,15 +454,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # every CPU this process may run on; outputs are identical for any count
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
     _one_malloc_arena()
     try:
         with _one_blas_thread():
-            return _COMMANDS[args.command](args, parser, workers)
+            return _COMMANDS[args.command](args, parser)
     except (CbBenchError, OSError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

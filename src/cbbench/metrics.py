@@ -6,6 +6,7 @@ informations are in nats."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,11 @@ def mutual_information(
     block-diagonal ridge. That keeps the regularized joint's marginals exact,
     so the estimate is a genuine Gaussian MI: non-negative up to rounding and,
     as the ridges scale with the covariances, invariant to rounding (1e-9
-    relative over power-of-two scales 2**-60 to 2**60) when either input is
-    rescaled by a positive constant.
+    relative over power-of-two scales 2**-1000 to 2**1000) when either input
+    is rescaled by a positive constant. A matrix whose largest |value| has a
+    binary exponent outside [-500, 500], where its covariance would overflow
+    or underflow, is first scaled by the exact power of two that brings that
+    value to [0.5, 1); the entropies get back the nats that scaling took.
     """
     _check_ranges(_Estimators, r=r)
     x, y = _array(x, "x", rows=3), _array(y, "y", rows=3)
@@ -183,6 +187,11 @@ def mutual_information(
     r_used = min(r, x.shape[0] - 1, x.shape[1], y.shape[1])
     if r_used < 1:
         raise InvalidArgumentError(f"{'y' if x.size else 'x'} has no columns")
+    # scaling by 2**-e takes r_used * e * ln 2 nats from an entropy; they are added back
+    e_x, e_y = (int(np.frexp(max(m.max(), -m.min()))[1]) for m in (x, y))
+    e_x, e_y = (e if abs(e) > 500 else 0 for e in (e_x, e_y))
+    x, y = (np.ldexp(x, -e_x) if e_x else x), (np.ldexp(y, -e_y) if e_y else y)
+    nats = r_used * math.log(2.0)
 
     x_r = pca_transform(pca_fit(x, r_used), x)
     y_r = pca_transform(pca_fit(y, r_used), y)
@@ -194,9 +203,9 @@ def mutual_information(
     ridge_y = default_ridge(cov_y)
     block_ridge = np.concatenate([np.full(r_used, ridge_x), np.full(r_used, ridge_y)])
 
-    h_x = gaussian_entropy(cov_x, ridge_x)
-    h_y = gaussian_entropy(cov_y, ridge_y)
-    h_joint = gaussian_entropy(cov_joint + np.diag(block_ridge))
+    h_x = gaussian_entropy(cov_x, ridge_x) + nats * e_x
+    h_y = gaussian_entropy(cov_y, ridge_y) + nats * e_y
+    h_joint = gaussian_entropy(cov_joint + np.diag(block_ridge)) + nats * (e_x + e_y)
     mi = h_x + h_y - h_joint
     if -1e-9 <= mi < 0.0:
         mi = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 
@@ -96,8 +97,8 @@ def pair_indices(ds: Dataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 class ScoreSet:
     """Mated and non-mated similarity scores for one (scheme, scenario) run.
 
-    Score arrays are non-empty, within [0, 1] and stored sorted ascending so
-    that any evaluation order (serial or parallel) produces a bit-identical value.
+    Score arrays are non-empty, within [0, 1] and stored sorted ascending, so
+    that ``compute_det`` counts scores below a threshold by binary search.
     """
 
     mated: np.ndarray
@@ -106,15 +107,18 @@ class ScoreSet:
     scenario: Scenario | None
 
     def __post_init__(self) -> None:
-        for name in ("mated", "nonmated"):
+        for name, needs in (("mated", "a mated pair needs a subject with two samples"),
+                            ("nonmated", "a non-mated pair needs at least two subjects")):
             # sorted, so a NaN is last and fails the range check, as inf does
-            scores = np.sort(_array(getattr(self, name), name, ndim=1, rows=1, finite=False))
+            scores = np.sort(_array(getattr(self, name), name, ndim=1, finite=False))
+            if not scores.size:
+                raise InvalidArgumentError(f"{name} is empty: {needs}")
             if not (scores[0] >= 0 and scores[-1] <= 1):
                 raise InvalidArgumentError(f"{name} scores must be finite and within [0, 1]")
             setattr(self, name, scores)
 
 
-def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.ndarray:
+def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
     """Protect the whole dataset under the policy and stack the float64
     ``protect_batch`` rows in dataset order (bits as 0/1, codes as integers,
     Bloom blocks concatenated): the attacker's view of the protected database.
@@ -122,18 +126,23 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     Rows are grouped by the identity their scenario keys on, and each
     group's key is derived and instantiated once, protects its rows with one
     ``protect_batch`` call per block of up to 64 rows from the key's first row
-    and is dropped, so at most ``workers`` instances are alive. The first
-    block of the first key is protected on the calling thread and sizes the
-    result (allocating the result before it left the CLI's serial peak RSS
-    0.4-1.5 MB higher, from heap layout); every other block is written
-    straight into the result. With several keys, the first key's other blocks
-    follow on the calling thread, and the other keys are dealt round-robin to
-    the calling thread and up to ``workers - 1`` pool threads (key
-    instantiation, Philox draws and LAPACK QR, releases the GIL). A lone key
-    (stolen) deals its other blocks round-robin the same way, every thread
-    sharing its one instance. No thread starts for ``workers == 1`` or a lone
-    key of at most 64 rows. Results are bit-identical for every ``workers``.
+    and is dropped, so at most ``workers`` instances are alive: one per CPU
+    this process may run on (its affinity mask, else ``os.cpu_count()``).
+    The first block of the first key is protected on the calling thread and
+    sizes the result (allocating the result before it left the CLI's serial
+    peak RSS 0.4-1.5 MB higher, from heap layout); every other block is
+    written straight into the result. With several keys, the first key's
+    other blocks follow on the calling thread, and the other keys are dealt
+    round-robin to the calling thread and up to ``workers - 1`` pool threads
+    (key instantiation, Philox draws and LAPACK QR, releases the GIL). A lone
+    key (stolen) deals its other blocks round-robin the same way, every
+    thread sharing its one instance. No thread starts on one CPU or for a
+    lone key of at most 64 rows. Results are bit-identical for any CPU count.
     """
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     rows_of: dict[tuple[str, ...], list[int]] = {}
     for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
         rows_of.setdefault(_identity(policy, *ident), []).append(i)
@@ -179,21 +188,15 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy, workers: int = 1) -> np.nda
     return y
 
 
-def run_scenario(
-    ds: Dataset, policy: KeyPolicy, workers: int = 1, protected: np.ndarray | None = None
-) -> ScoreSet:
-    """Score the mated and non-mated pairs of ``pair_indices`` on the dataset
-    protected under the policy. The float64 protected matrix is packed to
-    bytes once (bits eight to a byte, codes one to a byte, Bloom blocks to
-    bytes with their popcounts), then scored on the calling thread in chunks
-    of 4096 pairs by the scorer ``similarities`` uses, so scores equal
-    ``compare`` of each pair, bit for bit.
-
-    ``protected`` reuses a ``protected_matrix(ds, policy)`` the caller already
-    has; without it the matrix is computed here, on ``workers`` threads.
+def run_scenario(ds: Dataset, policy: KeyPolicy, protected: np.ndarray) -> ScoreSet:
+    """Score the mated and non-mated pairs of ``pair_indices`` on
+    ``protected``, the dataset's ``protected_matrix`` under the policy. The
+    float64 matrix is packed to bytes once (bits eight to a byte, codes one to
+    a byte, Bloom blocks to bytes with their popcounts), then scored on the
+    calling thread in chunks of 4096 pairs by the scorer ``similarities``
+    uses, so scores equal ``compare`` of each pair, bit for bit.
     """
-    y = protected_matrix(ds, policy, workers) if protected is None else protected
-    y = _array(y, "protected", finite=False)  # NaN fails the row-kind check in scoring
+    y = _array(protected, "protected", finite=False)  # NaN fails the row-kind check in scoring
     if y.shape[0] != len(ds):
         raise InvalidArgumentError(f"protected has {y.shape[0]} rows, expected {len(ds)}")
     score = _pair_scorer(policy.scheme_id, policy.params, y)

@@ -18,7 +18,7 @@ from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.io import read_det_points
 from cbbench.metrics import compute_det, eer, fnmr_at_fmr, mutual_information, unlinkability
 from cbbench.numerics import covariance, derive_stream, pca_fit
-from cbbench.protocol import KeyPolicy, ScoreSet, run_scenario
+from cbbench.protocol import KeyPolicy, ScoreSet
 from cbbench.schemes import chance_level, instantiate, protect_batch, similarities
 from cbbench.synthdata import SynthConfig, generate
 
@@ -27,6 +27,7 @@ from conftest import (
     STANDARD_MI_COMPONENTS,
     oracle_eer,
     oracle_fnmr_at_fmr,
+    scores_of,
 )
 
 
@@ -199,7 +200,7 @@ def test_criterion_09_renewability(announce):
             )
 
 
-def test_criterion_10_determinism_and_invariance(announce):
+def test_criterion_10_determinism_and_invariance(cpus, announce):
     with criterion(10, "replay, positive-scale invariance, symmetry, parallelism", 60.0, announce):
         d = 16
         params = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
@@ -224,8 +225,10 @@ def test_criterion_10_determinism_and_invariance(announce):
         ds = generate(SynthConfig(6, 3, d, 0.35, 5))
         for scheme in SchemeId:
             policy = KeyPolicy(3, Scenario.NORMAL, scheme, params)
-            serial = run_scenario(ds, policy, workers=1)
-            parallel = run_scenario(ds, policy, workers=4)
+            cpus(1)
+            serial = scores_of(ds, policy)
+            cpus(4)
+            parallel = scores_of(ds, policy)
             assert np.array_equal(serial.mated, parallel.mated)
             assert np.array_equal(serial.nonmated, parallel.nonmated)
 

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 import cbbench
 from cbbench.cli import _build_parser, _openblas_threads, main
-from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
+from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
-from cbbench.io import BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates
+from cbbench.io import (
+    BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates, write_templates,
+)
 from cbbench.metrics import eer, protected_matrix
 from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy
@@ -187,6 +189,25 @@ class TestEvalIrrev:
         assert artifact["r_used"] == 16  # min(100, 17, 16, 32)
         assert artifact["mi"] >= 0.0
 
+    def test_templates_scaled_by_1e200(self, tmp_path, template_csv, capsys):
+        # the features' squares overflow float64; the MI is scale-invariant,
+        # and H(X) gains r_used * ln(1e200) nats
+        ds = read_templates(template_csv)
+        big = tmp_path / "big.csv"
+        write_templates(Dataset(ds.features * 1e200, ds.subject_ids, ds.sample_ids), big)
+        reports = []
+        for name, csv in (("plain", template_csv), ("big", big)):
+            assert main(["eval-irrev", "--templates", str(csv), "--scheme", "biohash",
+                         "--length", "32", "--r", "8", "--out-dir", str(tmp_path / name)]) == 0
+            assert "RuntimeWarning" not in capsys.readouterr().err
+            artifact = tmp_path / name / "irrev_biohash_normal.json"
+            reports.append(json.loads(artifact.read_text(encoding="utf-8")))
+        plain, scaled = reports
+        assert math.isclose(scaled["mi"], plain["mi"], rel_tol=1e-9)
+        shift = plain["r_used"] * math.log(1e200)
+        assert math.isclose(scaled["h_x"], plain["h_x"] + shift, rel_tol=1e-9)
+        assert scaled["h_y"] == plain["h_y"]
+
 
 class TestBench:
     def test_full_structure(self, tmp_path, capsys):
@@ -246,7 +267,7 @@ class TestBench:
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch, workers):
+    def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch, cpus, workers):
         # wrap instantiate wherever a cbbench module binds it by name
         import sys
         import threading
@@ -272,7 +293,8 @@ class TestBench:
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counting)
-        run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out", workers)
+        cpus(workers)
+        run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out")
         # per scheme: 6 subject keys (normal), 1 shared key (stolen) and
         # 18 sample keys (sample-specific), each instantiated exactly once
         assert len(calls) == 2 * (6 + 1 + 18)
@@ -282,31 +304,25 @@ class TestBench:
         # stolen key
         assert pooled[True] == (0 if workers == 1 else 2 * (2 + 8))
 
-    # the function each command hands its worker count to
-    WORKERS_CALLEE = {
-        "protect": "protected_matrix",
-        "eval-perf": "run_scenario",
-        "eval-unlink": "run_scenario",
-        "eval-irrev": "protected_matrix",
-        "bench": "run_benchmark",
-    }
-
-    @pytest.mark.parametrize("command", list(WORKERS_CALLEE))
+    @pytest.mark.parametrize(
+        "command", ["protect", "eval-perf", "eval-unlink", "eval-irrev", "bench"]
+    )
     def test_bench_uses_every_cpu_of_the_affinity_mask(
         self, tmp_path, template_csv, monkeypatch, command
     ):
-        from cbbench import cli
+        # a protect pass of more keys than the mask's 3 CPUs runs on the
+        # calling thread and a pool of 2
+        from cbbench import protocol
 
-        seen = []
-        callee = self.WORKERS_CALLEE[command]
-        real = getattr(cli, callee)
+        pools = []
 
-        def recording(first, second, workers=1):
-            seen.append(workers)
-            return real(first, second, workers)
+        class CountingPool(protocol.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(cli, callee, recording)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         if command == "bench":
             argv = ["bench", "--config", str(small_config(tmp_path))]
         else:
@@ -314,17 +330,18 @@ class TestBench:
                     "--length", "32", "--out" if command == "protect" else "--out-dir",
                     str(tmp_path / "out")]
         assert main(argv) == 0
-        assert seen == [3]
+        # bench protects twice per scheme with several keys: normal (6 subject
+        # keys) and sample-specific (18 sample keys); the stolen key's 18 rows
+        # are one block, protected on the calling thread
+        assert pools == [2] * (4 if command == "bench" else 1)
 
     def test_command_outputs_identical_for_any_cpu_count(self, tmp_path, template_csv,
                                                          monkeypatch):
-        from cbbench import cli
-
         flags = ["--templates", str(template_csv), "--master-seed", "5", "--length", "32",
                  "--iom-k", "8"]
         outputs = []
         for cpus in ({0}, {0, 1, 2}):
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             out = tmp_path / f"cpus{len(cpus)}"
             out.mkdir()
             for scheme in SchemeId:
@@ -341,14 +358,15 @@ class TestBench:
         # per scheme: two protected CSVs, a DET CSV, an unlinkability curve, an MI report
         assert len(outputs[0]) == 5 * len(SchemeId) and outputs[0] == outputs[1]
 
-    def test_outputs_identical_for_any_worker_count(self, tmp_path):
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, cpus):
         from cbbench.cli import run_benchmark
         from cbbench.io import load_config
 
         config = load_config(small_config(tmp_path, schemes=["biohash", "iom-grp", "iom-urp"]))
         reports, files = [], []
         for workers in (1, 2):
-            report, written = run_benchmark(config, tmp_path / f"w{workers}", workers)
+            cpus(workers)
+            report, written = run_benchmark(config, tmp_path / f"w{workers}")
             report.pop("timestamp")
             reports.append(report)
             files.append({p.name: p.read_bytes() for p in written if p.suffix == ".csv"})
@@ -587,6 +605,7 @@ def _run(argv):
 
 
 EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
+ONE_SUBJECT = "nonmated is empty: a non-mated pair needs at least two subjects"
 
 
 @pytest.mark.parametrize(
@@ -645,6 +664,8 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
         (["synth", "--subjects", "3", "--samples", "2", "--dim", "4", "--sigma", "1e308",
           "--out", "t.csv"], 2, "--sigma"),
         (["bench", "--config", "{config:noise_sigma_big}"], 1, "noise_sigma"),
+        (["eval-perf", "--templates", "one.csv", "--scheme", "biohash"], 1, ONE_SUBJECT),
+        (["eval-unlink", "--templates", "one.csv", "--scheme", "biohash"], 1, ONE_SUBJECT),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -657,10 +678,13 @@ EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
          "config-bloom-block-cols-1e9", "synth-features-2e9", "config-features-2e9",
          "unlink-bins-5", "unlink-bins-1e9", "irrev-r-0", "config-bins-1e10",
          "config-mi-components-0", "config-synthetic-unknown-key",
-         "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308"],
+         "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308",
+         "perf-one-subject", "unlink-one-subject"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
+    # a valid dataset of one subject's two samples, which has no non-mated pair
+    (tmp_path / "one.csv").write_text("subject_id,sample_id,f0,f1\na,0,1.0,0.5\na,1,0.5,1.0\n")
     configs = {
         "{config}": {},
         "{config:master_seed}": {"master_seed": "abc"},

@@ -36,7 +36,7 @@ CURVE = compute_det(ScoreSet([0.2, 0.9], [0.1, 0.5], None, None))
 def scored_with(protected):
     ds = generate(SynthConfig(3, 2, WIDTH, 0.3, 1))
     policy = KeyPolicy(1, Scenario.NORMAL, SchemeId.BIOHASH, PARAMS)
-    return run_scenario(ds, policy, protected=protected)
+    return run_scenario(ds, policy, protected)
 
 
 def stream():
@@ -96,8 +96,12 @@ PROBES = {
     "mutual_information of a str y": (lambda: mutual_information(GOOD, GOOD.astype(str)), "y"),
     "ScoreSet of a 2-D nonmated": (lambda: ScoreSet([0.5], [[0.5]], None, None), "nonmated"),
     "ScoreSet of a complex mated": (lambda: ScoreSet([0.5j], [0.5], None, None), "mated"),
-    "ScoreSet of an empty mated": (lambda: ScoreSet([], [0.5], None, None), "mated"),
-    "ScoreSet of an empty nonmated": (lambda: ScoreSet([0.5], [], None, None), "nonmated"),
+    "ScoreSet of an empty mated": (
+        lambda: ScoreSet([], [0.5], None, None),
+        "mated is empty: a mated pair needs a subject with two samples"),
+    "ScoreSet of an empty nonmated": (
+        lambda: ScoreSet([0.5], [], None, None),
+        "nonmated is empty: a non-mated pair needs at least two subjects"),
     "run_scenario of a 3-D protected": (lambda: scored_with(np.zeros((6, 8, 1))), "protected"),
     "run_scenario of a short protected": (lambda: scored_with(np.zeros((5, 8))), "protected"),
     "gaussian_matrix with 0 rows": (lambda: gaussian_matrix(stream(), 0, 3), "rows"),

@@ -252,8 +252,8 @@ class TestMutualInformation:
             assert abs(mutual_information(x, c * y, 1).mi - base) < 1e-6
 
     @settings(max_examples=40, deadline=None)
-    @given(ex=st.integers(-60, 60), ey=st.integers(-60, 60))
-    @example(ex=-60, ey=60)
+    @given(ex=st.integers(-1000, 1000), ey=st.integers(-1000, 1000))
+    @example(ex=-1000, ey=1000)
     def test_power_of_two_rescaling_invariant(self, ex, ey):
         x, y = scale_pair()
         base = mutual_information(x, y, 6).mi

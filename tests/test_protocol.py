@@ -7,7 +7,7 @@ from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
 from cbbench.synthdata import SynthConfig, generate
 
-from conftest import make_dataset, oracle_pairs
+from conftest import make_dataset, oracle_pairs, scores_of
 
 PARAMS = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
 
@@ -152,7 +152,7 @@ class TestScoreSet:
 class TestRunScenario:
     def test_tiny_dataset_counts(self):
         ds = generate(SynthConfig(3, 2, 16, 0.3, 5))
-        scores = run_scenario(ds, policy(Scenario.NORMAL))
+        scores = scores_of(ds, policy(Scenario.NORMAL))
         assert scores.mated.size == 3  # 3 subjects x C(2,2)=1
         assert scores.nonmated.size == 3  # C(3,2)
         assert scores.scheme_id is SchemeId.BIOHASH
@@ -172,16 +172,18 @@ class TestRunScenario:
 
     def test_repeat_runs_bit_identical(self):
         ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
-        a = run_scenario(ds, policy(Scenario.SAMPLE_SPECIFIC))
-        b = run_scenario(ds, policy(Scenario.SAMPLE_SPECIFIC))
+        a = scores_of(ds, policy(Scenario.SAMPLE_SPECIFIC))
+        b = scores_of(ds, policy(Scenario.SAMPLE_SPECIFIC))
         assert np.array_equal(a.mated, b.mated)
         assert np.array_equal(a.nonmated, b.nonmated)
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_parallel_equals_serial(self, scheme):
+    def test_parallel_equals_serial(self, cpus, scheme):
         ds = generate(SynthConfig(4, 3, 16, 0.3, 6))
-        serial = run_scenario(ds, policy(Scenario.NORMAL, scheme=scheme), workers=1)
-        parallel = run_scenario(ds, policy(Scenario.NORMAL, scheme=scheme), workers=4)
+        cpus(1)
+        serial = scores_of(ds, policy(Scenario.NORMAL, scheme=scheme))
+        cpus(4)
+        parallel = scores_of(ds, policy(Scenario.NORMAL, scheme=scheme))
         assert np.array_equal(serial.mated, parallel.mated)
         assert np.array_equal(serial.nonmated, parallel.nonmated)
 
@@ -189,9 +191,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_caching_never_alters_results(self, scheme, scenario):
         # score every pair without any instance/protection reuse and compare
-        # against the single-pass run_scenario path, with and without a
-        # protected matrix handed in
-        from cbbench.metrics import protected_matrix
+        # against run_scenario on the one protect pass
         from cbbench.schemes import compare, instantiate, protect
 
         p = policy(scenario, scheme=scheme)
@@ -207,10 +207,9 @@ class TestRunScenario:
             m_pairs, nm_pairs = row_pairs(ds)
             mated = np.sort([uncached_score(i, j) for i, j in m_pairs])
             nonmated = np.sort([uncached_score(i, j) for i, j in nm_pairs])
-            protected = protected_matrix(ds, p)
-            for cached in (run_scenario(ds, p), run_scenario(ds, p, protected=protected)):
-                assert np.array_equal(cached.mated, mated)
-                assert np.array_equal(cached.nonmated, nonmated)
+            cached = scores_of(ds, p)
+            assert np.array_equal(cached.mated, mated)
+            assert np.array_equal(cached.nonmated, nonmated)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_bloom_many_blocks_matches_per_pair_expression(self, scenario):
@@ -234,7 +233,7 @@ class TestRunScenario:
             return 1.0 - float(dissim.mean())
 
         assert blocks(0).shape[0] == 10
-        scores = run_scenario(ds, p)
+        scores = scores_of(ds, p)
         m_pairs, nm_pairs = row_pairs(ds)
         assert np.array_equal(scores.mated, np.sort([reference(i, j) for i, j in m_pairs]))
         assert np.array_equal(
@@ -252,7 +251,7 @@ class TestProtectedMatrix:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_rows_follow_dataset_order(self, scheme, scenario):
+    def test_rows_follow_dataset_order(self, cpus, scheme, scenario):
         from cbbench.metrics import protected_matrix
         from cbbench.schemes import instantiate, protect
 
@@ -261,11 +260,12 @@ class TestProtectedMatrix:
         expected = np.vstack([
             protect(ds.features[i], instantiate(key_of(p, ds, i), 16)) for i in range(len(ds))
         ])
-        assert np.array_equal(protected_matrix(ds, p), expected)
-        assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
+        for workers in (1, 3):
+            cpus(workers)
+            assert np.array_equal(protected_matrix(ds, p), expected)
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_stolen_key_crosses_block_boundary(self, scheme):
+    def test_stolen_key_crosses_block_boundary(self, cpus, scheme):
         # one key for 2 * 64 + 1 rows: protected in blocks of 64, 64 and 1 rows
         from cbbench.metrics import protected_matrix
         from cbbench.schemes import instantiate, protect
@@ -275,12 +275,13 @@ class TestProtectedMatrix:
         p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
         inst = instantiate(derive_key(p, "", ""), 16)
         expected = np.vstack([protect(x, inst) for x in ds.features])
-        assert np.array_equal(protected_matrix(ds, p), expected)
-        assert np.array_equal(protected_matrix(ds, p, workers=3), expected)
+        for workers in (1, 3):
+            cpus(workers)
+            assert np.array_equal(protected_matrix(ds, p), expected)
 
     @pytest.mark.parametrize("keys", [1, 2, 3, 5])
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_striped_keys_equal_serial(self, scheme, keys):
+    def test_striped_keys_equal_serial(self, cpus, scheme, keys):
         # covers fewer keys than workers and stripes of unequal length
         from cbbench.metrics import protected_matrix
 
@@ -290,15 +291,17 @@ class TestProtectedMatrix:
         ds = Dataset(feats, [f"s{i % keys}" for i in range(n)], [str(i // keys) for i in range(n)])
         p = policy(Scenario.NORMAL, scheme=scheme)
         assert len({derive_key(p, subject) for subject in ds.subject_ids}) == keys
+        cpus(1)
         serial = protected_matrix(ds, p)
         for workers in (2, 3):
-            assert np.array_equal(protected_matrix(ds, p, workers=workers), serial)
+            cpus(workers)
+            assert np.array_equal(protected_matrix(ds, p), serial)
 
     @pytest.mark.parametrize(
         "scenario, workers",
         [(Scenario.STOLEN_TOKEN, 4), (Scenario.NORMAL, 1), (Scenario.STOLEN_TOKEN, 1)],
     )
-    def test_serial_pass_starts_no_thread(self, monkeypatch, scenario, workers):
+    def test_serial_pass_starts_no_thread(self, monkeypatch, cpus, scenario, workers):
         # one worker, or one key whose rows fill one block (21 x 3 = 63 rows),
         # runs on the calling thread alone
         from cbbench import protocol
@@ -309,12 +312,16 @@ class TestProtectedMatrix:
         subjects = 43 if workers == 1 else 21
         ds = generate(SynthConfig(subjects, 3, 16, 0.3, 5))
         p = policy(scenario, scheme=SchemeId.IOM_GRP)
-        expected = protocol.protected_matrix(ds, p, workers=2)
+        cpus(2)
+        expected = protocol.protected_matrix(ds, p)
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", no_pool)
-        assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+        cpus(workers)
+        assert np.array_equal(protocol.protected_matrix(ds, p), expected)
 
     @pytest.mark.parametrize("workers, pool_threads", [(2, 1), (3, 2), (8, 3)])
-    def test_lone_key_deals_its_blocks_to_every_worker(self, monkeypatch, workers, pool_threads):
+    def test_lone_key_deals_its_blocks_to_every_worker(
+        self, monkeypatch, cpus, workers, pool_threads
+    ):
         # one key for 100 x 3 = 300 rows: four blocks of 64 rows and one of 44;
         # the first sizes the result, the other four go to the calling thread
         # and up to three pool threads
@@ -329,17 +336,19 @@ class TestProtectedMatrix:
 
         ds = generate(SynthConfig(100, 3, 16, 0.3, 5))
         p = policy(Scenario.STOLEN_TOKEN, scheme=SchemeId.IOM_GRP)
+        cpus(1)
         expected = protocol.protected_matrix(ds, p)
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
-        assert np.array_equal(protocol.protected_matrix(ds, p, workers=workers), expected)
+        cpus(workers)
+        assert np.array_equal(protocol.protected_matrix(ds, p), expected)
         assert pools == [pool_threads]
 
     @pytest.mark.parametrize("rows", [2, 64, 65, 129, 1500])
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_lone_key_equal_for_every_worker_count(self, scheme, rows):
+    def test_lone_key_equal_for_every_worker_count(self, cpus, scheme, rows):
         # the stolen key's blocks start every 64 rows from its first row, on
         # whichever thread protects them; a lost or misplaced block changes
-        # the matrix or the scores
+        # the matrix
         import sys
 
         from cbbench.metrics import protected_matrix
@@ -352,18 +361,13 @@ class TestProtectedMatrix:
         p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
         inst = instantiate(derive_key(p, "", ""), 16)
         expected = np.vstack([protect_batch(feats[s : s + 64], inst) for s in range(0, rows, 64)])
-        # one subject has no non-mated pair, so no score set to compare
-        scores = run_scenario(ds, p, protected=expected) if m > 1 else None
         interval = sys.getswitchinterval()
         try:
             for switch in (interval, 1e-6):
                 sys.setswitchinterval(switch)
                 for workers in (1, 2, 3, 8):
-                    assert np.array_equal(protected_matrix(ds, p, workers), expected)
-                    if scores is not None:
-                        run = run_scenario(ds, p, workers)
-                        assert np.array_equal(run.mated, scores.mated)
-                        assert np.array_equal(run.nonmated, scores.nonmated)
+                    cpus(workers)
+                    assert np.array_equal(protected_matrix(ds, p), expected)
         finally:
             sys.setswitchinterval(interval)
 
@@ -371,7 +375,7 @@ class TestProtectedMatrix:
         "scenario, calls",
         [(Scenario.NORMAL, 4), (Scenario.STOLEN_TOKEN, 1), (Scenario.SAMPLE_SPECIFIC, 12)],
     )
-    def test_each_distinct_key_derived_once(self, monkeypatch, scenario, calls):
+    def test_each_distinct_key_derived_once(self, monkeypatch, cpus, scenario, calls):
         # 4 subjects x 3 samples: one key per subject, one in all, one per row
         from cbbench import protocol
 
@@ -385,10 +389,11 @@ class TestProtectedMatrix:
         p = policy(scenario)
         expected = protocol.protected_matrix(ds, p)
         monkeypatch.setattr(protocol, "derive_key", counting)
-        assert np.array_equal(protocol.protected_matrix(ds, p, workers=2), expected)
+        cpus(2)
+        assert np.array_equal(protocol.protected_matrix(ds, p), expected)
         assert len(seen) == calls
 
-    def test_threaded_pass_under_fast_switching(self):
+    def test_threaded_pass_under_fast_switching(self, cpus):
         # more workers than cores, each protecting its own keys' rows; a lost
         # or misplaced row would change the matrix
         import sys
@@ -397,18 +402,20 @@ class TestProtectedMatrix:
 
         ds = generate(SynthConfig(6, 3, 16, 0.3, 2))
         p = policy(Scenario.SAMPLE_SPECIFIC, scheme=SchemeId.IOM_GRP)
+        cpus(1)
         expected = protected_matrix(ds, p)
+        cpus(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert np.array_equal(protected_matrix(ds, p, workers=8), expected)
+                assert np.array_equal(protected_matrix(ds, p), expected)
         finally:
             sys.setswitchinterval(interval)
 
     def test_interleaved_pairs(self):
         ds = self.dataset()
-        scores = run_scenario(ds, policy(Scenario.NORMAL))
+        scores = scores_of(ds, policy(Scenario.NORMAL))
         assert scores.mated.size == 4  # C(3, 2) for a, C(2, 2) for b
         assert scores.nonmated.size == 1
 
@@ -420,7 +427,7 @@ class TestProtectedMatrix:
     def test_row_count_mismatch_rejected(self):
         ds = self.dataset()
         with pytest.raises(InvalidArgumentError):
-            run_scenario(ds, policy(Scenario.NORMAL), protected=np.zeros((4, 32)))
+            run_scenario(ds, policy(Scenario.NORMAL), np.zeros((4, 32)))
 
 
 KEY_SEPARATING = [
