@@ -6,6 +6,7 @@ is lossless at the value level."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
@@ -40,6 +41,8 @@ _BLOCK_ROWS = 64
 # error before Python 3.11), and \x1c-\x1f, which loadtxt strips as
 # whitespace around a number but float() rejects
 _CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+# repr(float(i)) for i in [0, 255], the text of every protected cell
+_SMALL_TEXT = np.array([repr(float(i)) for i in range(256)], dtype=object)
 
 
 def _open_write(path: Path):
@@ -49,29 +52,43 @@ def _open_write(path: Path):
         raise CbBenchError(f"cannot write {path}: {exc}") from exc
 
 
+def _id_text(pair) -> str:
+    """An id row's fields as csv.writer writes them (minus the line end): a
+    plain join unless a field holds a character csv quotes."""
+    if any(c in field for field in pair for c in ',"\r\n'):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(pair)
+        return buf.getvalue()[:-1]
+    return ",".join(pair)
+
+
+def _cells(block: np.ndarray) -> list[list[str]]:
+    """The ``repr`` of each value of a float64 block, row by row: a block of
+    integers in [0, 255] and no ``-0.0``, as every protected block is, indexes
+    ``_SMALL_TEXT``; any other block, as a DET block is, formats each value."""
+    with np.errstate(invalid="ignore"):  # the cast of a NaN or a huge value
+        small = block.astype(np.uint8)
+    if (small == block).all() and not np.signbit(block).any():
+        return _SMALL_TEXT[small].tolist()
+    return [list(map(repr, row)) for row in block.tolist()]
+
+
 def _write_rows(path: str | Path, header: list[str], values, ids=None) -> None:
     """Write a CSV of ``header`` and one row per row of the ``(n, k)`` float
-    array ``values``, each after its ``ids[i]`` fields.
-
-    Every value is written as ``repr(float(v))``, the shortest decimal that
-    round-trips (csv formats a float with repr). A block whose values are
-    mostly repeats, as protected bits and codes are, formats each distinct bit
-    pattern once: bit patterns, because ``-0.0 == 0.0``.
+    array ``values``, each after its ``ids[i]`` fields, byte-identical to
+    csv.writer's: every value is ``repr(float(v))``, the shortest decimal that
+    round-trips. Each ``_BLOCK_ROWS`` rows go out as one text of one
+    ``",".join`` per row of its id text and its ``_cells``.
     """
     with _open_write(Path(path)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, len(values), _BLOCK_ROWS):
             block = np.ascontiguousarray(values[start : start + _BLOCK_ROWS], dtype=np.float64)
-            distinct, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-            if 2 * distinct.size <= block.size:
-                text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-                cells = text[inverse].reshape(block.shape).tolist()
-            else:
-                cells = block.tolist()
+            rows = _cells(block)
             if ids is not None:
-                cells = [[*p, *c] for p, c in zip(ids[start : start + _BLOCK_ROWS], cells)]
-            writer.writerows(cells)
+                for pair, row in zip(ids[start : start + _BLOCK_ROWS], rows):
+                    row.insert(0, _id_text(pair))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _read_rows(rows, path: Path, d: int, first: int, ids: list, blocks: list) -> None:
@@ -95,6 +112,29 @@ def _read_rows(rows, path: Path, d: int, first: int, ids: list, blocks: list) ->
             blocks.append(features[None])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"{path}:{lineno + 1}: {exc}") from None
+
+
+@contextmanager
+def _utf8(path: Path):
+    """Raise a UnicodeDecodeError as a ParseError naming the CSV record of
+    ``path`` that holds its first byte that is not UTF-8, counted as every
+    other parse error counts (the header is line 1), by re-reading the file:
+    the records of the text before that byte, the last completed by a
+    stand-in character, so a quoted line break is not a record of its own."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            text = io.StringIO(data[: first.start].decode("utf-8") + "x", newline="")
+            try:
+                lineno = sum(1 for _ in csv.reader(text))
+            except csv.Error:  # an earlier record the reader refuses too
+                raise ParseError(f"{path}: not UTF-8: {first}") from None
+            raise ParseError(f"{path}:{lineno}: not UTF-8: {first}") from None
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None  # the file changed meanwhile
 
 
 def _parse_block(lines: list[str], d: int):
@@ -149,7 +189,7 @@ def read_templates(path: str | Path) -> Dataset:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot read templates from {path}: {exc}") from exc
-    with fh:
+    with fh, _utf8(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -203,7 +243,7 @@ def read_det_points(path: str | Path) -> DetCurve:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot read DET points from {path}: {exc}") from exc
-    with fh:
+    with fh, _utf8(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["threshold", "fmr", "fnmr"]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 
 import numpy as np
@@ -141,6 +142,17 @@ class PcaModel:
         return self.components.shape[1]
 
 
+@contextmanager
+def _second_moments_of_x():
+    """Raise a float64 overflow in the block, where huge finite ``x`` makes
+    its second moments infinite, as a NumericError naming ``x``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericError("x: values too large: its second moments overflow float64") from None
+
+
 def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     """Fit the top-``r`` principal components of the column-centered data.
 
@@ -148,15 +160,17 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     vectors remain orthonormal to machine precision even when trailing
     singular values vanish, which matters for the rank-deficient bit matrices
     this toolkit routinely feeds in. Explained variances are the eigenvalues
-    of the unbiased sample covariance (divisor rows - 1).
+    of the unbiased sample covariance (divisor rows - 1). Raises NumericError
+    when the second moments of ``x`` overflow float64.
     """
     x = _array(x, "x", rows=2)
     rows, cols = x.shape
     r = _number(r, "r", int, 1, min(rows - 1, cols))
-    mean = x.mean(axis=0)
-    centered = x - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    explained = (singular[:r] ** 2) / (rows - 1)
+    with _second_moments_of_x():
+        mean = x.mean(axis=0)
+        centered = x - mean
+        _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+        explained = (singular[:r] ** 2) / (rows - 1)
     return PcaModel(mean=mean, components=vt[:r].copy(), explained_variance=explained)
 
 
@@ -167,12 +181,14 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def covariance(x: np.ndarray) -> np.ndarray:
-    """Unbiased sample covariance (divisor rows - 1), exactly symmetric."""
+    """Unbiased sample covariance (divisor rows - 1), exactly symmetric.
+    Raises NumericError when the second moments of ``x`` overflow float64."""
     x = _array(x, "x", rows=2)
     rows = x.shape[0]
-    centered = x - x.mean(axis=0)
-    cov = (centered.T @ centered) / (rows - 1)
-    return (cov + cov.T) / 2.0
+    with _second_moments_of_x():
+        centered = x - x.mean(axis=0)
+        cov = (centered.T @ centered) / (rows - 1)
+        return (cov + cov.T) / 2.0
 
 
 def default_ridge(cov: np.ndarray) -> float:

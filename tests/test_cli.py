@@ -7,6 +7,7 @@ import math
 import numbers
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from cbbench.numerics import derive_stream
 from cbbench.protocol import KeyPolicy
 from cbbench.synthdata import SynthConfig
 
-from conftest import oracle_write_rows, template_csvs
+from conftest import ODD_IDS, oracle_write_rows, template_csvs
 
 
 SMALL_SYNTHETIC = {
@@ -125,23 +126,29 @@ class TestProtect:
         values = {v for line in lines[1:] for v in line.split(",")[2:]}
         assert values <= {"0.0", "1.0"}
 
-    @pytest.mark.parametrize("scheme", ["biohash", "iom-grp", "bloom", "rand-hash"])
+    @pytest.mark.parametrize("scheme", [s.value for s in SchemeId])
     def test_bytes_equal_per_value_repr_rows(self, tmp_path, scheme):
-        # 35 x 2 = 70 rows cross the writer's 64-row blocks
+        # ids with commas, quotes, line breaks, spaces, non-ASCII and empty
+        # ones; not a lone carriage return, which csv.writer leaves unquoted
+        # and csv.reader then splits, so no template CSV can hold one
+        names = [i for i in ODD_IDS if "\r" not in i]
+        rows = [(a, b) for a in names for b in names[:8]]  # 64 rows, then 8 more
+        rows += [("tail", b) for b in names[:8]]
+        features = np.random.default_rng(4).standard_normal((len(rows), 16))
         templates = tmp_path / "t.csv"
-        assert main(["synth", "--subjects", "35", "--samples", "2", "--dim", "16",
-                     "--sigma", "0.3", "--seed", "8", "--out", str(templates)]) == 0
+        write_templates(Dataset(features, *map(list, zip(*rows))), templates)
         out = tmp_path / "protected.csv"
         assert main(["protect", "--templates", str(templates), "--scheme", scheme,
                      "--master-seed", "3", "--length", "32", "--out", str(out)]) == 0
         ds = read_templates(templates)
+        assert list(zip(ds.subject_ids, ds.sample_ids)) == rows
         y = protected_matrix(
             ds, KeyPolicy(3, Scenario.NORMAL, SchemeId.from_name(scheme),
                           SchemeParams(output_length=32))
         )
         ref = tmp_path / "ref.csv"
         oracle_write_rows(ref, ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])],
-                          y, list(zip(ds.subject_ids, ds.sample_ids)))
+                          y, rows)
         assert out.read_bytes() == ref.read_bytes()
 
 
@@ -453,6 +460,53 @@ class TestBench:
             load_config(tmp_path / "file.json").master_seed = 42
 
 
+@st.composite
+def tiny_bench_configs(draw) -> dict:
+    """A bench config of a few schemes and scenarios on at most 6 x 3 x 12
+    synthetic templates, every seed and size drawn."""
+    schemes = draw(st.lists(st.sampled_from([s.value for s in SchemeId]), min_size=1,
+                            max_size=3, unique=True))
+    return {
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "schemes": schemes,
+        "scenarios": draw(st.sampled_from([["normal"], ["stolen"], ["normal", "stolen"]])),
+        "params": {"output_length": draw(st.integers(8, 40)), "iom_k": 2},
+        "unlinkability_bins": draw(st.integers(10, 30)),
+        "mi_components": draw(st.integers(1, 8)),
+        "synthetic": {
+            "subjects": draw(st.integers(2, 6)),
+            "samples_per_subject": draw(st.integers(2, 3)),
+            "dimension": draw(st.integers(2, 12)),
+            "noise_sigma": 0.3,
+            "seed": draw(st.integers(0, 2**64 - 1)),
+        },
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=tiny_bench_configs())
+def test_bench_replays_byte_identical(config):
+    # two runs in one process: the same exit code and stderr, the same DET
+    # CSV bytes and the same report apart from its timestamp
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = Path(tmp) / "out", Path(tmp) / "bench.json"
+        path.write_text(json.dumps({**config, "output_dir": str(out)}), encoding="utf-8")
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["bench", "--config", str(path)])
+            report = {}
+            if code == 0:
+                report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+                report.pop("timestamp")
+            dets = {p.name: p.read_bytes() for p in sorted(out.glob("det_*.csv"))}
+            runs.append((code, err.getvalue(), json.dumps(report, sort_keys=True), dets))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 or not runs[0][3]  # a failed run leaves no DET CSV
+
+
 def test_missing_templates_file_is_runtime_error(tmp_path, capsys):
     rc = main(
         ["eval-perf", "--templates", str(tmp_path / "absent.csv"), "--scheme", "biohash"]
@@ -606,6 +660,7 @@ def _run(argv):
 
 EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
 ONE_SUBJECT = "nonmated is empty: a non-mated pair needs at least two subjects"
+NOT_UTF8 = "bad.csv:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 4"
 
 
 @pytest.mark.parametrize(
@@ -666,6 +721,9 @@ ONE_SUBJECT = "nonmated is empty: a non-mated pair needs at least two subjects"
         (["bench", "--config", "{config:noise_sigma_big}"], 1, "noise_sigma"),
         (["eval-perf", "--templates", "one.csv", "--scheme", "biohash"], 1, ONE_SUBJECT),
         (["eval-unlink", "--templates", "one.csv", "--scheme", "biohash"], 1, ONE_SUBJECT),
+        (["protect", "--templates", "bad.csv", "--scheme", "biohash", "--out", "p.csv"],
+         1, NOT_UTF8),
+        (["eval-perf", "--templates", "bad.csv", "--scheme", "biohash"], 1, NOT_UTF8),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -679,12 +737,14 @@ ONE_SUBJECT = "nonmated is empty: a non-mated pair needs at least two subjects"
          "unlink-bins-5", "unlink-bins-1e9", "irrev-r-0", "config-bins-1e10",
          "config-mi-components-0", "config-synthetic-unknown-key",
          "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308",
-         "perf-one-subject", "unlink-one-subject"],
+         "perf-one-subject", "unlink-one-subject", "protect-not-utf8", "perf-not-utf8"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
     # a valid dataset of one subject's two samples, which has no non-mated pair
     (tmp_path / "one.csv").write_text("subject_id,sample_id,f0,f1\na,0,1.0,0.5\na,1,0.5,1.0\n")
+    # the byte 0xff in line 3, which no UTF-8 text holds
+    (tmp_path / "bad.csv").write_bytes(b"subject_id,sample_id,f0,f1\na,0,1.0,0.5\na,1,\xff0.5,1.0\n")
     configs = {
         "{config}": {},
         "{config:master_seed}": {"master_seed": "abc"},

@@ -87,6 +87,9 @@ PROBES = {
     "gram_schmidt of a NaN m": (lambda: gram_schmidt(np.full((2, 2), np.nan)), "m"),
     "covariance of one row": (lambda: covariance(np.ones((1, 3))), "x"),
     "covariance of an object x": (lambda: covariance(np.ones((3, 2), dtype=object)), "x"),
+    # finite, but the squares overflow float64
+    "covariance of a 1e200 x": (lambda: covariance(GOOD * 1e200), "x: values too large"),
+    "pca_fit of a 1e200 x": (lambda: pca_fit(GOOD * 1e200, 1), "x: values too large"),
     "pca_transform of the wrong width": (lambda: pca_transform(MODEL, np.ones((2, 3))), "x"),
     "pca_transform of a NaN x": (lambda: pca_transform(MODEL, np.full((2, WIDTH), np.nan)), "x"),
     "mutual_information of unequal row counts": (

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbbench.core import Dataset, SchemeId
 from cbbench.errors import InvalidArgumentError, ParseError
 from cbbench.io import (
     BenchmarkConfig,
     SchemeSpec,
+    _write_rows,
     load_config,
     read_det_points,
     read_templates,
@@ -25,6 +27,7 @@ from cbbench.protocol import ScoreSet
 from cbbench.synthdata import SynthConfig, generate
 
 from conftest import (
+    ODD_IDS,
     make_dataset,
     oracle_read_templates,
     oracle_write_rows,
@@ -141,6 +144,29 @@ class TestTemplateReaderAgainstCsvLoop:
         else:
             assert message in outcome
 
+    @pytest.mark.parametrize(
+        "read, text",
+        [(read_templates, b"subject_id,sample_id,f0,f1\na,0,1.0,2.0\na,1,\xff1.0,2.0\n"),
+         (read_det_points, b"threshold,fmr,fnmr\n0.5,0.0,1.0\n0.7,0.5,\xc3\n"),
+         # records, not physical lines: the quoted line breaks of rows 2 and 3
+         (read_templates, b'subject_id,sample_id,f0,f1\n"a\nb",0,1.0,2.0\n"a\r\nb",1,\xff1.0,2.0\n')],
+        ids=["templates", "det-points", "quoted-line-breaks"],
+    )
+    def test_not_utf8_names_first_bad_line(self, tmp_path, read, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text + b"b,\xfe,3.0,4.0\n")  # the first of two bad lines is named
+        with pytest.raises(ParseError, match=r"^\S*t\.csv:3: not UTF-8: 'utf-8' codec can't "):
+            read(path)
+
+    def test_not_utf8_after_over_long_field_names_no_line(self, tmp_path):
+        # the bad byte is decoded before the over-long field is parsed, and
+        # csv.reader refuses that field again while counting records
+        path = tmp_path / "t.csv"
+        long_row = "x" * (csv.field_size_limit() + 1) + ",0,1.0,2.0\n"
+        path.write_bytes(b"subject_id,sample_id,f0,f1\n" + long_row.encode() + b"a,\xff,1.0,2.0\n")
+        with pytest.raises(ParseError, match=r"^\S*t\.csv: not UTF-8: 'utf-8' codec can't "):
+            read_templates(path)
+
     def test_error_past_first_block_names_line(self, tmp_path):
         rows = [f"s{i // 2},{i % 2},{i}.5,1.0" for i in range(100)]
         rows[70] = "s35,0,oops,1.0"
@@ -164,6 +190,36 @@ class TestTemplateReaderAgainstCsvLoop:
             read_templates(path)
 
 
+# values that keep a block off the writer's 256-entry text table
+OFF_TABLE = [-0.0, 0.5, 256.0, 5e-324, 1e300, -1.0, 255.5]
+
+
+@st.composite
+def row_matrices(draw):
+    """``(values, ids)`` for ``_write_rows``: up to 140 rows, so files cross
+    its 64-row blocks, of integers in [0, 255] (255.0 among them), of a few
+    repeated values or of distinct wide-exponent reals, then up to three
+    values of ``OFF_TABLE``; ids drawn from ``ODD_IDS`` and plain ones, or none."""
+    rows, cols = draw(st.integers(1, 140)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["small", "repeats", "distinct"]))
+    if kind == "small":
+        values = rng.integers(0, 256, size=(rows, cols)).astype(np.float64)
+        values[rng.random(values.shape) < 0.1] = 255.0
+    elif kind == "repeats":
+        pool = np.array([0.0, 1.0, 13.0, 255.0, 0.25, -2.5e-310])
+        values = pool[rng.integers(0, pool.size, size=(rows, cols))]
+    else:
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 300, (rows, cols))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        values[at] = draw(st.sampled_from(OFF_TABLE))
+    if draw(st.booleans()):
+        return values, None
+    names = ODD_IDS + ["s1", "0"]
+    return values, [(names[a], names[b]) for a, b in rng.integers(0, len(names), (rows, 2))]
+
+
 class TestRowWriter:
     IDS = ["a,b", 'q"t', "x y", "na\u00efve", "line\nbreak", "plain"]
 
@@ -174,8 +230,8 @@ class TestRowWriter:
 
     @pytest.mark.parametrize("kind", ["repeats", "distinct"])
     def test_templates_bytes_and_round_trip(self, tmp_path, kind):
-        # 130 rows cross two 64-row blocks; few distinct values take the
-        # formatted-once path, random ones the per-value path
+        # 130 rows cross two 64-row blocks; a few repeated values and random
+        # ones, both off the 256-entry table, so each value is formatted
         rng = np.random.default_rng(5)
         if kind == "repeats":
             pool = np.array([0.0, -0.0, 1.0, 5e-324, -2.5e-310, 2.0**-1074 * 3])
@@ -195,6 +251,28 @@ class TestRowWriter:
         back = read_templates(path)
         assert (back.subject_ids, back.sample_ids) == (ds.subject_ids, ds.sample_ids)
         assert back.features.tobytes() == values.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=row_matrices())
+    def test_bytes_equal_csv_writer(self, matrix):
+        values, ids = matrix
+        header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(values.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "t.csv", Path(tmp) / "ref.csv"
+            _write_rows(path, header, values, ids)
+            oracle_write_rows(ref, header, values, ids)
+            assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("value", OFF_TABLE + [np.nan, np.inf, -np.inf])
+    def test_off_table_value_bytes(self, tmp_path, value):
+        # one such value in the second block of bits; NaN and inf also check
+        # that the block's uint8 cast raises no warning
+        values = np.random.default_rng(6).integers(0, 2, size=(130, 5)).astype(np.float64)
+        values[100, 3] = value
+        path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+        _write_rows(path, ["a", "b", "c", "d", "e"], values)
+        oracle_write_rows(ref, ["a", "b", "c", "d", "e"], values)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_det_points_bytes(self, tmp_path):
         curve = TestDetPoints().make_curve()
