@@ -54,11 +54,12 @@ def _open_write(path: Path):
 
 def _id_text(pair) -> str:
     """An id row's fields as csv.writer writes them (minus the line end): a
-    plain join unless a field holds a character csv quotes."""
+    plain join unless a field holds a character csv quotes. A CRLF terminator
+    makes csv quote a lone ``\r`` too, which csv.reader would split on."""
     if any(c in field for field in pair for c in ',"\r\n'):
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(pair)
-        return buf.getvalue()[:-1]
+        csv.writer(buf, lineterminator="\r\n").writerow(pair)
+        return buf.getvalue()[:-2]
     return ",".join(pair)
 
 
@@ -76,8 +77,9 @@ def _cells(block: np.ndarray) -> list[list[str]]:
 def _write_rows(path: str | Path, header: list[str], values, ids=None) -> None:
     """Write a CSV of ``header`` and one row per row of the ``(n, k)`` float
     array ``values``, each after its ``ids[i]`` fields, byte-identical to
-    csv.writer's: every value is ``repr(float(v))``, the shortest decimal that
-    round-trips. Each ``_BLOCK_ROWS`` rows go out as one text of one
+    csv.writer's with a CRLF terminator then cut to LF (so an id holding a
+    ``\r`` is quoted): every value is ``repr(float(v))``, the shortest decimal
+    that round-trips. Each ``_BLOCK_ROWS`` rows go out as one text of one
     ``",".join`` per row of its id text and its ``_cells``.
     """
     with _open_write(Path(path)) as fh:

@@ -115,11 +115,15 @@ def gram_schmidt(m: np.ndarray) -> np.ndarray:
     factorization unique, and the two agree to about 1e-15. Requires
     rows <= cols; raises DegenerateInputError naming the first row whose
     |R_ii| is below 1e-12 (it is linearly dependent on the rows before it).
+    A matrix whose largest |value| is 2**500 or more, where the Householder
+    norms may overflow, is first scaled by the power of two that brings that
+    value to [0.5, 1); Q is the same, and the threshold applies to its R.
     """
     m = _array(m, "m")
     if m.shape[0] > m.shape[1]:
         raise InvalidArgumentError(f"m needs rows <= cols to orthonormalize rows, got {m.shape}")
-    q, r = np.linalg.qr(m.T)
+    e = int(np.frexp(np.abs(m).max(initial=0.0))[1])
+    q, r = np.linalg.qr((np.ldexp(m, -e) if e > 500 else m).T)
     diag = np.diag(r)
     dependent = np.flatnonzero(np.abs(diag) < 1e-12)
     if dependent.size:
@@ -170,6 +174,8 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
         mean = x.mean(axis=0)
         centered = x - mean
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+        if not np.isfinite(singular).all():  # LAPACK overflows without a numpy flag
+            raise FloatingPointError
         explained = (singular[:r] ** 2) / (rows - 1)
     return PcaModel(mean=mean, components=vt[:r].copy(), explained_variance=explained)
 

@@ -8,7 +8,6 @@ ordered convention would only duplicate scores without moving any metric.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -123,21 +122,17 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
     ``protect_batch`` rows in dataset order (bits as 0/1, codes as integers,
     Bloom blocks concatenated): the attacker's view of the protected database.
 
-    Rows are grouped by the identity their scenario keys on, and each
-    group's key is derived and instantiated once, protects its rows with one
-    ``protect_batch`` call per block of up to 64 rows from the key's first row
-    and is dropped, so at most ``workers`` instances are alive: one per CPU
-    this process may run on (its affinity mask, else ``os.cpu_count()``).
-    The first block of the first key is protected on the calling thread and
-    sizes the result (allocating the result before it left the CLI's serial
-    peak RSS 0.4-1.5 MB higher, from heap layout); every other block is
-    written straight into the result. With several keys, the first key's
-    other blocks follow on the calling thread, and the other keys are dealt
-    round-robin to the calling thread and up to ``workers - 1`` pool threads
-    (key instantiation, Philox draws and LAPACK QR, releases the GIL). A lone
-    key (stolen) deals its other blocks round-robin the same way, every
-    thread sharing its one instance. No thread starts on one CPU or for a
-    lone key of at most 64 rows. Results are bit-identical for any CPU count.
+    The work is one list of jobs ``(key, rows, inst)``: one per key, or for a
+    lone key (stolen) one per 64-row block, all sharing its one instance. A job
+    writes its rows straight into the result, 64 per ``protect_batch`` call; a
+    job without an instance instantiates its key and drops it when done, so at
+    most ``workers`` instances are alive, one per CPU of the affinity mask
+    (else ``os.cpu_count()``). The first job runs alone on the calling thread
+    and its first block sizes the result (allocated earlier, it raised the
+    CLI's serial peak RSS 0.4-1.5 MB); the rest are dealt round-robin to it
+    and up to ``workers - 1`` pool threads (Philox draws and LAPACK QR release
+    the GIL). No thread starts on one CPU or for a lone key of at most 64
+    rows. Results are bit-identical for any CPU count.
     """
     if hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))
@@ -146,45 +141,38 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
     rows_of: dict[tuple[str, ...], list[int]] = {}
     for i, ident in enumerate(zip(ds.subject_ids, ds.sample_ids)):
         rows_of.setdefault(_identity(policy, *ident), []).append(i)
-    groups = {
-        derive_key(policy, ds.subject_ids[rows[0]], ds.sample_ids[rows[0]]): rows
-        for rows in rows_of.values()
-    }
+    jobs = [(derive_key(policy, ds.subject_ids[rows[0]], ds.sample_ids[rows[0]]), rows, None)
+            for rows in rows_of.values()]
+    if len(jobs) == 1:
+        key, rows, _ = jobs[0]
+        inst = instantiate(key, ds.dimension)
+        jobs = [(key, rows[s : s + _BLOCK_ROWS], inst) for s in range(0, len(rows), _BLOCK_ROWS)]
+    y = None
 
-    def blocks(key: SchemeKey) -> list[list[int]]:
-        rows = groups[key]
-        return [rows[s : s + _BLOCK_ROWS] for s in range(0, len(rows), _BLOCK_ROWS)]
+    def protect(rows: list[int], inst) -> None:
+        nonlocal y
+        for s in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[s : s + _BLOCK_ROWS]
+            part = protect_batch(ds.features[block], inst)
+            if y is None:
+                y = np.empty((len(ds), part.shape[1]))
+            y[block] = part
 
-    def fill(inst, rows_of_blocks) -> None:
-        for rows in rows_of_blocks:
-            y[rows] = protect_batch(ds.features[rows], inst)
+    def run(share) -> None:
+        for key, rows, inst in share:
+            # the instance is an argument, so it dies before the next key's
+            protect(rows, inst or instantiate(key, ds.dimension))
 
-    def fill_keys(keys) -> None:
-        for key in keys:
-            fill(instantiate(key, ds.dimension), blocks(key))
-
-    first, *rest = groups
-    inst = instantiate(first, ds.dimension)
-    head, *tail = blocks(first)
-    part = protect_batch(ds.features[head], inst)
-    y = np.empty((len(ds), part.shape[1]))
-    y[head] = part
-    if rest:
-        fill(inst, tail)
-        del inst  # at most ``workers`` instances alive from here on
-        n = max(1, min(workers, len(rest)))
-        jobs = [functools.partial(fill_keys, rest[s::n]) for s in range(n)]
-    else:
-        n = max(1, min(workers, len(tail)))
-        jobs = [functools.partial(fill, inst, tail[s::n]) for s in range(n)]
+    run(jobs[:1])
+    n = max(1, min(workers, len(jobs) - 1))
     if n == 1:
-        jobs[0]()
-        return y
-    with ThreadPoolExecutor(max_workers=n - 1) as pool:
-        futures = [pool.submit(job) for job in jobs[1:]]
-        jobs[0]()
-        for future in futures:
-            future.result()
+        run(jobs[1:])
+    else:
+        with ThreadPoolExecutor(max_workers=n - 1) as pool:
+            futures = [pool.submit(run, jobs[1 + s :: n]) for s in range(1, n)]
+            run(jobs[1::n])
+            for future in futures:
+                future.result()
     return y
 
 

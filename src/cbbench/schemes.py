@@ -245,8 +245,16 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     the instance was built for, as float64 protected rows (bits as 0/1, codes
     as integers, Bloom blocks concatenated). Rows stay float64, the form every
     stored matrix and fingerprint holds; only scoring packs them to bytes.
-    Refuses, naming ``x``, a block that is not a finite real ``(n, dim)`` matrix."""
-    return inst.rows(_array(x, "x", cols=inst.dim)).astype(np.float64)
+    Refuses, naming ``x``, a block that is not a finite real ``(n, dim)`` matrix.
+    Every scheme's rows are invariant to a positive scale of a feature row, so
+    a row whose largest |value| has a binary exponent outside [-500, 500],
+    where its projections may overflow or underflow, is first scaled by the
+    power of two that brings that value to [0.5, 1)."""
+    x = _array(x, "x", cols=inst.dim)
+    e = np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1]
+    if (np.abs(e) > 500).any():
+        x = np.ldexp(x, -np.where(np.abs(e) > 500, e, 0))
+    return inst.rows(x).astype(np.float64)
 
 
 def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:

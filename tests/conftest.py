@@ -128,13 +128,20 @@ def oracle_read_templates(path) -> Dataset:
 
 
 def oracle_write_rows(path, header, rows, ids=None) -> None:
-    """CSV writer with one repr(float(v)) per value."""
+    """CSV writer with one repr(float(v)) per value: each line is what
+    csv.writer writes with a CRLF terminator, which quotes a field holding a
+    lone carriage return (csv.reader splits an unquoted one), cut to LF."""
+
+    def line(fields) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2] + "\n"
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(line(header))
         for i, row in enumerate(rows):
             prefix = list(ids[i]) if ids is not None else []
-            writer.writerow(prefix + [repr(float(v)) for v in row])
+            fh.write(line(prefix + [repr(float(v)) for v in row]))
 
 
 # feature spellings on which float() and a C parser may part, or which the

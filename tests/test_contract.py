@@ -90,6 +90,10 @@ PROBES = {
     # finite, but the squares overflow float64
     "covariance of a 1e200 x": (lambda: covariance(GOOD * 1e200), "x: values too large"),
     "pca_fit of a 1e200 x": (lambda: pca_fit(GOOD * 1e200, 1), "x: values too large"),
+    # the squares do not overflow, but LAPACK's singular value does
+    "pca_fit of a 1.5e308 x": (
+        lambda: pca_fit([[1.5e308, 0, 0, 0], [-1.5e308, 0, 0, 0], [0, 0, 0, 0]], 1),
+        "x: values too large"),
     "pca_transform of the wrong width": (lambda: pca_transform(MODEL, np.ones((2, 3))), "x"),
     "pca_transform of a NaN x": (lambda: pca_transform(MODEL, np.full((2, WIDTH), np.nan)), "x"),
     "mutual_information of unequal row counts": (
@@ -122,6 +126,26 @@ def test_bad_argument_is_refused_by_name(call, name):
     with pytest.raises(CbBenchError) as info:
         call()
     assert re.match(rf"{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=[i.scheme_id.value for i in INSTANCES])
+def test_extreme_rows_protect_as_their_scaled_copy(inst):
+    # biohash, mlp-hash and iom-grp projections of the huge rows overflow
+    # float64, and biohash and mlp-hash projections of the exact subnormal
+    # ones underflow; every scheme's rows are invariant to a positive scale,
+    # so they protect as the plain rows, and a plain row beside them as itself
+    small = np.array([[1.75, 1.75, 1.75, 1.75], [1.75, 1.5, 1, 1.75], [-1.75, -1.75, -1.5, -1]])
+    huge, tiny = np.ldexp(small, 1023), np.ldexp(small, -1072)  # up to 1.6e308, 7 * 2**-1074
+    assert np.isfinite(huge).all() and np.array_equal(np.ldexp(tiny, 1072), small)
+    expected = protect_batch(np.vstack([small, small, small]), inst)
+    assert np.array_equal(protect_batch(np.vstack([huge, tiny, small]), inst), expected)
+
+
+def test_huge_m_orthonormalizes_as_its_scaled_copy():
+    # the Householder vector of this column overflows float64
+    m = np.full((1, WIDTH), 8e307)
+    assert np.array_equal(gram_schmidt(m), gram_schmidt(np.ldexp(m, -1023)))
+    assert _orthonormal(gram_schmidt(m), m)
 
 
 @pytest.mark.parametrize("value, plain", [
@@ -186,10 +210,9 @@ CONTRACT = {
                 lambda a, i: (a, a, i), lambda s, a: 0 <= s <= 1),
 }
 
-# reals stay within 1e100: values whose squares overflow float64 break the
-# second-moment estimators (pca_fit, covariance, mutual_information) in ways
-# this contract does not cover yet
-REALS = st.floats(-1e100, 1e100)
+# every finite float64: a function whose arithmetic would overflow on huge
+# values rescales them or refuses them by name
+REALS = st.floats(allow_nan=False, allow_infinity=False)
 FLOATS = st.sampled_from([
     REALS,
     st.one_of(REALS, st.sampled_from([np.nan, np.inf, -np.inf])),

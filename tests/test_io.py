@@ -252,6 +252,17 @@ class TestRowWriter:
         assert (back.subject_ids, back.sample_ids) == (ds.subject_ids, ds.sample_ids)
         assert back.features.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("name", ODD_IDS)
+    def test_odd_id_round_trip(self, tmp_path, name):
+        # as a subject and as a sample; a lone carriage return must be quoted,
+        # or csv.reader splits the row there
+        ds = Dataset(np.arange(8.0).reshape(4, 2), [name, name, "s", "s"], ["0", "1", name, "1"])
+        path = tmp_path / "t.csv"
+        write_templates(ds, path)
+        back = read_templates(path)
+        assert (back.subject_ids, back.sample_ids) == (ds.subject_ids, ds.sample_ids)
+        assert back.features.tobytes() == ds.features.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(matrix=row_matrices())
     def test_bytes_equal_csv_writer(self, matrix):

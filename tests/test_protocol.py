@@ -393,6 +393,48 @@ class TestProtectedMatrix:
         assert np.array_equal(protocol.protected_matrix(ds, p), expected)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("scenario", [Scenario.NORMAL, Scenario.SAMPLE_SPECIFIC])
+    def test_at_most_one_live_instance_per_worker(self, monkeypatch, cpus, scenario, workers):
+        # each thread drops a key's instance before it instantiates its next
+        # key; wrap instantiate wherever a cbbench module binds it by name
+        import sys
+        import threading
+        import weakref
+
+        from cbbench import protocol, schemes
+
+        original = schemes.instantiate
+        lock = threading.Lock()  # pool threads instantiate and finalize too
+        alive, most = 0, 0
+
+        def died():
+            nonlocal alive
+            with lock:
+                alive -= 1
+
+        def counting(key, d):
+            nonlocal alive, most
+            inst = original(key, d)
+            with lock:
+                alive += 1
+                most = max(most, alive)
+            weakref.finalize(inst, died)
+            return inst
+
+        ds = generate(SynthConfig(8, 3, 16, 0.3, 5))  # 8 subject keys, 24 sample keys
+        p = policy(scenario, scheme=SchemeId.IOM_GRP)
+        expected = protocol.protected_matrix(ds, p)
+        for name, mod in list(sys.modules.items()):
+            if name == "cbbench" or name.startswith("cbbench."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        cpus(workers)
+        assert np.array_equal(protocol.protected_matrix(ds, p), expected)
+        assert alive == 0
+        assert 1 <= most <= workers
+
     def test_threaded_pass_under_fast_switching(self, cpus):
         # more workers than cores, each protecting its own keys' rows; a lost
         # or misplaced row would change the matrix
