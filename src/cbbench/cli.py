@@ -38,6 +38,7 @@ from .metrics import (
     protected_matrix,
     unlinkability,
 )
+from .numerics import _openblas
 from .protocol import KeyPolicy, run_scenario
 from .schemes import _KIND_OF_SCHEME
 from .synthdata import SynthConfig, generate, unprotected_scores
@@ -388,24 +389,6 @@ def _one_malloc_arena() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX from <malloc.h>
 
 
-def _openblas_threads():
-    """``(get, set)``: the thread-count functions of the OpenBLAS bundled in
-    ``numpy.libs``, scipy-openblas (numpy 2) or openblas64_ (numpy 1.x
-    wheels); None for any other BLAS."""
-    import ctypes
-
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix in ("scipy_openblas", "openblas"):
-            if hasattr(lib, f"{prefix}_set_num_threads64_"):
-                get, set_ = lib[f"{prefix}_get_num_threads64_"], lib[f"{prefix}_set_num_threads64_"]
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
 @contextmanager
 def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block, then
@@ -413,17 +396,16 @@ def _one_blas_thread():
     of the MI fields on more threads, and OpenBLAS defaults to one thread per
     core; every command takes its parallelism from its worker pool instead. A
     no-op for any other BLAS."""
-    functions = _openblas_threads()
-    if functions is None:
+    blas = _openblas()
+    if blas is None:
         yield
         return
-    get, set_ = functions
-    threads = get()
-    set_(1)
+    threads = blas.openblas_get_num_threads()
+    blas.openblas_set_num_threads(1)
     try:
         yield
     finally:
-        set_(threads)
+        blas.openblas_set_num_threads(threads)
 
 
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

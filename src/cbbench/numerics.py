@@ -3,17 +3,22 @@
 Matrices are plain 2-D float64 numpy arrays with row-major semantics. All
 functions are pure: identical inputs (including generator state) produce
 identical outputs, which is the backbone of the key-based renewability and
-replay guarantees of the rest of the toolkit. ``pca_fit`` goes through
-LAPACK's SVD, so its output, and every mutual-information field built on it,
-is bit-stable only at a fixed BLAS thread count and kernel.
+replay guarantees of the rest of the toolkit. ``gram_schmidt`` calls the
+QR routines of numpy's bundled OpenBLAS through ctypes, which releases the
+GIL, and gives the bits of ``np.linalg.qr``, its fallback. ``pca_fit`` goes
+through LAPACK's SVD, so its output, and every mutual-information field built
+on it, is bit-stable only at a fixed BLAS thread count and kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,28 +112,85 @@ def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:
     return stream.normals(rows * cols).reshape(rows, cols)
 
 
+@functools.cache
+def _openblas() -> SimpleNamespace | None:
+    """The functions cbbench calls in the OpenBLAS bundled in ``numpy.libs``
+    (scipy-openblas on numpy 2, openblas64_ on numpy 1.x wheels), or None for
+    any other BLAS. Looked up on first use, so importing opens no library."""
+    import ctypes
+
+    int_, ptr = ctypes.c_int, ctypes.c_void_p
+    signatures = {  # name: restype, argtypes
+        "openblas_get_num_threads": (int_, []), "openblas_set_num_threads": (None, [int_]),
+        "dgeqrf_": (None, [ptr] * 8), "dorgqr_": (None, [ptr] * 9),
+    }
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_", ""):
+            if all(hasattr(lib, f"{prefix}{name}64_") for name in signatures):
+                blas = SimpleNamespace()
+                for name, (restype, argtypes) in signatures.items():
+                    setattr(blas, name.rstrip("_"), fn := lib[f"{prefix}{name}64_"])
+                    fn.restype, fn.argtypes = restype, argtypes
+                return blas
+    return None
+
+
+def _householder(a: np.ndarray) -> np.ndarray:
+    """Overwrite the C-order float64 ``a`` with the rows of Q of the QR of
+    ``a.T`` and return diag(R), the bits of ``np.linalg.qr``: the bundled
+    LAPACK's dgeqrf and dorgqr, with numpy's workspace sizes, work on ``a`` in
+    place (it is the Fortran layout of ``a.T``) without the GIL."""
+    blas = _openblas()
+    if blas is None:
+        q, r = np.linalg.qr(a.T)
+        a[...] = q.T
+        return np.diag(r)
+    rows, cols = a.shape
+    # M, N (= K), LDA, the LWORKs of dgeqrf and dorgqr, INFO: each passed by address
+    ints = np.array([cols, rows, max(1, cols), -1, -1, 0], dtype=np.int64)
+    m, n, lda, lwork_qrf, lwork_gqr, info = (ints.ctypes.data + 8 * i for i in range(6))
+    a_, tau, work = a.ctypes.data, np.empty(rows), np.zeros(2)
+    blas.dgeqrf(m, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_qrf, info)
+    blas.dorgqr(m, n, n, a_, lda, tau.ctypes.data, work.ctypes.data + 8, lwork_gqr, info)
+    ints[3:5] = np.maximum(work, max(1, rows))
+    work = np.empty(ints[3:5].max())
+    blas.dgeqrf(m, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_qrf, info)
+    diag = a.diagonal().copy()
+    blas.dorgqr(m, n, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_gqr, info)
+    if ints[5]:  # both check the same arguments, so dorgqr refuses what dgeqrf did
+        raise NumericError(f"m: LAPACK's Householder QR refused its argument {-ints[5]}")
+    return diag
+
+
 def gram_schmidt(m: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows of ``m`` by Householder QR of ``m.T``.
 
     Row i of the result is the unit vector modified Gram-Schmidt would give:
     the columns of Q are multiplied by the signs of diag(R), which makes the
-    factorization unique, and the two agree to about 1e-15. Requires
-    rows <= cols; raises DegenerateInputError naming the first row whose
-    |R_ii| is below 1e-12 (it is linearly dependent on the rows before it).
-    A matrix whose largest |value| is 2**500 or more, where the Householder
-    norms may overflow, is first scaled by the power of two that brings that
-    value to [0.5, 1); Q is the same, and the threshold applies to its R.
+    factorization unique, and the two agree to about 1e-15. The QR calls
+    LAPACK directly, without the GIL, else ``np.linalg.qr`` (``_householder``).
+    Requires rows <= cols; raises DegenerateInputError naming the first row
+    whose |R_ii| is at most 1e-12 * max|m| (it is linearly dependent on the
+    rows before it). A matrix whose largest |value| is 2**500 or more, where
+    the Householder norms may overflow, is first scaled by the power of two
+    that brings that value to [0.5, 1); Q is the same.
     """
     m = _array(m, "m")
     if m.shape[0] > m.shape[1]:
         raise InvalidArgumentError(f"m needs rows <= cols to orthonormalize rows, got {m.shape}")
-    e = int(np.frexp(np.abs(m).max(initial=0.0))[1])
-    q, r = np.linalg.qr((np.ldexp(m, -e) if e > 500 else m).T)
-    diag = np.diag(r)
-    dependent = np.flatnonzero(np.abs(diag) < 1e-12)
+    peak = float(np.abs(m).max(initial=0.0))
+    e = int(np.frexp(peak)[1])
+    if e > 500:
+        m, peak = np.ldexp(m, -e), math.ldexp(peak, -e)
+    q = np.array(m, order="C")
+    diag = _householder(q)
+    dependent = np.flatnonzero(np.abs(diag) <= 1e-12 * peak)
     if dependent.size:
         raise DegenerateInputError(f"m row {dependent[0]} is linearly dependent on previous rows")
-    return np.ascontiguousarray((q * np.sign(diag)).T)
+    q *= np.sign(diag)[:, None]
+    return q
 
 
 @dataclass

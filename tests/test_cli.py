@@ -20,14 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbbench
-from cbbench.cli import _build_parser, _openblas_threads, main
+from cbbench.cli import _build_parser, main
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
     BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates, write_templates,
 )
 from cbbench.metrics import eer, protected_matrix
-from cbbench.numerics import derive_stream
+from cbbench.numerics import _openblas, derive_stream
 from cbbench.protocol import KeyPolicy
 from cbbench.synthdata import SynthConfig
 
@@ -537,7 +537,7 @@ def test_arena_cap_is_a_no_op_off_glibc(monkeypatch):
 
 
 def test_irrev_outputs_identical_for_any_blas_thread_count(tmp_path):
-    if _openblas_threads() is None:
+    if _openblas() is None:
         pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose thread count can be set")
     # the MI fields of a stolen-key pass on 150 templates changed with the
     # OpenBLAS thread count, through LAPACK's SVD in the PCA fit
@@ -584,7 +584,7 @@ def _battery_config(tmp_path, mi_components: int):
 
 
 def test_bench_outputs_identical_for_any_blas_thread_count(tmp_path):
-    if _openblas_threads() is None:
+    if _openblas() is None:
         pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose thread count can be set")
     # the same replay for the whole battery, the sample-specific pass included;
     # at this size the MI fields of unpinned OpenBLAS differ between 1 and 2 threads
@@ -619,7 +619,7 @@ def test_bench_outputs_replay_across_blas_kernels(tmp_path, kernel):
     # MI fields may move there, and only in their last digits
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip(f"OpenBLAS kernels are forced on x86-64 only, not {platform.machine()}")
-    if _openblas_threads() is None:
+    if _openblas() is None:
         pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose kernel can be set")
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cbbench import numerics
 from cbbench.errors import DegenerateInputError, InvalidArgumentError, NumericError
 from cbbench.numerics import (
+    _openblas,
     covariance,
     default_ridge,
     derive_stream,
@@ -145,6 +150,66 @@ class TestGramSchmidt:
         m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, -3.0, 0.0, 0.0]])
         with pytest.raises(DegenerateInputError, match="row 2 "):
             gram_schmidt(m)
+
+    def test_tiny_full_rank_accepted(self):
+        # the threshold scales with max|m|, so a tiny matrix is judged as its scaled copy
+        assert np.array_equal(gram_schmidt(np.eye(2) * 1e-13), np.eye(2))
+
+    def test_tiny_dependent_row_refused_by_name(self):
+        m = 1e-13 * np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, -3.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateInputError, match="row 2 "):
+            gram_schmidt(m)
+
+    def test_power_of_two_rescales_give_equal_bits(self, rng):
+        m = rng.standard_normal((8, 12))
+        q = gram_schmidt(m)
+        for e in range(-960, 1021, 60):  # |m| stays within float64's normal range
+            assert np.array_equal(gram_schmidt(np.ldexp(m, e)), q), e
+
+
+def linalg_qr_rows(m: np.ndarray) -> np.ndarray:
+    """Sign-fixed rows of Q from ``np.linalg.qr(m.T)``, as a C-order array."""
+    q, r = np.linalg.qr(m.T)
+    return np.ascontiguousarray((q * np.sign(np.diag(r))).T)
+
+
+class TestHouseholderPaths:
+    @pytest.fixture(autouse=True)
+    def bundled_openblas(self):
+        if _openblas() is None:
+            pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS whose LAPACK can be called")
+
+    @pytest.mark.parametrize("rows,cols", [(1, 9), (3, 5), (64, 100), (128, 128), (128, 256),
+                                           (256, 256)])
+    def test_lapack_equals_linalg_qr_bits(self, rows, cols, rng):
+        m = rng.standard_normal((rows, cols))
+        assert np.array_equal(gram_schmidt(m), linalg_qr_rows(m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(0, 8)).map(
+        lambda s: (s[0], s[0] + s[1])), elements=st.floats(-1e6, 1e6)))
+    def test_lapack_equals_linalg_qr_bits_on_drawn_matrices(self, m):
+        try:
+            q = gram_schmidt(m)
+        except DegenerateInputError:
+            return
+        assert np.array_equal(q, linalg_qr_rows(m))
+
+    def test_linalg_qr_not_called(self, rng, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called with the bundled LAPACK present")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        assert gram_schmidt(rng.standard_normal((16, 20))).shape == (16, 20)
+
+    def test_fallback_gives_equal_bits(self, rng, monkeypatch):
+        ms = [rng.standard_normal(shape) for shape in [(1, 9), (3, 5), (64, 100), (256, 256)]]
+        lapack = [gram_schmidt(m) for m in ms]
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        for m, q in zip(ms, lapack):
+            assert np.array_equal(gram_schmidt(m), q)
+        with pytest.raises(DegenerateInputError, match="row 1 "):
+            gram_schmidt(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 class TestPca:
