@@ -38,13 +38,11 @@ from .numerics import (
     gaussian_matrix,
     gram_schmidt,
     pca_fit,
-    pca_transform,
 )
 from .io import (
     BenchmarkConfig,
     SchemeSpec,
     load_config,
-    read_det_points,
     read_templates,
     standard_benchmark_config,
     write_det_points,
@@ -64,7 +62,7 @@ __all__ = [
     "ParseError",
     # numerics
     "RandomStream", "derive_stream", "gaussian_matrix", "gram_schmidt", "PcaModel",
-    "pca_fit", "pca_transform", "covariance", "default_ridge", "gaussian_entropy",
+    "pca_fit", "covariance", "default_ridge", "gaussian_entropy",
     # schemes
     "instantiate", "protect_batch", "similarities", "protect", "compare", "chance_level",
     # protocol
@@ -76,6 +74,5 @@ __all__ = [
     "SynthConfig", "STANDARD_CONFIG", "generate", "unprotected_scores",
     # io
     "BenchmarkConfig", "SchemeSpec", "load_config", "standard_benchmark_config",
-    "read_templates", "write_templates", "read_det_points", "write_det_points",
-    "write_report",
+    "read_templates", "write_templates", "write_det_points", "write_report",
 ]

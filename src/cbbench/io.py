@@ -1,7 +1,8 @@
 """File formats: template CSVs, DET-point CSVs, benchmark configs and the
 JSON benchmark report. All text files are UTF-8 with LF line endings; reals
-are rendered with shortest-round-trip precision so every writer/reader pair
-is lossless at the value level."""
+are rendered with shortest-round-trip precision, so every value written reads
+back exactly: a template CSV through ``read_templates``, a DET-point CSV
+through ``float()`` of each cell."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ __all__ = [
     "read_templates",
     "write_templates",
     "write_det_points",
-    "read_det_points",
     "write_report",
     "SchemeSpec",
     "BenchmarkConfig",
@@ -234,35 +234,6 @@ def write_det_points(curve: DetCurve, path: str | Path) -> None:
         path,
         ["threshold", "fmr", "fnmr"],
         np.column_stack([curve.thresholds[order], curve.fmr[order], curve.fnmr[order]]),
-    )
-
-
-def read_det_points(path: str | Path) -> DetCurve:
-    """Read back a DET-point CSV written by :func:`write_det_points`."""
-    path = Path(path)
-    thresholds, fmr, fnmr = [], [], []
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read DET points from {path}: {exc}") from exc
-    with fh, _utf8(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["threshold", "fmr", "fnmr"]:
-            raise ParseError(f"{path}:1: expected header threshold,fmr,fnmr")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                thresholds.append(float(row[0]))
-                fmr.append(float(row[1]))
-                fnmr.append(float(row[2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return DetCurve(
-        thresholds=np.array(thresholds), fmr=np.array(fmr), fnmr=np.array(fnmr)
     )
 
 

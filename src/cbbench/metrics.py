@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Scenario, _array, _check_ranges, _number, _param
 from .errors import InvalidArgumentError
-from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit, pca_transform
+from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit
 from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
 
 __all__ = [
@@ -193,8 +193,8 @@ def mutual_information(
     x, y = (np.ldexp(x, -e_x) if e_x else x), (np.ldexp(y, -e_y) if e_y else y)
     nats = r_used * math.log(2.0)
 
-    x_r = pca_transform(pca_fit(x, r_used), x)
-    y_r = pca_transform(pca_fit(y, r_used), y)
+    px, py = pca_fit(x, r_used), pca_fit(y, r_used)
+    x_r, y_r = (x - px.mean) @ px.components.T, (y - py.mean) @ py.components.T
 
     cov_x = covariance(x_r)
     cov_y = covariance(y_r)

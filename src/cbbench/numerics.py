@@ -3,11 +3,13 @@
 Matrices are plain 2-D float64 numpy arrays with row-major semantics. All
 functions are pure: identical inputs (including generator state) produce
 identical outputs, which is the backbone of the key-based renewability and
-replay guarantees of the rest of the toolkit. ``gram_schmidt`` calls the
-QR routines of numpy's bundled OpenBLAS through ctypes, which releases the
-GIL, and gives the bits of ``np.linalg.qr``, its fallback. ``pca_fit`` goes
-through LAPACK's SVD, so its output, and every mutual-information field built
-on it, is bit-stable only at a fixed BLAS thread count and kernel.
+replay guarantees of the rest of the toolkit. ``gram_schmidt`` scales its
+matrix to a largest |value| in [0.5, 1), as ``protect_batch`` scales each
+feature row, then calls the QR routines of numpy's bundled OpenBLAS through
+ctypes, which releases the GIL, and gives the bits of ``np.linalg.qr``, its
+fallback. ``pca_fit`` goes through LAPACK's SVD, so its output, and every
+mutual-information field built on it, is bit-stable only at a fixed BLAS
+thread count and kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "gram_schmidt",
     "PcaModel",
     "pca_fit",
-    "pca_transform",
     "covariance",
     "default_ridge",
     "gaussian_entropy",
@@ -173,18 +174,15 @@ def gram_schmidt(m: np.ndarray) -> np.ndarray:
     LAPACK directly, without the GIL, else ``np.linalg.qr`` (``_householder``).
     Requires rows <= cols; raises DegenerateInputError naming the first row
     whose |R_ii| is at most 1e-12 * max|m| (it is linearly dependent on the
-    rows before it). A matrix whose largest |value| is 2**500 or more, where
-    the Householder norms may overflow, is first scaled by the power of two
-    that brings that value to [0.5, 1); Q is the same.
+    rows before it). Q does not depend on a positive scale of ``m``, so ``m``
+    is first scaled by the power of two that brings its largest |value| to
+    [0.5, 1), where no Householder norm overflows or underflows.
     """
     m = _array(m, "m")
     if m.shape[0] > m.shape[1]:
         raise InvalidArgumentError(f"m needs rows <= cols to orthonormalize rows, got {m.shape}")
-    peak = float(np.abs(m).max(initial=0.0))
-    e = int(np.frexp(peak)[1])
-    if e > 500:
-        m, peak = np.ldexp(m, -e), math.ldexp(peak, -e)
-    q = np.array(m, order="C")
+    peak, e = np.frexp(np.abs(m).max(initial=0.0))
+    q = np.ldexp(m, -e, order="C")
     diag = _householder(q)
     dependent = np.flatnonzero(np.abs(diag) <= 1e-12 * peak)
     if dependent.size:
@@ -202,10 +200,6 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.components.shape[1]
 
 
 @contextmanager
@@ -240,12 +234,6 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
             raise FloatingPointError
         explained = (singular[:r] ** 2) / (rows - 1)
     return PcaModel(mean=mean, components=vt[:r].copy(), explained_variance=explained)
-
-
-def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project centered data onto the model's components (rows x r output)."""
-    x = _array(x, "x", cols=model.input_dim)
-    return (x - model.mean) @ model.components.T
 
 
 def covariance(x: np.ndarray) -> np.ndarray:

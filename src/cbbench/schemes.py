@@ -50,7 +50,8 @@ class TransformInstance:
     protected rows (0/1 ``bits``, index-of-max ``codes`` in [0, iom_k), or
     ``bloom``: the 0/1 filter blocks of 2**bloom_word_bits bits each,
     concatenated), its arrays and its batch kernel ``rows(x)``, which maps the
-    float64 ``(n, dim)`` feature block ``x`` to its protected rows. Instances
+    float64 ``(n, dim)`` feature block ``x`` to its protected rows; each row of
+    ``x`` comes from ``protect_batch`` with a largest |value| in [0.5, 1). Instances
     carry materialized arrays only; shapes define the output length, which
     keeps hand-built instances usable in tests.
     """
@@ -135,10 +136,7 @@ class IomUrpInstance(TransformInstance):
     def rows(self, x):
         """For each hash, multiply p independently permuted copies of the input
         elementwise and record the argmax among the first k entries."""
-        # scale each row by the power of two that brings its largest |x| into
-        # [0.5, 1): no product then overflows, and tiny rows no longer underflow into
-        # all-zero ties; an exact power-of-two scale leaves every other argmax as it was
-        x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
+        # protect_batch hands in rows whose largest |x| is in [0.5, 1): no product overflows
         kept = self.perms[:, :, : self.k]  # (m, p, k): only the entries the argmax reads
         products = x[:, kept[:, 0]]  # factor by factor, as np.prod: no (n, m, p, k) gather
         for j in range(1, kept.shape[1]):
@@ -247,13 +245,11 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     stored matrix and fingerprint holds; only scoring packs them to bytes.
     Refuses, naming ``x``, a block that is not a finite real ``(n, dim)`` matrix.
     Every scheme's rows are invariant to a positive scale of a feature row, so
-    a row whose largest |value| has a binary exponent outside [-500, 500],
-    where its projections may overflow or underflow, is first scaled by the
-    power of two that brings that value to [0.5, 1)."""
+    each row is first scaled by the power of two that brings its largest
+    |value| to [0.5, 1): no projection or product then overflows, and a tiny
+    row does not underflow into ties."""
     x = _array(x, "x", cols=inst.dim)
-    e = np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1]
-    if (np.abs(e) > 500).any():
-        x = np.ldexp(x, -np.where(np.abs(e) > 500, e, 0))
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1])
     return inst.rows(x).astype(np.float64)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams
 from cbbench.errors import InvalidArgumentError, ParseError
-from cbbench.metrics import mutual_information, protected_matrix
+from cbbench.metrics import DetCurve, mutual_information, protected_matrix
 from cbbench.protocol import KeyPolicy, run_scenario
 from cbbench.synthdata import STANDARD_CONFIG, generate
 
@@ -64,6 +64,11 @@ def oracle_fnmr_at_fmr(mated: np.ndarray, nonmated: np.ndarray, target: float) -
         if m <= target:
             return nm
     raise AssertionError("top sentinel always has fmr == 0")
+
+
+def read_det_csv(path) -> DetCurve:
+    """The DET curve of a ``write_det_points`` CSV, each value parsed as ``float()`` does."""
+    return DetCurve(*np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T)
 
 
 def scores_of(ds: Dataset, policy: KeyPolicy):

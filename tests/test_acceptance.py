@@ -15,7 +15,6 @@ import pytest
 
 from cbbench.cli import main
 from cbbench.core import Scenario, SchemeId, SchemeKey, SchemeParams
-from cbbench.io import read_det_points
 from cbbench.metrics import compute_det, eer, fnmr_at_fmr, mutual_information, unlinkability
 from cbbench.numerics import covariance, derive_stream, pca_fit
 from cbbench.protocol import KeyPolicy, ScoreSet
@@ -27,6 +26,7 @@ from conftest import (
     STANDARD_MI_COMPONENTS,
     oracle_eer,
     oracle_fnmr_at_fmr,
+    read_det_csv,
     scores_of,
 )
 
@@ -264,5 +264,5 @@ def test_criterion_11_end_to_end_bench(tmp_path, announce):
         assert len(report["unlinkability"]) == 6
         assert all("d_sys" in row for row in report["unlinkability"])
         for cell in report["cells"]:
-            curve = read_det_points(out_dir / cell["det_csv"])
+            curve = read_det_csv(out_dir / cell["det_csv"])
             assert eer(curve) == cell["eer"], cell

@@ -24,14 +24,14 @@ from cbbench.cli import _build_parser, main
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
-    BenchmarkConfig, SchemeSpec, load_config, read_det_points, read_templates, write_templates,
+    BenchmarkConfig, SchemeSpec, load_config, read_templates, write_templates,
 )
 from cbbench.metrics import eer, protected_matrix
 from cbbench.numerics import _openblas, derive_stream
 from cbbench.protocol import KeyPolicy
 from cbbench.synthdata import SynthConfig
 
-from conftest import ODD_IDS, oracle_write_rows, template_csvs
+from conftest import ODD_IDS, oracle_write_rows, read_det_csv, scores_of, template_csvs
 
 
 SMALL_SYNTHETIC = {
@@ -161,7 +161,7 @@ class TestEvalPerf:
         out = capsys.readouterr().out
         assert "EER 0.0000" in out
         assert "FNMR@FMR=1%" in out
-        curve = read_det_points(tmp_path / "out" / "det_biohash_normal.csv")
+        curve = read_det_csv(tmp_path / "out" / "det_biohash_normal.csv")
         assert eer(curve) == 0.0
 
 
@@ -175,6 +175,28 @@ class TestEvalUnlink:
         out = capsys.readouterr().out
         assert "D_sys" in out
         assert (tmp_path / "out" / "unlink_biohash.csv").exists()
+
+    def test_bin_centers_are_midpoints_of_the_score_range(self, tmp_path, template_csv):
+        assert main(["eval-unlink", "--templates", str(template_csv), "--scheme", "biohash",
+                     "--master-seed", "5", "--length", "32", "--bins", "10",
+                     "--out-dir", str(tmp_path)]) == 0
+        centers = np.loadtxt(tmp_path / "unlink_biohash.csv", delimiter=",", skiprows=1)[:, 0]
+        policy = KeyPolicy(5, Scenario.SAMPLE_SPECIFIC, SchemeId.BIOHASH,
+                           SchemeParams(output_length=32))
+        scores = scores_of(read_templates(template_csv), policy)
+        pooled = np.concatenate([scores.mated, scores.nonmated])
+        lo, hi = pooled.min(), pooled.max()
+        assert lo < hi
+        expected = lo + (hi - lo) / 10 * (np.arange(10) + 0.5)
+        assert np.allclose(centers, expected, rtol=0, atol=1e-12)
+
+    def test_default_bins_are_100(self, tmp_path, template_csv):
+        for name, flags in (("default", []), ("explicit", ["--bins", "100"])):
+            assert main(["eval-unlink", "--templates", str(template_csv), "--scheme", "biohash",
+                         "--length", "32", "--out-dir", str(tmp_path / name), *flags]) == 0
+        default = (tmp_path / "default" / "unlink_biohash.csv").read_bytes()
+        assert default == (tmp_path / "explicit" / "unlink_biohash.csv").read_bytes()
+        assert len(default.splitlines()) == 1 + 100
 
 
 class TestEvalIrrev:
@@ -193,6 +215,17 @@ class TestEvalIrrev:
         )
         assert artifact["r_used"] == 16  # min(100, 17, 16, 32)
         assert artifact["mi"] >= 0.0
+
+    def test_default_r_is_100(self, tmp_path):
+        templates = tmp_path / "wide.csv"
+        assert main(["synth", "--subjects", "40", "--samples", "3", "--dim", "104",
+                     "--sigma", "0.3", "--seed", "2", "--out", str(templates)]) == 0
+        for name, flags in (("default", []), ("explicit", ["--r", "100"])):
+            assert main(["eval-irrev", "--templates", str(templates), "--scheme", "biohash",
+                         "--length", "128", "--out-dir", str(tmp_path / name), *flags]) == 0
+        default = (tmp_path / "default" / "irrev_biohash_normal.json").read_bytes()
+        assert default == (tmp_path / "explicit" / "irrev_biohash_normal.json").read_bytes()
+        assert json.loads(default)["r_used"] == 100
 
     def test_templates_scaled_by_1e200(self, tmp_path, template_csv, capsys):
         # the features' squares overflow float64; the MI is scale-invariant,
@@ -225,7 +258,7 @@ class TestBench:
         assert all("d_sys" in row for row in report["unlinkability"])
         assert "unprotected_baseline" in report
         for cell in report["cells"]:
-            det = read_det_points(tmp_path / "out" / cell["det_csv"])
+            det = read_det_csv(tmp_path / "out" / cell["det_csv"])
             assert eer(det) == cell["eer"]
         # cells are sorted by scheme then scenario
         order = [(c["scheme"], c["scenario"]) for c in report["cells"]]
@@ -438,6 +471,26 @@ class TestBench:
         r2 = json.loads((tmp_path / "o2" / "report.json").read_text(encoding="utf-8"))
         assert r1["config"]["master_seed"] == 11 and r2["config"]["master_seed"] == 99
         assert [c["mi"] for c in r1["cells"]] != [c["mi"] for c in r2["cells"]]
+
+    def test_default_master_seed_is_42(self, tmp_path):
+        # the data seed follows the master seed, so both come from the default
+        synthetic = {k: v for k, v in SMALL_SYNTHETIC.items() if k != "seed"}
+        outputs = []
+        for name, seed in (("default", {}), ("explicit", {"master_seed": 42})):
+            data = small_config_data(tmp_path, synthetic=synthetic)
+            del data["master_seed"]
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**data, **seed}), encoding="utf-8")
+            out = tmp_path / name
+            assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            report.pop("timestamp")
+            outputs.append((report, {p.name: p.read_bytes() for p in out.glob("det_*.csv")}))
+        assert len(outputs[0][1]) == 2 * 2 and outputs[0] == outputs[1]
+        synth = ["synth", "--subjects", "3", "--samples", "2", "--dim", "8", "--sigma", "0.3"]
+        assert main(synth + ["--out", str(tmp_path / "default.csv")]) == 0
+        assert main(synth + ["--seed", "42", "--out", str(tmp_path / "explicit.csv")]) == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
     def test_seed_override_equals_config_seed(self, tmp_path):
         # without a synthetic seed, --seed 7 must seed the data as master_seed 7 does

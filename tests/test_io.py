@@ -15,7 +15,6 @@ from cbbench.io import (
     SchemeSpec,
     _write_rows,
     load_config,
-    read_det_points,
     read_templates,
     standard_benchmark_config,
     write_det_points,
@@ -31,6 +30,7 @@ from conftest import (
     make_dataset,
     oracle_read_templates,
     oracle_write_rows,
+    read_det_csv,
     template_csvs,
 )
 
@@ -102,6 +102,14 @@ class TestTemplateRoundTrip:
         with pytest.raises(ParseError, match=r"bad\.csv:1"):
             read_templates(path)
 
+    @pytest.mark.parametrize("names, last", [("f0,f2", "f1"), ("f0,f1,x", "f2")])
+    def test_misnamed_feature_columns_message(self, tmp_path, names, last):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"subject_id,sample_id,{names}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_templates(path)
+        assert str(info.value) == f"{path}:1: feature columns must be named f0..{last}"
+
     def test_dataset_invariants_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -147,10 +155,9 @@ class TestTemplateReaderAgainstCsvLoop:
     @pytest.mark.parametrize(
         "read, text",
         [(read_templates, b"subject_id,sample_id,f0,f1\na,0,1.0,2.0\na,1,\xff1.0,2.0\n"),
-         (read_det_points, b"threshold,fmr,fnmr\n0.5,0.0,1.0\n0.7,0.5,\xc3\n"),
          # records, not physical lines: the quoted line breaks of rows 2 and 3
          (read_templates, b'subject_id,sample_id,f0,f1\n"a\nb",0,1.0,2.0\n"a\r\nb",1,\xff1.0,2.0\n')],
-        ids=["templates", "det-points", "quoted-line-breaks"],
+        ids=["templates", "quoted-line-breaks"],
     )
     def test_not_utf8_names_first_bad_line(self, tmp_path, read, text):
         path = tmp_path / "t.csv"
@@ -314,7 +321,7 @@ class TestDetPoints:
     def test_monotone_in_file_order(self, tmp_path):
         path = tmp_path / "det.csv"
         write_det_points(self.make_curve(), path)
-        back = read_det_points(path)
+        back = read_det_csv(path)
         assert np.all(np.diff(back.thresholds) > 0)
         assert np.all(np.diff(back.fmr) <= 0)
         assert np.all(np.diff(back.fnmr) >= 0)
@@ -323,7 +330,7 @@ class TestDetPoints:
         curve = self.make_curve()
         path = tmp_path / "det.csv"
         write_det_points(curve, path)
-        back = read_det_points(path)
+        back = read_det_csv(path)
         assert eer(back) == eer(curve)
         assert np.array_equal(back.thresholds, curve.thresholds)
         assert np.array_equal(back.fmr, curve.fmr)

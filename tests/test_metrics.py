@@ -145,6 +145,35 @@ class TestUnlinkability:
         # high bin: pm=3/4, pnm=1/4 -> local 0.5 on 3/4 of the mated mass
         assert report.d_sys == 0.375
 
+    def test_top_score_alone_in_top_bin(self):
+        # 10 bins of width 0.1 over [0, 1]; the mated 1.0 alone fills the top
+        # bin: local 1 on a third of the mated mass, and 0 in bins 0 and 5
+        report = unlinkability(
+            score_set([0.0, 0.5, 1.0], [0.0, 0.0, 0.5, 0.5], Scenario.SAMPLE_SPECIFIC), 10
+        )
+        assert report.d_sys == 1 / 3
+        assert np.array_equal(report.local_d, [0.0] * 9 + [1.0])
+
+    def test_bin_centers_are_midpoints(self):
+        stream = derive_stream(8, b"ul5")
+        mated, nonmated = 0.2 + 0.7 * stream.uniforms(50), 0.1 + 0.6 * stream.uniforms(60)
+        report = unlinkability(score_set(mated, nonmated, Scenario.SAMPLE_SPECIFIC), 12)
+        lo, hi = min(mated.min(), nonmated.min()), max(mated.max(), nonmated.max())
+        width = (hi - lo) / 12
+        assert np.allclose(report.bin_centers, lo + width * (np.arange(12) + 0.5), rtol=0,
+                           atol=1e-12)
+        assert lo < report.bin_centers.min() and report.bin_centers.max() < hi
+
+    def test_default_bins_are_100(self):
+        stream = derive_stream(9, b"ul6")
+        scores = score_set(stream.uniforms(40), stream.uniforms(40) ** 2,
+                           Scenario.SAMPLE_SPECIFIC)
+        default = unlinkability(scores)
+        assert default.bin_count == 100 and default.bin_centers.size == 100
+        explicit = unlinkability(scores, 100)
+        assert default.d_sys == explicit.d_sys
+        assert np.array_equal(default.local_d, explicit.local_d)
+
     def test_affine_invariance_exact(self):
         stream = derive_stream(5, b"ul2")
         mated = 0.3 + 0.4 * stream.uniforms(400)
@@ -275,6 +304,13 @@ class TestMutualInformation:
         x = stream.normals(10 * 5).reshape(10, 5)
         y = stream.normals(10 * 3).reshape(10, 3)
         assert mutual_information(x, y, 100).r_used == 3
+
+    def test_default_r_is_100(self):
+        stream = derive_stream(16, b"mi-default")
+        x = stream.normals(110 * 104).reshape(110, 104)
+        y = stream.normals(110 * 102).reshape(110, 102)
+        default = mutual_information(x, y)
+        assert default.r_used == 100 and default == mutual_information(x, y, 100)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(InvalidArgumentError):

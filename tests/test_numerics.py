@@ -17,7 +17,6 @@ from cbbench.numerics import (
     gaussian_matrix,
     gram_schmidt,
     pca_fit,
-    pca_transform,
 )
 
 H1 = 0.5 * (math.log(2 * math.pi) + 1.0)  # entropy of a 1-D unit Gaussian
@@ -46,6 +45,10 @@ class TestRandomStream:
     def test_uniforms_in_unit_interval(self):
         u = derive_stream(7, b"u").uniforms(10_000)
         assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_integers_below_one_are_zeros(self):
+        draws = derive_stream(7, b"i").integers(5, 1)
+        assert draws.dtype == np.int64 and np.array_equal(draws, np.zeros(5))
 
     def test_str_label_equivalent_to_bytes(self):
         assert np.array_equal(derive_stream(7, "a").words(4), derive_stream(7, b"a").words(4))
@@ -121,6 +124,10 @@ class TestGramSchmidt:
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateInputError):
             gram_schmidt(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(DegenerateInputError, match="row 0 "):
+            gram_schmidt(np.zeros((2, 3)))
 
     def test_more_rows_than_cols_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -247,33 +254,25 @@ class TestPca:
         with pytest.raises(InvalidArgumentError):
             pca_fit(rng.standard_normal((3, 10)), 3)  # r > rows - 1
 
+    def test_two_rows_fit_one_component(self):
+        model = pca_fit(np.array([[0.0, 1.0], [2.0, 1.0]]), 1)
+        assert np.array_equal(model.mean, [1.0, 1.0])
+        assert np.array_equal(np.abs(model.components), [[1.0, 0.0]])
+        assert np.allclose(model.explained_variance, [2.0], rtol=1e-12)
+
     def test_transform_centers_fitting_data(self, rng):
         x = rng.standard_normal((25, 6)) + 3.0
         model = pca_fit(x, 4)
-        z = pca_transform(model, x)
+        z = (x - model.mean) @ model.components.T
         assert np.abs(z.mean(axis=0)).max() < 1e-10
-
-    def test_identity_model_projects_onto_leading_columns(self, rng):
-        from cbbench.numerics import PcaModel
-
-        x = rng.standard_normal((7, 5))
-        model = PcaModel(
-            mean=np.zeros(5), components=np.eye(5)[:3], explained_variance=np.ones(3)
-        )
-        assert np.allclose(pca_transform(model, x), x[:, :3])
 
     def test_variance_bookkeeping(self, rng):
         x = rng.standard_normal((40, 9))
         model = pca_fit(x, 9 - 1)
-        z = pca_transform(model, x)
+        z = (x - model.mean) @ model.components.T
         # fitting-data variance in the retained subspace equals the
         # explained variances exactly
         assert abs(np.trace(covariance(z)) - model.explained_variance.sum()) < 1e-8
-
-    def test_dimension_mismatch(self, rng):
-        model = pca_fit(rng.standard_normal((10, 5)), 2)
-        with pytest.raises(InvalidArgumentError):
-            pca_transform(model, rng.standard_normal((4, 6)))
 
 
 class TestCovariance:

@@ -10,7 +10,7 @@ from cbbench.numerics import derive_stream
 from cbbench.protocol import pair_indices
 from cbbench.synthdata import STANDARD_CONFIG, SynthConfig, generate, unprotected_scores
 
-from conftest import make_dataset, oracle_eer
+from conftest import make_dataset, oracle_eer, oracle_pairs
 
 
 class TestGenerate:
@@ -136,6 +136,21 @@ class TestUnprotectedScores:
         w = np.array([0.0, 1.0, 0.0])
         ds = make_dataset({"a": [u, u], "b": [w, w]})
         assert np.array_equal(unprotected_scores(ds).nonmated, [0.5])
+
+    def test_rows_off_the_unit_sphere_match_cosine_oracle(self):
+        stream = derive_stream(3, b"cos")
+        rows = stream.normals(4 * 3 * 5).reshape(12, 5) * stream.uniforms(12)[:, None] * 9
+        ds = make_dataset({s: list(rows[3 * k: 3 * k + 3]) for k, s in enumerate("abcd")})
+
+        def oracle(i, j):
+            u, v = rows[i].tolist(), rows[j].tolist()
+            dot = sum(a * b for a, b in zip(u, v))
+            return (1.0 + dot / math.sqrt(sum(a * a for a in u) * sum(b * b for b in v))) / 2.0
+
+        mated, nonmated = oracle_pairs(ds)
+        scores = unprotected_scores(ds)
+        for got, pairs in ((scores.mated, mated), (scores.nonmated, nonmated)):
+            assert np.allclose(got, sorted(oracle(i, j) for i, j in pairs), rtol=0, atol=1e-12)
 
     def test_scores_within_unit_interval(self):
         ds = generate(SynthConfig(5, 3, 16, 0.8, 11))
