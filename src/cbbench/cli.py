@@ -40,7 +40,7 @@ from .metrics import (
 )
 from .numerics import _openblas
 from .protocol import KeyPolicy, run_scenario
-from .schemes import _KIND_OF_SCHEME
+from .schemes import _CLASS_OF_SCHEME
 from .synthdata import SynthConfig, generate, unprotected_scores
 
 __all__ = ["main", "run_benchmark"]
@@ -258,7 +258,7 @@ def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[P
                 **perf,
                 **asdict(irrev),
                 "realized_length": int(y.shape[1]),
-                "length_unit": "codes" if _KIND_OF_SCHEME[scheme] == "codes" else "bits",
+                "length_unit": "codes" if _CLASS_OF_SCHEME[scheme].kind == "codes" else "bits",
                 "det_csv": det_path.name,
             }
             if scheme is SchemeId.RAND_HASH:

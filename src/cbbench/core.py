@@ -77,6 +77,8 @@ def _seed(default, help: str):
 
 
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
+# joins the ids in a key's material (protocol.derive_key), so no id may hold it
+_ID_SEPARATOR = "\x1f"
 
 
 @functools.cache
@@ -223,9 +225,9 @@ class Dataset:
 def validate_dataset(ds: Dataset) -> list[str]:
     """Every invariant violation of the dataset's rows, in row order, for
     ``Dataset`` to raise: at least 2 feature dimensions, finite values (named
-    per subject/sample/index), unique (subject, sample) pairs, and at least two
-    samples per subject (needed for mated pairs). Empty for every ``Dataset``
-    a caller can hold."""
+    per subject/sample/index), unique (subject, sample) pairs of ids without
+    the key-material separator, and at least two samples per subject (needed
+    for mated pairs). Empty for every ``Dataset`` a caller can hold."""
     issues = [f"dimension must be >= 2, got {ds.dimension}"] if ds.dimension < 2 else []
     finite = np.isfinite(ds.features)
     flagged = set(np.flatnonzero(~finite.all(axis=1)).tolist())
@@ -234,6 +236,9 @@ def validate_dataset(ds: Dataset) -> list[str]:
         if ident in seen:
             issues.append(f"duplicate (subject, sample) pair {ident}")
         seen.add(ident)
+        if _ID_SEPARATOR in ident[0] + ident[1]:  # two such pairs could derive one key
+            issues.append(f"subject {ident[0]!r} sample {ident[1]!r}: an id holds "
+                          f"{_ID_SEPARATOR!r}, the key-material separator")
         if i in flagged:
             issues += [
                 f"subject {ident[0]} sample {ident[1]}: non-finite feature at index {int(idx)}"

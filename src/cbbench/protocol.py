@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _array, _check_ranges, _seed
+from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _array, _check_ranges
+from .core import _ID_SEPARATOR, _seed
 from .errors import InvalidArgumentError
 from .schemes import _pair_scorer, instantiate, protect_batch
 
@@ -24,7 +25,6 @@ __all__ = [
 ]
 
 _STOLEN_LABEL = b"stolen-token"
-_ID_SEPARATOR = b"\x1f"  # keeps ("ab", "c") distinct from ("a", "bc")
 _BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries)
 _SCORE_PAIRS = 4096  # pairs per scoring call: 128 KiB a side of packed 256-bit rows
 
@@ -66,7 +66,7 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
     and sample.
     """
     parts = _identity(policy, subject_id, sample_id)
-    label = _ID_SEPARATOR.join(part.encode("utf-8") for part in parts) if parts else _STOLEN_LABEL
+    label = _ID_SEPARATOR.join(parts).encode("utf-8") if parts else _STOLEN_LABEL
     material = [int(policy.master_seed).to_bytes(8, "big"), label]
     return SchemeKey(seed=_hash64(material), scheme_id=policy.scheme_id, params=policy.params)
 

@@ -1,8 +1,8 @@
 """The six keyed template-protection transforms and their comparators.
 
-Every transform is a pure function of (key, input dimension, template):
-``instantiate`` materializes all key-derived randomness up front into the
-scheme's instance class, whose batch kernel ``rows`` (behind
+Every transform is a pure function of (key, input dimension, template). Each
+scheme is one instance class: its ``draw`` (behind ``instantiate``) draws all
+key-derived randomness up front, and its batch kernel ``rows`` (behind
 ``protect_batch``) never draws randomness.
 ``similarities`` scores protected rows, packed to bytes and counted through
 one popcount table; ``protect`` and ``compare`` are the one-template forms of
@@ -42,6 +42,17 @@ __all__ = [
 _LEAKY_SLOPE = 0.01
 
 
+def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
+    """Stack of ``n_rows`` Gaussian rows, orthonormalized in blocks of
+    min(n_rows, dim) rows each. When n_rows > dim, full dim x dim blocks are
+    orthonormalized independently and the concatenation truncated."""
+    if n_rows <= dim:
+        return gram_schmidt(gaussian_matrix(stream, n_rows, dim))
+    n_blocks = -(-n_rows // dim)  # ceil
+    blocks = [gram_schmidt(gaussian_matrix(stream, dim, dim)) for _ in range(n_blocks)]
+    return np.vstack(blocks)[:n_rows]
+
+
 @dataclass(frozen=True)
 class TransformInstance:
     """Key-derived transform parameters for one scheme at one input dimension.
@@ -49,11 +60,12 @@ class TransformInstance:
     Each subclass is one scheme: its ``scheme_id``, the ``kind`` of its
     protected rows (0/1 ``bits``, index-of-max ``codes`` in [0, iom_k), or
     ``bloom``: the 0/1 filter blocks of 2**bloom_word_bits bits each,
-    concatenated), its arrays and its batch kernel ``rows(x)``, which maps the
-    float64 ``(n, dim)`` feature block ``x`` to its protected rows; each row of
-    ``x`` comes from ``protect_batch`` with a largest |value| in [0.5, 1). Instances
-    carry materialized arrays only; shapes define the output length, which
-    keeps hand-built instances usable in tests.
+    concatenated), its arrays, drawn by the classmethod ``draw(seed, params, d)``,
+    and its batch kernel ``rows(x)``, which maps the float64 ``(n, dim)`` feature
+    block ``x`` to its protected rows; each row of ``x`` comes from
+    ``protect_batch`` with a largest |value| in [0.5, 1). Instances carry
+    materialized arrays only; shapes define the output length, which keeps
+    hand-built instances usable in tests.
     """
 
     scheme_id: ClassVar[SchemeId]
@@ -66,6 +78,11 @@ class BioHashInstance(TransformInstance):
     scheme_id, kind = SchemeId.BIOHASH, "bits"
     projection: np.ndarray  # (L, dim), rows orthonormal per block
 
+    @classmethod
+    def draw(cls, seed, params, d):
+        stream = derive_stream(seed, b"biohash.projection")
+        return cls(d, projection=_block_orthonormal(stream, params.output_length, d))
+
     def rows(self, x):
         """Project onto the orthonormalized random rows and threshold at zero."""
         return x @ self.projection.T > 0
@@ -75,6 +92,15 @@ class BioHashInstance(TransformInstance):
 class MlpHashInstance(TransformInstance):
     scheme_id, kind = SchemeId.MLP_HASH, "bits"
     layers: tuple[np.ndarray, ...]  # (L, dim) then (L, L) weight matrices
+
+    @classmethod
+    def draw(cls, seed, params, d):
+        length = params.output_length
+        return cls(d, layers=tuple(
+            _block_orthonormal(derive_stream(seed, b"mlphash.layer%d" % i), length,
+                               length if i else d)
+            for i in range(params.mlp_layers)
+        ))
 
     def rows(self, x):
         """Pass through the random orthonormal layers with a leaky ramp between
@@ -93,9 +119,12 @@ class BloomInstance(TransformInstance):
     block_cols: int
     masks: np.ndarray  # (n_words,) int64, one XOR mask per column word
 
-    @property
-    def padded_bits(self) -> int:
-        return self.masks.shape[0] * self.word_bits
+    @classmethod
+    def draw(cls, seed, params, d):
+        w, cols = params.bloom_word_bits, params.bloom_block_cols
+        n_words = -(-d // (w * cols)) * cols  # whole blocks cover the d features
+        masks = derive_stream(seed, b"bloom.masks").integers(n_words, 2**w)
+        return cls(d, word_bits=w, block_cols=cols, masks=masks)
 
     @property
     def n_blocks(self) -> int:
@@ -105,7 +134,7 @@ class BloomInstance(TransformInstance):
         """Sign-binarize, split into key-masked column words and populate one
         filter block per group of columns."""
         n = x.shape[0]
-        padded = np.pad(x > 0, ((0, 0), (0, self.padded_bits - self.dim)))
+        padded = np.pad(x > 0, ((0, 0), (0, self.masks.shape[0] * self.word_bits - self.dim)))
         # consecutive w-bit runs form column words, most significant bit first
         weights = 1 << np.arange(self.word_bits - 1, -1, -1, dtype=np.int64)
         words = padded.reshape(n, self.masks.shape[0], self.word_bits) @ weights
@@ -120,6 +149,12 @@ class IomGrpInstance(TransformInstance):
     scheme_id, kind = SchemeId.IOM_GRP, "codes"
     directions: np.ndarray  # (m, k, dim) Gaussian projection directions
 
+    @classmethod
+    def draw(cls, seed, params, d):
+        m, k = params.output_length, params.iom_k
+        stream = derive_stream(seed, b"iom-grp.directions")
+        return cls(d, directions=stream.normals(m * k * d).reshape(m, k, d))
+
     def rows(self, x):
         """For each hash, record which of its k Gaussian projections is largest
         (ties resolve to the lowest index)."""
@@ -132,6 +167,14 @@ class IomUrpInstance(TransformInstance):
     scheme_id, kind = SchemeId.IOM_URP, "codes"
     perms: np.ndarray  # (m, p, dim) permutation index arrays
     k: int
+
+    @classmethod
+    def draw(cls, seed, params, d):
+        m, k, p = params.output_length, params.iom_k, params.iom_p
+        if k > d:
+            raise InvalidArgumentError(f"iom_k={k} exceeds the input dimension {d}")
+        perms = derive_stream(seed, b"iom-urp.perms").permutation(d, m * p).reshape(m, p, d)
+        return cls(d, perms=perms, k=k)
 
     def rows(self, x):
         """For each hash, multiply p independently permuted copies of the input
@@ -152,30 +195,25 @@ class RandHashInstance(TransformInstance):
     pad_bits: np.ndarray  # (max(0, L - dim),) key-derived fixed bits
     output_length: int
 
+    @classmethod
+    def draw(cls, seed, params, d):
+        length = params.output_length
+        perm = derive_stream(seed, b"randhash.perm").permutation(d)
+        signs = np.where(derive_stream(seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
+        pad = derive_stream(seed, b"randhash.pad").uniforms(max(0, length - d)) < 0.5
+        return cls(d, perm=perm, signs=signs, pad_bits=pad.astype(np.uint8), output_length=length)
+
     def rows(self, x):
         """Sign-flip and permute, then binarize at zero. Output is truncated to
         the requested length, or padded with key-derived fixed bits when the
         length exceeds the input dimension."""
-        bits = (x * self.signs)[:, self.perm] > 0
-        if self.output_length <= self.dim:
-            return bits[:, : self.output_length]
+        bits = (x * self.signs)[:, self.perm[: self.output_length]] > 0
         return np.hstack([bits, np.broadcast_to(self.pad_bits, (x.shape[0], self.pad_bits.size))])
 
 
-# the kind of each scheme's protected rows, which similarities, chance_level
-# and the report's length unit read
-_KIND_OF_SCHEME = {c.scheme_id: c.kind for c in TransformInstance.__subclasses__()}
-
-
-def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
-    """Stack of ``n_rows`` Gaussian rows, orthonormalized in blocks of
-    min(n_rows, dim) rows each. When n_rows > dim, full dim x dim blocks are
-    orthonormalized independently and the concatenation truncated."""
-    if n_rows <= dim:
-        return gram_schmidt(gaussian_matrix(stream, n_rows, dim))
-    n_blocks = -(-n_rows // dim)  # ceil
-    blocks = [gram_schmidt(gaussian_matrix(stream, dim, dim)) for _ in range(n_blocks)]
-    return np.vstack(blocks)[:n_rows]
+# each scheme's instance class, which instantiate draws through and whose row
+# kind similarities, chance_level and the report's length unit read
+_CLASS_OF_SCHEME = {c.scheme_id: c for c in TransformInstance.__subclasses__()}
 
 
 def instantiate(key: SchemeKey, d: int) -> TransformInstance:
@@ -185,57 +223,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
     equal keys reproduce identical parameters and different components of one
     scheme never share randomness.
     """
-    d = _number(d, "d", int, 2)
-    params = key.params
-    length = params.output_length
-    scheme = key.scheme_id
-
-    if scheme is SchemeId.BIOHASH:
-        stream = derive_stream(key.seed, b"biohash.projection")
-        return BioHashInstance(d, projection=_block_orthonormal(stream, length, d))
-
-    if scheme is SchemeId.MLP_HASH:
-        layers = []
-        in_dim = d
-        for i in range(params.mlp_layers):
-            stream = derive_stream(key.seed, b"mlphash.layer%d" % i)
-            layers.append(_block_orthonormal(stream, length, in_dim))
-            in_dim = length
-        return MlpHashInstance(d, layers=tuple(layers))
-
-    if scheme is SchemeId.BLOOM_FILTER:
-        w = params.bloom_word_bits
-        cols = params.bloom_block_cols
-        block_bits = w * cols
-        n_blocks = -(-d // block_bits)
-        n_words = n_blocks * cols
-        stream = derive_stream(key.seed, b"bloom.masks")
-        masks = stream.integers(n_words, 2**w)
-        return BloomInstance(d, word_bits=w, block_cols=cols, masks=masks)
-
-    if scheme is SchemeId.IOM_GRP:
-        stream = derive_stream(key.seed, b"iom-grp.directions")
-        directions = stream.normals(length * params.iom_k * d).reshape(length, params.iom_k, d)
-        return IomGrpInstance(d, directions=directions)
-
-    if scheme is SchemeId.IOM_URP:
-        if params.iom_k > d:
-            raise InvalidArgumentError(
-                f"iom_k={params.iom_k} exceeds the input dimension {d}"
-            )
-        stream = derive_stream(key.seed, b"iom-urp.perms")
-        perms = stream.permutation(d, length * params.iom_p).reshape(length, params.iom_p, d)
-        return IomUrpInstance(d, perms=perms, k=params.iom_k)
-
-    perm = derive_stream(key.seed, b"randhash.perm").permutation(d)
-    signs = np.where(derive_stream(key.seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
-    n_pad = max(0, length - d)
-    pad_bits = (
-        (derive_stream(key.seed, b"randhash.pad").uniforms(n_pad) < 0.5).astype(np.uint8)
-        if n_pad
-        else np.zeros(0, dtype=np.uint8)
-    )
-    return RandHashInstance(d, perm=perm, signs=signs, pad_bits=pad_bits, output_length=length)
+    return _CLASS_OF_SCHEME[key.scheme_id].draw(key.seed, key.params, _number(d, "d", int, 2))
 
 
 def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
@@ -309,7 +297,7 @@ def _scores(kind: str, length: int, a: tuple[np.ndarray, ...], b: tuple[np.ndarr
 def _pair_scorer(scheme_id: SchemeId, params, rows: np.ndarray):
     """``score(i, j)``: ``similarities`` of ``rows[i]`` and ``rows[j]``, from
     the (n, width) protected ``rows`` packed once."""
-    kind = _KIND_OF_SCHEME[scheme_id]
+    kind = _CLASS_OF_SCHEME[scheme_id].kind
     packed = _packed(kind, params, "protected", rows)
     return lambda i, j: _scores(kind, rows.shape[1], [p.take(i, axis=0) for p in packed],
                                 [p.take(j, axis=0) for p in packed])
@@ -327,7 +315,7 @@ def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> n
     rows that are not whole blocks, and rows of different lengths or leading
     axes that do not broadcast.
     """
-    kind = _KIND_OF_SCHEME[scheme_id]
+    kind = _CLASS_OF_SCHEME[scheme_id].kind
     pa, pb = _packed(kind, params, "a", a), _packed(kind, params, "b", b)
     a_shape, b_shape = np.shape(a), np.shape(b)
     if a_shape[-1] != b_shape[-1]:
@@ -356,7 +344,4 @@ def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
 def chance_level(scheme_id: SchemeId, params) -> float | None:
     """Expected cross-key similarity: 0.5 for bit schemes, 1/k for
     index-of-max schemes; None for Bloom, whose level depends on fill rate."""
-    kind = _KIND_OF_SCHEME[scheme_id]
-    if kind == "bloom":
-        return None
-    return 0.5 if kind == "bits" else 1.0 / params.iom_k
+    return {"bits": 0.5, "codes": 1.0 / params.iom_k}.get(_CLASS_OF_SCHEME[scheme_id].kind)

@@ -304,6 +304,47 @@ class TestBench:
         assert not list((tmp_path / "out").glob("det_*.csv"))
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_faulty_scheme_kernel_names_its_cell(self, tmp_path, monkeypatch, capsys):
+        # a biohash kernel that forgets to threshold hands the scorer real
+        # values, which the first cell's packing refuses
+        from cbbench.schemes import BioHashInstance
+
+        monkeypatch.setattr(BioHashInstance, "rows", lambda self, x: x @ self.projection.T)
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", str(small_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert "cell (scheme=biohash, scenario=normal)" in err
+        assert "InvalidArgumentError: protected rows hold values other than 0/1 values" in err
+        assert "Traceback" not in err
+        assert not list(out_dir.glob("*.csv")) and not (out_dir / "report.json").exists()
+
+    def test_draw_failing_on_a_pool_thread_names_its_cell(self, tmp_path, monkeypatch, capsys,
+                                                          cpus):
+        # the stolen cell draws its one key on the calling thread and writes
+        # its DET CSV; the sample-specific pass deals 17 of its 18 keys to
+        # the calling thread and a pool of 2, whose draws raise
+        import threading
+
+        from cbbench.schemes import BioHashInstance
+
+        draw = BioHashInstance.draw
+
+        def draw_off_the_main_thread(cls, seed, params, d):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("no draws on a pool thread")
+            return draw(seed, params, d)
+
+        monkeypatch.setattr(BioHashInstance, "draw", classmethod(draw_off_the_main_thread))
+        cpus(3)
+        cfg = small_config(tmp_path, schemes=["biohash"], scenarios=["stolen"])
+        threads = threading.active_count()
+        assert main(["bench", "--config", str(cfg)]) == 1
+        assert threading.active_count() == threads  # the pool is shut down
+        err = capsys.readouterr().err
+        assert "cell (scheme=biohash, scenario=sample-specific)" in err
+        assert "RuntimeError: no draws on a pool thread" in err and "Traceback" not in err
+        assert not list((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch, cpus, workers):
         # wrap instantiate wherever a cbbench module binds it by name
@@ -712,6 +753,7 @@ def _run(argv):
 EVAL_PERF = ["eval-perf", "--templates", "t.csv", "--scheme", "biohash"]
 ONE_SUBJECT = "nonmated is empty: a non-mated pair needs at least two subjects"
 NOT_UTF8 = "bad.csv:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 4"
+SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': an id holds '\\x1f'"
 
 
 @pytest.mark.parametrize(
@@ -775,6 +817,7 @@ NOT_UTF8 = "bad.csv:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in positi
         (["protect", "--templates", "bad.csv", "--scheme", "biohash", "--out", "p.csv"],
          1, NOT_UTF8),
         (["eval-perf", "--templates", "bad.csv", "--scheme", "biohash"], 1, NOT_UTF8),
+        (["eval-unlink", "--templates", "sep.csv", "--scheme", "biohash"], 1, SEPARATOR),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -788,7 +831,8 @@ NOT_UTF8 = "bad.csv:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in positi
          "unlink-bins-5", "unlink-bins-1e9", "irrev-r-0", "config-bins-1e10",
          "config-mi-components-0", "config-synthetic-unknown-key",
          "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308",
-         "perf-one-subject", "unlink-one-subject", "protect-not-utf8", "perf-not-utf8"],
+         "perf-one-subject", "unlink-one-subject", "protect-not-utf8", "perf-not-utf8",
+         "unlink-id-holds-key-separator"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -796,6 +840,9 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
     (tmp_path / "one.csv").write_text("subject_id,sample_id,f0,f1\na,0,1.0,0.5\na,1,0.5,1.0\n")
     # the byte 0xff in line 3, which no UTF-8 text holds
     (tmp_path / "bad.csv").write_bytes(b"subject_id,sample_id,f0,f1\na,0,1.0,0.5\na,1,\xff0.5,1.0\n")
+    # ("a\x1fb", "c") and ("a", "b\x1fc") would derive one sample-specific key
+    (tmp_path / "sep.csv").write_text("subject_id,sample_id,f0,f1\na\x1fb,c,1.0,0.5\n"
+                                      "a\x1fb,d,0.5,1.0\na,b\x1fc,1.0,0.0\na,e,0.0,1.0\n")
     configs = {
         "{config}": {},
         "{config:master_seed}": {"master_seed": "abc"},

@@ -3,7 +3,7 @@ import pytest
 
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, validate_dataset
 from cbbench.errors import InvalidArgumentError
-from cbbench.protocol import ScoreSet
+from cbbench.protocol import KeyPolicy, ScoreSet, derive_key
 from cbbench.schemes import (
     BioHashInstance,
     BloomInstance,
@@ -201,6 +201,19 @@ class TestDataset:
         match = "^features must be a 2-D array" if wrong_rank else "one id pair per row"
         with pytest.raises(InvalidArgumentError, match=match):
             Dataset(features, subjects, samples)
+
+    def test_id_holding_the_key_separator_rejected(self):
+        # ids are joined with \x1f into a sample-specific key's material, so
+        # ("a\x1fb", "c") and ("a", "b\x1fc") would share one key
+        policy = KeyPolicy(1, Scenario.SAMPLE_SPECIFIC, SchemeId.BIOHASH)
+        assert derive_key(policy, "a\x1fb", "c") == derive_key(policy, "a", "b\x1fc")
+        with pytest.raises(InvalidArgumentError) as info:
+            Dataset(np.eye(4), ["a\x1fb", "a\x1fb", "a", "a"], ["c", "d", "b\x1fc", "e"])
+        assert str(info.value) == "features: " + "; ".join([
+            "subject 'a\\x1fb' sample 'c': an id holds '\\x1f', the key-material separator",
+            "subject 'a\\x1fb' sample 'd': an id holds '\\x1f', the key-material separator",
+            "subject 'a' sample 'b\\x1fc': an id holds '\\x1f', the key-material separator",
+        ])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(InvalidArgumentError, match="^features: the rows differ in length"):

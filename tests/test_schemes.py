@@ -66,6 +66,70 @@ class TestInstantiate:
         with pytest.raises(InvalidArgumentError):
             instantiate(SchemeKey(1, SchemeId.IOM_URP, SchemeParams(iom_k=32)), 16)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("length, d, layers, k, p, word_bits, cols", [
+        (8, 16, 1, 2, 3, 3, 5),  # L < d: no rand-hash pad; 15-bit Bloom blocks do not tile 16
+        (16, 16, 3, 4, 1, 4, 4),  # L = d: one biohash block; Bloom blocks tile d
+        (40, 16, 3, 2, 3, 2, 3),  # L > d: a pad and three biohash blocks; 6-bit Bloom blocks
+    ])
+    def test_equals_reference_draws(self, scheme, length, d, layers, k, p, word_bits, cols):
+        # the oracle draws each scheme's arrays as one if-ladder over the
+        # schemes did: same stream labels, same draws, same order
+        from cbbench.numerics import gaussian_matrix, gram_schmidt
+
+        def block_orthonormal(stream, n_rows, dim):
+            if n_rows <= dim:
+                return gram_schmidt(gaussian_matrix(stream, n_rows, dim))
+            blocks = [gram_schmidt(gaussian_matrix(stream, dim, dim))
+                      for _ in range(-(-n_rows // dim))]
+            return np.vstack(blocks)[:n_rows]
+
+        def reference(seed):
+            if scheme is SchemeId.BIOHASH:
+                stream = derive_stream(seed, b"biohash.projection")
+                return {"projection": block_orthonormal(stream, length, d)}
+            if scheme is SchemeId.MLP_HASH:
+                in_dims = [d] + [length] * (layers - 1)
+                return {"layers": tuple(
+                    block_orthonormal(derive_stream(seed, b"mlphash.layer%d" % i), length, n)
+                    for i, n in enumerate(in_dims)
+                )}
+            if scheme is SchemeId.BLOOM_FILTER:
+                n_words = -(-d // (word_bits * cols)) * cols
+                masks = derive_stream(seed, b"bloom.masks").integers(n_words, 2**word_bits)
+                return {"word_bits": word_bits, "block_cols": cols, "masks": masks}
+            if scheme is SchemeId.IOM_GRP:
+                stream = derive_stream(seed, b"iom-grp.directions")
+                return {"directions": stream.normals(length * k * d).reshape(length, k, d)}
+            if scheme is SchemeId.IOM_URP:
+                stream = derive_stream(seed, b"iom-urp.perms")
+                return {"perms": stream.permutation(d, length * p).reshape(length, p, d), "k": k}
+            perm = derive_stream(seed, b"randhash.perm").permutation(d)
+            signs = np.where(derive_stream(seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
+            n_pad = max(0, length - d)
+            pad_bits = (
+                (derive_stream(seed, b"randhash.pad").uniforms(n_pad) < 0.5).astype(np.uint8)
+                if n_pad
+                else np.zeros(0, dtype=np.uint8)
+            )
+            return {"perm": perm, "signs": signs, "pad_bits": pad_bits, "output_length": length}
+
+        def bits(value):
+            if isinstance(value, tuple):
+                return tuple(bits(v) for v in value)
+            if isinstance(value, np.ndarray):
+                return value.dtype.str, value.shape, value.tobytes()
+            return type(value), value
+
+        params = SchemeParams(output_length=length, mlp_layers=layers, iom_k=k, iom_p=p,
+                              bloom_word_bits=word_bits, bloom_block_cols=cols)
+        for seed in (0, 7, 2**64 - 1):
+            inst = instantiate(SchemeKey(seed, scheme, params), d)
+            expected = {"dim": d, **reference(seed)}
+            assert [f.name for f in dataclasses.fields(inst)] == list(expected)
+            for name, value in expected.items():
+                assert bits(getattr(inst, name)) == bits(value), name
+
     def test_biohash_blocks_orthonormal(self):
         # output length above the dimension: each d-row block stays orthonormal
         inst = instantiate(SchemeKey(3, SchemeId.BIOHASH, SchemeParams(output_length=40)), 16)
@@ -275,6 +339,9 @@ class TestInstanceClasses:
         (cls,) = [c for c in TransformInstance.__subclasses__() if c.scheme_id is scheme]
         inst = instantiate(SchemeKey(3, scheme, SMALL), 16)
         assert type(inst) is cls and inst.scheme_id is scheme
+        # the class draws its own arrays: instantiate only looks the class up
+        assert "draw" in cls.__dict__
+        assert type(cls.draw(3, SMALL, 16)) is cls
         kind = "bits" if scheme in BIT_SCHEMES else "codes" if scheme in CODE_SCHEMES else "bloom"
         assert cls.kind == kind
         # chance_level and similarities score rows by that kind
