@@ -112,15 +112,16 @@ def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str
     return p
 
 
-def _policy_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> KeyPolicy:
-    """The KeyPolicy of a policy subcommand; a bad scheme name is a usage
-    error naming its flag."""
+def _policy_and_templates(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The KeyPolicy of a policy subcommand and its ``--templates`` dataset; a
+    bad scheme name is a usage error naming its flag."""
     try:
         scheme = SchemeId.from_name(args.scheme)
     except InvalidArgumentError as exc:
         parser.error(f"argument --scheme: {exc}")
     params = SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
-    return KeyPolicy(args.master_seed, Scenario.from_name(args.scenario), scheme, params)
+    policy = KeyPolicy(args.master_seed, Scenario.from_name(args.scenario), scheme, params)
+    return policy, read_templates(args.templates)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,8 +314,7 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy = _policy_from_args(args, parser)
-    ds = read_templates(args.templates)
+    policy, ds = _policy_and_templates(args, parser)
     y = protected_matrix(ds, policy)
     header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
     _write_rows(args.out, header, y, list(zip(ds.subject_ids, ds.sample_ids)))
@@ -323,8 +323,7 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy = _policy_from_args(args, parser)
-    ds = read_templates(args.templates)
+    policy, ds = _policy_and_templates(args, parser)
     curve, perf = _perf_block(run_scenario(ds, policy, protected_matrix(ds, policy)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,8 +337,7 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy = _policy_from_args(args, parser)
-    ds = read_templates(args.templates)
+    policy, ds = _policy_and_templates(args, parser)
     report = unlinkability(run_scenario(ds, policy, protected_matrix(ds, policy)), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,8 +352,7 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy = _policy_from_args(args, parser)
-    ds = read_templates(args.templates)
+    policy, ds = _policy_and_templates(args, parser)
     y = protected_matrix(ds, policy)
     report = mutual_information(ds.features, y, args.r)
     if report.r_used < args.r:

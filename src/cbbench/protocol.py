@@ -63,9 +63,13 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
 
     Stolen-token ignores identity entirely (one disclosed key for everyone),
     normal keys on the subject only, and sample-specific keys on both subject
-    and sample.
+    and sample, joined by ``\\x1f``, so a joined id holding it is refused by name.
     """
     parts = _identity(policy, subject_id, sample_id)
+    for name, part in zip(("subject_id", "sample_id"), parts):
+        if len(parts) > 1 and _ID_SEPARATOR in part:
+            raise InvalidArgumentError(f"{name} {part!r} holds {_ID_SEPARATOR!r}, "
+                                       "the key-material separator")
     label = _ID_SEPARATOR.join(parts).encode("utf-8") if parts else _STOLEN_LABEL
     material = [int(policy.master_seed).to_bytes(8, "big"), label]
     return SchemeKey(seed=_hash64(material), scheme_id=policy.scheme_id, params=policy.params)

@@ -1,7 +1,7 @@
 """The six keyed template-protection transforms and their comparators.
 
 Every transform is a pure function of (key, input dimension, template). Each
-scheme is one instance class: its ``draw`` (behind ``instantiate``) draws all
+scheme is one instance class: its ``_draw`` (behind ``instantiate``) draws all
 key-derived randomness up front, and its batch kernel ``rows`` (behind
 ``protect_batch``) never draws randomness.
 ``similarities`` scores protected rows, packed to bytes and counted through
@@ -46,10 +46,8 @@ def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
     """Stack of ``n_rows`` Gaussian rows, orthonormalized in blocks of
     min(n_rows, dim) rows each. When n_rows > dim, full dim x dim blocks are
     orthonormalized independently and the concatenation truncated."""
-    if n_rows <= dim:
-        return gram_schmidt(gaussian_matrix(stream, n_rows, dim))
-    n_blocks = -(-n_rows // dim)  # ceil
-    blocks = [gram_schmidt(gaussian_matrix(stream, dim, dim)) for _ in range(n_blocks)]
+    size = min(n_rows, dim)
+    blocks = [gram_schmidt(gaussian_matrix(stream, size, dim)) for _ in range(-(-n_rows // size))]
     return np.vstack(blocks)[:n_rows]
 
 
@@ -60,12 +58,13 @@ class TransformInstance:
     Each subclass is one scheme: its ``scheme_id``, the ``kind`` of its
     protected rows (0/1 ``bits``, index-of-max ``codes`` in [0, iom_k), or
     ``bloom``: the 0/1 filter blocks of 2**bloom_word_bits bits each,
-    concatenated), its arrays, drawn by the classmethod ``draw(seed, params, d)``,
-    and its batch kernel ``rows(x)``, which maps the float64 ``(n, dim)`` feature
-    block ``x`` to its protected rows; each row of ``x`` comes from
-    ``protect_batch`` with a largest |value| in [0.5, 1). Instances carry
-    materialized arrays only; shapes define the output length, which keeps
-    hand-built instances usable in tests.
+    concatenated), its arrays, drawn by the classmethod ``_draw(seed, params, d)``
+    that ``instantiate`` calls with a checked ``d``, and its batch kernel
+    ``rows(x)``, which maps the float64 ``(n, dim)`` feature block ``x`` to its
+    protected rows; each row of ``x`` comes from ``protect_batch`` with a
+    largest |value| in [0.5, 1). Instances carry materialized arrays only;
+    shapes define the output length, which keeps hand-built instances usable
+    in tests.
     """
 
     scheme_id: ClassVar[SchemeId]
@@ -79,7 +78,7 @@ class BioHashInstance(TransformInstance):
     projection: np.ndarray  # (L, dim), rows orthonormal per block
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         stream = derive_stream(seed, b"biohash.projection")
         return cls(d, projection=_block_orthonormal(stream, params.output_length, d))
 
@@ -94,7 +93,7 @@ class MlpHashInstance(TransformInstance):
     layers: tuple[np.ndarray, ...]  # (L, dim) then (L, L) weight matrices
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         length = params.output_length
         return cls(d, layers=tuple(
             _block_orthonormal(derive_stream(seed, b"mlphash.layer%d" % i), length,
@@ -120,7 +119,7 @@ class BloomInstance(TransformInstance):
     masks: np.ndarray  # (n_words,) int64, one XOR mask per column word
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         w, cols = params.bloom_word_bits, params.bloom_block_cols
         n_words = -(-d // (w * cols)) * cols  # whole blocks cover the d features
         masks = derive_stream(seed, b"bloom.masks").integers(n_words, 2**w)
@@ -133,11 +132,11 @@ class BloomInstance(TransformInstance):
     def rows(self, x):
         """Sign-binarize, split into key-masked column words and populate one
         filter block per group of columns."""
-        n = x.shape[0]
-        padded = np.pad(x > 0, ((0, 0), (0, self.masks.shape[0] * self.word_bits - self.dim)))
+        n, n_words = x.shape[0], self.masks.shape[0]
+        padded = np.pad(x > 0, ((0, 0), (0, n_words * self.word_bits - self.dim)))
         # consecutive w-bit runs form column words, most significant bit first
         weights = 1 << np.arange(self.word_bits - 1, -1, -1, dtype=np.int64)
-        words = padded.reshape(n, self.masks.shape[0], self.word_bits) @ weights
+        words = padded.reshape(n, n_words, self.word_bits) @ weights
         masked = (words ^ self.masks).reshape(n, self.n_blocks, self.block_cols)
         blocks = np.zeros((n, self.n_blocks, 2**self.word_bits), dtype=np.uint8)
         np.put_along_axis(blocks, masked, 1, axis=2)
@@ -150,7 +149,7 @@ class IomGrpInstance(TransformInstance):
     directions: np.ndarray  # (m, k, dim) Gaussian projection directions
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         m, k = params.output_length, params.iom_k
         stream = derive_stream(seed, b"iom-grp.directions")
         return cls(d, directions=stream.normals(m * k * d).reshape(m, k, d))
@@ -169,7 +168,7 @@ class IomUrpInstance(TransformInstance):
     k: int
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         m, k, p = params.output_length, params.iom_k, params.iom_p
         if k > d:
             raise InvalidArgumentError(f"iom_k={k} exceeds the input dimension {d}")
@@ -196,7 +195,7 @@ class RandHashInstance(TransformInstance):
     output_length: int
 
     @classmethod
-    def draw(cls, seed, params, d):
+    def _draw(cls, seed, params, d):
         length = params.output_length
         perm = derive_stream(seed, b"randhash.perm").permutation(d)
         signs = np.where(derive_stream(seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
@@ -223,7 +222,7 @@ def instantiate(key: SchemeKey, d: int) -> TransformInstance:
     equal keys reproduce identical parameters and different components of one
     scheme never share randomness.
     """
-    return _CLASS_OF_SCHEME[key.scheme_id].draw(key.seed, key.params, _number(d, "d", int, 2))
+    return _CLASS_OF_SCHEME[key.scheme_id]._draw(key.seed, key.params, _number(d, "d", int, 2))
 
 
 def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
@@ -344,4 +343,7 @@ def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
 def chance_level(scheme_id: SchemeId, params) -> float | None:
     """Expected cross-key similarity: 0.5 for bit schemes, 1/k for
     index-of-max schemes; None for Bloom, whose level depends on fill rate."""
-    return {"bits": 0.5, "codes": 1.0 / params.iom_k}.get(_CLASS_OF_SCHEME[scheme_id].kind)
+    kind = _CLASS_OF_SCHEME[scheme_id].kind
+    if kind == "bloom":
+        return None
+    return 0.5 if kind == "bits" else 1.0 / params.iom_k

@@ -327,14 +327,14 @@ class TestBench:
 
         from cbbench.schemes import BioHashInstance
 
-        draw = BioHashInstance.draw
+        draw = BioHashInstance._draw
 
         def draw_off_the_main_thread(cls, seed, params, d):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("no draws on a pool thread")
             return draw(seed, params, d)
 
-        monkeypatch.setattr(BioHashInstance, "draw", classmethod(draw_off_the_main_thread))
+        monkeypatch.setattr(BioHashInstance, "_draw", classmethod(draw_off_the_main_thread))
         cpus(3)
         cfg = small_config(tmp_path, schemes=["biohash"], scenarios=["stolen"])
         threads = threading.active_count()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ class TestDeriveKey:
     def test_identity_concatenation_unambiguous(self):
         p = policy(Scenario.SAMPLE_SPECIFIC)
         assert derive_key(p, "ab", "c") != derive_key(p, "a", "bc")
+
+    @pytest.mark.parametrize("subject_id, sample_id, name", [
+        ("a\x1fb", "c", "subject_id 'a\\x1fb'"), ("a", "b\x1fc", "sample_id 'b\\x1fc'"),
+    ])
+    def test_id_holding_the_separator_rejected(self, subject_id, sample_id, name):
+        # joined with \x1f, ("a\x1fb", "c") and ("a", "b\x1fc") would share one key
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(name)} holds "):
+            derive_key(policy(Scenario.SAMPLE_SPECIFIC), subject_id, sample_id)
+        # one part is not joined, so it keys as before
+        assert derive_key(policy(Scenario.NORMAL), subject_id, sample_id).seed == derive_key(
+            policy(Scenario.NORMAL), subject_id, "").seed
 
     # a float or bool seed once passed and derived the keys of int(seed)
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])

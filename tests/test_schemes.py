@@ -340,8 +340,8 @@ class TestInstanceClasses:
         inst = instantiate(SchemeKey(3, scheme, SMALL), 16)
         assert type(inst) is cls and inst.scheme_id is scheme
         # the class draws its own arrays: instantiate only looks the class up
-        assert "draw" in cls.__dict__
-        assert type(cls.draw(3, SMALL, 16)) is cls
+        assert "_draw" in cls.__dict__
+        assert type(cls._draw(3, SMALL, 16)) is cls
         kind = "bits" if scheme in BIT_SCHEMES else "codes" if scheme in CODE_SCHEMES else "bloom"
         assert cls.kind == kind
         # chance_level and similarities score rows by that kind
