@@ -90,37 +90,22 @@ def _param_flags(parser: argparse.ArgumentParser, cls, **defaults) -> None:
         )
 
 
-def _from_flags(parser: argparse.ArgumentParser, cls, **values):
-    """``cls(**values)`` built from flag values. Its checks raise messages that
-    start with the field name, so an InvalidArgumentError becomes a usage
-    error (exit 2) naming that field's flag."""
-    try:
-        return cls(**values)
-    except InvalidArgumentError as exc:
-        name = next((n for n in values if str(exc).startswith(n + " ")), None)
-        parser.error(f"argument {_flag(name)}: {exc}" if name else str(exc))
-
-
 def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str):
     """Subcommand with the flags a KeyPolicy is built from, bar the scheme
     parameters, which the caller adds last so the usage line keeps its order."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId],
+                   metavar="SCHEME")
     p.add_argument("--scenario", default=default, choices=scenarios)
     p.add_argument("--master-seed", **_param_arg(BenchmarkConfig, "master_seed"))
     return p
 
 
-def _policy_and_templates(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """The KeyPolicy of a policy subcommand and its ``--templates`` dataset; a
-    bad scheme name is a usage error naming its flag."""
-    try:
-        scheme = SchemeId.from_name(args.scheme)
-    except InvalidArgumentError as exc:
-        parser.error(f"argument --scheme: {exc}")
+def _policy_and_templates(args: argparse.Namespace):
+    """The KeyPolicy of a policy subcommand and its ``--templates`` dataset."""
     params = SchemeParams(**{f.name: getattr(args, f.name) for f in fields(SchemeParams)})
-    policy = KeyPolicy(args.master_seed, Scenario.from_name(args.scenario), scheme, params)
+    policy = KeyPolicy(args.master_seed, Scenario(args.scenario), SchemeId(args.scheme), params)
     return policy, read_templates(args.templates)
 
 
@@ -244,7 +229,7 @@ def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[P
     for spec in config.schemes:
         scheme = spec.scheme_id
         for scenario_name in config.scenarios:
-            scenario = Scenario.from_name(scenario_name)
+            scenario = Scenario(scenario_name)
             with _cell(scheme, scenario.value):
                 policy = KeyPolicy(config.master_seed, scenario, scheme, spec.params)
                 y = protected_matrix(ds, policy)
@@ -301,9 +286,10 @@ def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[P
 
 
 def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = _from_flags(
-        parser, SynthConfig, **{f.name: getattr(args, f.name) for f in fields(SynthConfig)}
-    )
+    try:  # each flag's range is checked as it parses, so only the size bound is left
+        cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+    except InvalidArgumentError as exc:
+        parser.error(f"argument --dim: {exc}")
     ds = generate(cfg)
     write_templates(ds, args.out)
     print(
@@ -314,7 +300,7 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy, ds = _policy_and_templates(args, parser)
+    policy, ds = _policy_and_templates(args)
     y = protected_matrix(ds, policy)
     header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
     _write_rows(args.out, header, y, list(zip(ds.subject_ids, ds.sample_ids)))
@@ -323,7 +309,7 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy, ds = _policy_and_templates(args, parser)
+    policy, ds = _policy_and_templates(args)
     curve, perf = _perf_block(run_scenario(ds, policy, protected_matrix(ds, policy)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -337,7 +323,7 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy, ds = _policy_and_templates(args, parser)
+    policy, ds = _policy_and_templates(args)
     report = unlinkability(run_scenario(ds, policy, protected_matrix(ds, policy)), args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -352,7 +338,7 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policy, ds = _policy_and_templates(args, parser)
+    policy, ds = _policy_and_templates(args)
     y = protected_matrix(ds, policy)
     report = mutual_information(ds.features, y, args.r)
     if report.r_used < args.r:

@@ -35,7 +35,12 @@ class SchemeId(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "SchemeId":
-        return _from_name(cls, "scheme", name)
+        """The scheme whose value is ``name``, else an error naming it."""
+        try:
+            return cls(name)
+        except ValueError:
+            known = ", ".join(m.value for m in cls)
+            raise InvalidArgumentError(f"unknown scheme name {name!r} (known: {known})") from None
 
 
 class Scenario(enum.Enum):
@@ -44,19 +49,6 @@ class Scenario(enum.Enum):
     NORMAL = "normal"  # one secret key per subject
     STOLEN_TOKEN = "stolen"  # a single disclosed key for everyone
     SAMPLE_SPECIFIC = "sample-specific"  # a fresh key per sample (unlinkability runs)
-
-    @classmethod
-    def from_name(cls, name: str) -> "Scenario":
-        return _from_name(cls, "scenario", name)
-
-
-def _from_name(cls, kind: str, name: str):
-    """The member of the enum ``cls`` whose value is ``name``, else an error naming it."""
-    try:
-        return cls(name)
-    except ValueError:
-        known = ", ".join(m.value for m in cls)
-        raise InvalidArgumentError(f"unknown {kind} name {name!r} (known: {known})") from None
 
 
 def _param(default, help: str, low, high):

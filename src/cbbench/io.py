@@ -292,7 +292,7 @@ class BenchmarkConfig:
             )
 
 
-def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
+def standard_benchmark_config() -> BenchmarkConfig:
     """The reference desk-scale benchmark: all six schemes with default
     parameters on the standard synthetic dataset, normal and stolen scenarios.
 
@@ -309,7 +309,6 @@ def standard_benchmark_config(output_dir: str = ".") -> BenchmarkConfig:
         unlinkability_bins=50,
         mi_components=16,
         synthetic=STANDARD_CONFIG,
-        output_dir=output_dir,
     )
 
 
@@ -394,23 +393,20 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
     base_params = _build(SchemeParams, data.get("params", {}), f"{path}: params")
     schemes: list[SchemeSpec] = []
     for entry in _check(data.get("schemes", []), list, f"{path}: schemes"):
-        if isinstance(entry, str):
-            schemes.append(SchemeSpec(SchemeId.from_name(entry), base_params))
-        elif (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and set(entry) <= {"name", "params"}
-        ):
-            merged = _build(
-                SchemeParams, entry.get("params", {}),
-                f"{path}: scheme {entry['name']} params", **vars(base_params),
-            )
-            schemes.append(SchemeSpec(SchemeId.from_name(entry["name"]), merged))
-        else:
+        entry = {"name": entry} if isinstance(entry, str) else entry
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and set(entry) <= {"name", "params"}):
             raise ParseError(
                 f"{path}: schemes entries must be names or objects with a 'name' and "
                 f"optional 'params', got {entry!r}"
             )
+        with _naming(f"{path}: schemes"):
+            scheme = SchemeId.from_name(entry["name"])
+        merged = _build(
+            SchemeParams, entry.get("params", {}),
+            f"{path}: scheme {entry['name']} params", **vars(base_params),
+        )
+        schemes.append(SchemeSpec(scheme, merged))
 
     with _naming(path):
         return BenchmarkConfig(schemes=schemes, scenarios=data.get("scenarios", []), **settings)

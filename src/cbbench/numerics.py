@@ -3,7 +3,8 @@
 Matrices are plain 2-D float64 numpy arrays with row-major semantics. All
 functions are pure: identical inputs (including generator state) produce
 identical outputs, which is the backbone of the key-based renewability and
-replay guarantees of the rest of the toolkit. ``gram_schmidt`` scales its
+replay guarantees of the rest of the toolkit; every key and stream derives
+from one keyed hash, ``_keyed_hash``. ``gram_schmidt`` scales its
 matrix to a largest |value| in [0.5, 1), as ``protect_batch`` scales each
 feature row, then calls the QR routines of numpy's bundled OpenBLAS through
 ctypes, which releases the GIL, and gives the bits of ``np.linalg.qr``, its
@@ -45,10 +46,11 @@ _U64_MAX = np.iinfo(np.uint64).max
 _HALF_LN_2PI_E = 0.5 * (math.log(2.0 * math.pi) + 1.0)
 
 
-def _philox_key(seed: int, label: bytes) -> int:
-    """128-bit Philox key from a 64-bit seed and a domain-separation label."""
-    material = int(seed).to_bytes(8, "big") + bytes(label)
-    return int.from_bytes(hashlib.blake2b(material, digest_size=16).digest(), "big")
+def _keyed_hash(seed: int, label: bytes, size: int) -> int:
+    """The ``size``-byte BLAKE2b digest of the 8-byte big-endian seed then ``label``,
+    as a big-endian integer: the one hash of every key (8 bytes) and stream (16)."""
+    digest = hashlib.blake2b(int(seed).to_bytes(8, "big") + label, digest_size=size).digest()
+    return int.from_bytes(digest, "big")
 
 
 @dataclass
@@ -57,7 +59,7 @@ class RandomStream:
 
     Two streams built from the same pair replay the same sequence; distinct
     labels under one seed give independent-looking sequences. Backed by the
-    counter-based Philox generator, keyed with BLAKE2b(seed || label).
+    counter-based Philox generator, keyed with ``_keyed_hash(seed, label, 16)``.
     """
 
     origin_seed: int = _seed(MISSING, "seed the stream derives from")
@@ -103,7 +105,7 @@ def derive_stream(seed: int, label: bytes | str) -> RandomStream:
     if not isinstance(label, bytes):  # bytes(5) would silently be five NUL bytes
         raise InvalidArgumentError(f"label must be bytes or str, got {label!r}")
     _check_ranges(RandomStream, origin_seed=seed)
-    gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, label)))
+    gen = np.random.Generator(np.random.Philox(key=_keyed_hash(seed, label, 16)))
     return RandomStream(origin_seed=int(seed), label=label, _gen=gen)
 
 

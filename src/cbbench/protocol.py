@@ -8,7 +8,6 @@ ordered convention would only duplicate scores without moving any metric.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
@@ -18,6 +17,7 @@ import numpy as np
 from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _array, _check_ranges
 from .core import _ID_SEPARATOR, _seed
 from .errors import InvalidArgumentError
+from .numerics import _keyed_hash
 from .schemes import _pair_scorer, instantiate, protect_batch
 
 __all__ = [
@@ -27,12 +27,6 @@ __all__ = [
 _STOLEN_LABEL = b"stolen-token"
 _BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries)
 _SCORE_PAIRS = 4096  # pairs per scoring call: 128 KiB a side of packed 256-bit rows
-
-
-def _hash64(parts: list[bytes]) -> int:
-    """Fixed 64-bit mix of the byte concatenation (BLAKE2b-64, big endian);
-    stable across platforms and releases by construction."""
-    return int.from_bytes(hashlib.blake2b(b"".join(parts), digest_size=8).digest(), "big")
 
 
 @dataclass(frozen=True)
@@ -64,6 +58,8 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
     Stolen-token ignores identity entirely (one disclosed key for everyone),
     normal keys on the subject only, and sample-specific keys on both subject
     and sample, joined by ``\\x1f``, so a joined id holding it is refused by name.
+    The key's seed is the 8-byte ``numerics._keyed_hash`` of the master seed and
+    those ids, or ``b"stolen-token"`` for stolen.
     """
     parts = _identity(policy, subject_id, sample_id)
     for name, part in zip(("subject_id", "sample_id"), parts):
@@ -71,8 +67,8 @@ def derive_key(policy: KeyPolicy, subject_id: str, sample_id: str = "") -> Schem
             raise InvalidArgumentError(f"{name} {part!r} holds {_ID_SEPARATOR!r}, "
                                        "the key-material separator")
     label = _ID_SEPARATOR.join(parts).encode("utf-8") if parts else _STOLEN_LABEL
-    material = [int(policy.master_seed).to_bytes(8, "big"), label]
-    return SchemeKey(seed=_hash64(material), scheme_id=policy.scheme_id, params=policy.params)
+    seed = _keyed_hash(policy.master_seed, label, 8)
+    return SchemeKey(seed=seed, scheme_id=policy.scheme_id, params=policy.params)
 
 
 def _pairs_within(order: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -772,6 +772,9 @@ SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': a
         (["eval-unlink", "--templates", "t.csv", "--scheme", "biohash", "--scenario", "stolen"],
          2, "--scenario"),
         (["eval-perf", "--templates", "t.csv", "--scheme", "nosuch"], 2, "nosuch"),
+        (["protect", "--templates", "t.csv", "--scheme", "nosuch", "--out", "p.csv"],
+         2, "cbbench protect: error: argument --scheme"),
+        (["bench", "--config", "{config:scheme}"], 1, "schemes: unknown scheme name"),
         (["synth", "--subjects", "2", "--samples", "2", "--dim", "4", "--sigma", "inf",
           "--out", "t.csv"], 2, "--sigma"),
         (["bench", "--config", "{config:noise_sigma}"], 1, "noise_sigma"),
@@ -822,7 +825,8 @@ SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': a
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
          "param-length-4", "param-length-3e8", "config-param-3e8", "unlink-scenario-stolen",
-         "scheme-unknown", "synth-sigma-inf", "config-sigma-1e400", "synth-dim-1e10",
+         "scheme-unknown", "protect-scheme-unknown", "config-scheme-unknown", "synth-sigma-inf",
+         "config-sigma-1e400", "synth-dim-1e10",
          "synth-subjects-1e6", "synth-samples-1e6", "config-dimension-1e10",
          "config-subjects-1e6", "config-samples-1e6", "param-iom-k-1e9",
          "param-iom-p-1e9", "param-mlp-layers-1e9", "param-bloom-block-cols-1e9",
@@ -850,6 +854,7 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:output_length}": {"params": {"output_length": "64"}},
         "{config:output_length_big}": {"params": {"output_length": 300000000}},
         "{config:scenarios}": {"scenarios": "normal"},
+        "{config:scheme}": {"schemes": ["nosuch"]},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
         # finite, but the row norm overflows and every feature would be 0

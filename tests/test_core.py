@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, validate_dataset
+from cbbench.core import Dataset, SchemeId, SchemeKey, SchemeParams, validate_dataset
 from cbbench.errors import InvalidArgumentError
 from cbbench.protocol import ScoreSet
 from cbbench.schemes import (
@@ -54,14 +54,10 @@ class TestSchemeNames:
     def test_round_trip(self):
         for scheme in SchemeId:
             assert SchemeId.from_name(scheme.value) is scheme
-        for scenario in Scenario:
-            assert Scenario.from_name(scenario.value) is scenario
 
     def test_unknown_names_name_the_token(self):
         with pytest.raises(InvalidArgumentError, match="triplethash"):
             SchemeId.from_name("triplethash")
-        with pytest.raises(InvalidArgumentError, match="lost"):
-            Scenario.from_name("lost")
 
     def test_key_seed_range(self):
         for seed in (-1, 2**64, 2.5, True):

@@ -408,7 +408,7 @@ class TestBenchmarkConfig:
             ),
             encoding="utf-8",
         )
-        with pytest.raises(InvalidArgumentError, match="quadhash"):
+        with pytest.raises(ParseError, match="bench.json: schemes: unknown scheme name 'quadhash'"):
             load_config(cfg_path)
 
     def test_unknown_key_rejected(self, tmp_path):

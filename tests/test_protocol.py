@@ -63,6 +63,16 @@ class TestDeriveKey:
         assert derive_key(policy(Scenario.NORMAL), subject_id, sample_id).seed == derive_key(
             policy(Scenario.NORMAL), subject_id, "").seed
 
+    def test_known_answers(self):
+        # BLAKE2b of the 8-byte big-endian seed and the label: no numpy draw
+        # is involved, so these hold on every platform and numpy release
+        seeds = {Scenario.NORMAL: 0xB13C7A6C2136905B, Scenario.STOLEN_TOKEN: 0x9192C093DAE466C3,
+                 Scenario.SAMPLE_SPECIFIC: 0x2221B01B30078F69}
+        for scenario, seed in seeds.items():
+            assert derive_key(KeyPolicy(42, scenario, SchemeId.BIOHASH), "s00", "0").seed == seed
+        state = derive_stream(42, b"biohash.projection")._gen.bit_generator.state
+        assert state["state"]["key"].tolist() == [16860324609218488974, 3815471626311388816]
+
     # a float or bool seed once passed and derived the keys of int(seed)
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_out_of_range_master_seed_rejected(self, seed):
