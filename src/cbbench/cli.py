@@ -121,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # a config's synthetic seed defaults to its master seed, and so does this one
     _param_flags(p, SynthConfig, seed=BenchmarkConfig.master_seed)
     p.add_argument("--out", required=True)
+    p.set_defaults(usage_error=p.error)  # the size bound of three flags, under synth's usage
 
     p = _policy_parser(sub, "protect", "protect a template CSV under one scheme/scenario",
                        [s.value for s in Scenario], "normal")
@@ -285,11 +286,11 @@ def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[P
     }
 
 
-def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_synth(args: argparse.Namespace) -> int:
     try:  # each flag's range is checked as it parses, so only the size bound is left
         cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     except InvalidArgumentError as exc:
-        parser.error(f"argument --dim: {exc}")
+        args.usage_error(f"argument --dim: {exc}")
     ds = generate(cfg)
     write_templates(ds, args.out)
     print(
@@ -299,7 +300,7 @@ def _cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_protect(args: argparse.Namespace) -> int:
     policy, ds = _policy_and_templates(args)
     y = protected_matrix(ds, policy)
     header = ["subject_id", "sample_id"] + [f"p{i}" for i in range(y.shape[1])]
@@ -308,7 +309,7 @@ def _cmd_protect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_perf(args: argparse.Namespace) -> int:
     policy, ds = _policy_and_templates(args)
     curve, perf = _perf_block(run_scenario(ds, policy, protected_matrix(ds, policy)))
     out_dir = Path(args.out_dir)
@@ -322,7 +323,7 @@ def _cmd_eval_perf(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_unlink(args: argparse.Namespace) -> int:
     policy, ds = _policy_and_templates(args)
     report = unlinkability(run_scenario(ds, policy, protected_matrix(ds, policy)), args.bins)
     out_dir = Path(args.out_dir)
@@ -337,7 +338,7 @@ def _cmd_eval_unlink(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     return 0
 
 
-def _cmd_eval_irrev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_irrev(args: argparse.Namespace) -> int:
     policy, ds = _policy_and_templates(args)
     y = protected_matrix(ds, policy)
     report = mutual_information(ds.features, y, args.r)
@@ -391,7 +392,7 @@ def _one_blas_thread():
         blas.openblas_set_num_threads(threads)
 
 
-def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config, master_seed=args.seed)
     out_dir = Path(args.out_dir if args.out_dir is not None else config.output_dir)
     report, written = run_benchmark(config, out_dir)
@@ -422,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     _one_malloc_arena()
     try:
         with _one_blas_thread():
-            return _COMMANDS[args.command](args, parser)
+            return _COMMANDS[args.command](args)
     except (CbBenchError, OSError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

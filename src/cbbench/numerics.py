@@ -10,7 +10,8 @@ feature row, then calls the QR routines of numpy's bundled OpenBLAS through
 ctypes, which releases the GIL, and gives the bits of ``np.linalg.qr``, its
 fallback. ``pca_fit`` goes through LAPACK's SVD, so its output, and every
 mutual-information field built on it, is bit-stable only at a fixed BLAS
-thread count and kernel.
+thread count and kernel. A tall matrix reaches that SVD as its QR's R, the
+step dgesdd itself takes first, so the bits stay dgesdd's (see ``pca_fit``).
 """
 
 from __future__ import annotations
@@ -215,13 +216,26 @@ def _second_moments_of_x():
         raise NumericError("x: values too large: its second moments overflow float64") from None
 
 
+def _unscaled_by_dgesdd(a: np.ndarray) -> bool:
+    """Whether LAPACK's dgesdd takes ``a`` as it is: it rescales a matrix whose
+    largest |value| is nonzero and outside [2**-459, 2**459], or not finite."""
+    peak = np.abs(a).max(initial=0.0)
+    return peak == 0.0 or 2.0**-459 <= peak <= 2.0**459
+
+
 def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     """Fit the top-``r`` principal components of the column-centered data.
 
-    Uses the SVD of the centered matrix for every shape: the right singular
-    vectors remain orthonormal to machine precision even when trailing
-    singular values vanish, which matters for the rank-deficient bit matrices
-    this toolkit routinely feeds in. Explained variances are the eigenvalues
+    Uses the SVD of the centered matrix: the right singular vectors remain
+    orthonormal to machine precision even when trailing singular values
+    vanish, which matters for the rank-deficient bit matrices this toolkit
+    routinely feeds in. A tall matrix (rows >= cols * 11 // 6, dgesdd's own
+    crossover) goes to the SVD as the (cols x cols) R of its QR: from that
+    crossover on, dgesdd itself factors with dgeqrf and then treats R as it
+    treats a square input, so the singular values and right vectors are the
+    same bits, without building the (rows x cols) left vectors this fit
+    drops. Where dgesdd would rescale the centered matrix or R, the centered
+    matrix goes to the SVD as it is. Explained variances are the eigenvalues
     of the unbiased sample covariance (divisor rows - 1). Raises NumericError
     when the second moments of ``x`` overflow float64.
     """
@@ -231,6 +245,10 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     with _second_moments_of_x():
         mean = x.mean(axis=0)
         centered = x - mean
+        if rows >= cols * 11 // 6 and _unscaled_by_dgesdd(centered):
+            upper = np.linalg.qr(centered, mode="r")
+            if _unscaled_by_dgesdd(upper):
+                centered = upper
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
         if not np.isfinite(singular).all():  # LAPACK overflows without a numpy flag
             raise FloatingPointError

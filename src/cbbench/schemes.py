@@ -234,7 +234,9 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     Every scheme's rows are invariant to a positive scale of a feature row, so
     each row is first scaled by the power of two that brings its largest
     |value| to [0.5, 1): no projection or product then overflows, and a tiny
-    row does not underflow into ties."""
+    row does not underflow into ties. That scaling may read a value at or below
+    2**-1074 times its row's largest |value| as ±0, which can flip a bit of
+    rand-hash or Bloom, the schemes that read each feature's sign."""
     x = _array(x, "x", cols=inst.dim)
     x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1])
     return inst.rows(x).astype(np.float64)

@@ -800,7 +800,7 @@ SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': a
         (["bench", "--config", "{config:mlp_layers}"], 1, "mlp_layers"),
         (["bench", "--config", "{config:bloom_block_cols}"], 1, "bloom_block_cols"),
         (["synth", "--subjects", "10000", "--samples", "100", "--dim", "2048", "--sigma", "0.3",
-          "--out", "t.csv"], 2, "--dim"),
+          "--out", "t.csv"], 2, "cbbench synth: error: argument --dim"),
         (["bench", "--config", "{config:features_big}"], 1, "dimension"),
         (["eval-unlink", "--templates", "t.csv", "--scheme", "biohash", "--bins", "5"],
          2, "--bins"),

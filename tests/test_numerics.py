@@ -221,7 +221,66 @@ class TestHouseholderPaths:
             gram_schmidt(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def svd_only_fit(x: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
+    """``pca_fit`` without its QR step: (mean, components, explained variance)
+    from one SVD of the centered matrix, whatever its shape."""
+    mean = x.mean(axis=0)
+    _, singular, vt = np.linalg.svd(x - mean, full_matrices=False)
+    return mean, vt[:r], singular[:r] ** 2 / (len(x) - 1)
+
+
+# (rows, cols, whether pca_fit takes the QR step): dgesdd factors a matrix
+# first from rows >= cols * 11 // 6 on (469 for 256 columns, 234 for 128), and
+# one row below that its direct path gives other bits
+PCA_SHAPES = [(468, 256, False), (469, 256, True), (1500, 256, True), (233, 128, False),
+              (234, 128, True), (300, 128, True), (2000, 64, True), (120, 300, False)]
+# Gaussian features, protected bits and small integer codes; the last two are
+# rank-deficient, as protected rows are
+PCA_KINDS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "bits": lambda rng, shape: rng.integers(0, 2, shape).astype(float),
+    "codes": lambda rng, shape: rng.integers(0, 4, shape).astype(float),
+}
+
+
 class TestPca:
+    @pytest.fixture
+    def bundled_openblas(self):
+        if _openblas() is None:
+            pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS, whose dgesdd factors a "
+                        "tall matrix by QR first from rows >= cols * 11 // 6 on")
+
+    @pytest.mark.parametrize("kind", PCA_KINDS)
+    @pytest.mark.parametrize("rows,cols,tall", PCA_SHAPES)
+    def test_qr_step_keeps_the_svd_bits(self, bundled_openblas, rows, cols, tall, kind, rng,
+                                        monkeypatch):
+        x = PCA_KINDS[kind](rng, (rows, cols))
+        r = min(rows - 1, cols)
+        expected = svd_only_fit(x, r)
+        qr_calls, linalg_qr = [], np.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(args)
+            return linalg_qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        model = pca_fit(x, r)
+        assert len(qr_calls) == tall
+        for got, want in zip((model.mean, model.components, model.explained_variance), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [2.0**-462, 2.0**-456, 1e137, 2.0**460])
+    def test_qr_step_skipped_where_dgesdd_rescales(self, bundled_openblas, scale, rng):
+        # dgesdd rescales a matrix whose largest |value| is outside
+        # [2**-459, 2**459]. R's entries reach the column norms, about 17 times
+        # the centered matrix's peak here: at 2**-462 only R is inside, at
+        # 1e137 only the centered matrix, at 2**-456 both and at 2**460 neither
+        x = rng.standard_normal((300, 128)) * scale
+        model = pca_fit(x, 16)
+        for got, want in zip((model.mean, model.components, model.explained_variance),
+                             svd_only_fit(x, 16)):
+            assert np.array_equal(got, want)
+
     def test_rank_one_data(self):
         x = np.array([[t, 2.0 * t] for t in np.linspace(-1, 1, 20)])
         model = pca_fit(x, 1)

@@ -85,11 +85,11 @@ class TestDeriveKey:
             derive_key(KeyPolicy(1, "normal", SchemeId.BIOHASH), "s", "0")
 
     def test_stable_derivation_constant(self):
-        # locked value: BLAKE2b-64 over big-endian seed and identity material;
-        # guards against accidental changes to the key-derivation function
-        key = derive_key(policy(Scenario.NORMAL, seed=42), "subject-007", "")
-        assert key.seed == derive_key(policy(Scenario.NORMAL, seed=42), "subject-007", "x").seed
-        assert 0 <= key.seed < 2**64
+        # locked value: BLAKE2b-64 of the 8-byte big-endian master seed 42 and
+        # b"subject-007"; guards against accidental changes to key derivation
+        for sample_id in ("", "x"):  # a normal key reads no sample id
+            key = derive_key(policy(Scenario.NORMAL, seed=42), "subject-007", sample_id)
+            assert key.seed == 0x036648CDBB2D2251
 
 
 class TestPairGeneration:

@@ -317,6 +317,16 @@ class TestProtectBatch:
         width = protect_batch(np.ones((1, 8)), inst).shape[1]
         assert protect_batch(np.ones((0, 8)), inst).shape == (0, width)
 
+    def test_values_below_the_scaled_range_read_as_zero(self):
+        # the power-of-two scaling takes a row's peak to [0.5, 1), so a value
+        # 2**-1074 times that peak rounds to -0.0 and rand-hash reads its sign
+        # as the sign of zero: the documented limit of the scale invariance
+        inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SchemeParams(output_length=8)), 4)
+        row = np.array([[1.0, -5e-324, -5e-324, -5e-324]])
+        assert np.array_equal(protect_batch(row, inst), [[0, 0, 0, 0, 0, 1, 1, 0]])
+        assert np.array_equal(protect_batch(row, inst), protect_batch([[1.0, 0, 0, 0]], inst))
+        assert np.array_equal(inst.rows(row), [[1, 1, 0, 1, 0, 1, 1, 0]])  # unscaled signs
+
     def test_instance_type_mismatch_rejected(self):
         # the scheme is the instance's class: no instance is built or edited
         # to claim another scheme than the kernel it runs
