@@ -35,11 +35,10 @@ from .metrics import (
     eer,
     fnmr_at_fmr,
     mutual_information,
-    protected_matrix,
     unlinkability,
 )
 from .numerics import _openblas
-from .protocol import KeyPolicy, run_scenario
+from .protocol import KeyPolicy, protected_matrix, run_scenario
 from .schemes import _CLASS_OF_SCHEME
 from .synthdata import SynthConfig, generate, unprotected_scores
 

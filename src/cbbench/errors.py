@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all toolkit modules."""
 
+__all__ = [
+    "CbBenchError", "InvalidArgumentError", "DegenerateInputError", "NumericError", "ParseError",
+]
+
 
 class CbBenchError(Exception):
     """Base class for all toolkit errors."""

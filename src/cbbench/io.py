@@ -286,6 +286,13 @@ class BenchmarkConfig:
                 f"scenarios must list 'normal' and/or 'stolen', got {self.scenarios!r} "
                 "(the sample-specific unlinkability pass always runs)"
             )
+        cells = [f"{s.scheme_id.value}_{c}" for s in self.schemes for c in self.scenarios]
+        twice = next((c for i, c in enumerate(cells) if c in cells[:i]), None)
+        if twice is not None:  # a DET CSV is named by its cell's scheme and scenario only
+            raise InvalidArgumentError(
+                f"schemes and scenarios repeat the cell {twice}, whose two runs would write one "
+                f"DET CSV, det_{twice}.csv; list each once, one config per parameter set"
+            )
         if (self.synthetic is None) == (self.templates_path is None):
             raise InvalidArgumentError(
                 "config needs exactly one input source: 'synthetic' or 'templates'"

@@ -14,7 +14,7 @@ import numpy as np
 from .core import Scenario, _array, _check_ranges, _number, _param
 from .errors import InvalidArgumentError
 from .numerics import covariance, default_ridge, gaussian_entropy, pca_fit
-from .protocol import ScoreSet, protected_matrix  # re-exported: Y of the irreversibility MI
+from .protocol import ScoreSet, protected_matrix  # protected_matrix only for perfbench's tracer
 
 __all__ = [
     "DetCurve",
@@ -25,7 +25,6 @@ __all__ = [
     "unlinkability",
     "IrreversibilityReport",
     "mutual_information",
-    "protected_matrix",
 ]
 
 # per-feature shared information beyond this many nats means the residual

@@ -62,9 +62,10 @@ class TransformInstance:
     that ``instantiate`` calls with a checked ``d``, and its batch kernel
     ``rows(x)``, which maps the float64 ``(n, dim)`` feature block ``x`` to its
     protected rows; each row of ``x`` comes from ``protect_batch`` with a
-    largest |value| in [0.5, 1). Instances carry materialized arrays only;
-    shapes define the output length, which keeps hand-built instances usable
-    in tests.
+    largest |value| in [0.5, 1). Besides ``dim`` and its arrays, an instance holds
+    only the integers its kernel reads that no shape gives: Bloom's ``word_bits``
+    and ``block_cols``, iom-urp's ``k`` and rand-hash's ``output_length``. All
+    other sizes are shapes, which keeps hand-built instances usable in tests.
     """
 
     scheme_id: ClassVar[SchemeId]

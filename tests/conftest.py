@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams
 from cbbench.errors import InvalidArgumentError, ParseError
-from cbbench.metrics import DetCurve, mutual_information, protected_matrix
-from cbbench.protocol import KeyPolicy, run_scenario
+from cbbench.metrics import DetCurve, mutual_information
+from cbbench.protocol import KeyPolicy, protected_matrix, run_scenario
 from cbbench.synthdata import STANDARD_CONFIG, generate
 
 

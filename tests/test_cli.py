@@ -26,9 +26,9 @@ from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
     BenchmarkConfig, SchemeSpec, load_config, read_templates, write_templates,
 )
-from cbbench.metrics import eer, protected_matrix
+from cbbench.metrics import eer
 from cbbench.numerics import _openblas, derive_stream
-from cbbench.protocol import KeyPolicy
+from cbbench.protocol import KeyPolicy, protected_matrix
 from cbbench.synthdata import SynthConfig
 
 from conftest import ODD_IDS, oracle_write_rows, read_det_csv, scores_of, template_csvs
@@ -821,6 +821,9 @@ SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': a
          1, NOT_UTF8),
         (["eval-perf", "--templates", "bad.csv", "--scheme", "biohash"], 1, NOT_UTF8),
         (["eval-unlink", "--templates", "sep.csv", "--scheme", "biohash"], 1, SEPARATOR),
+        (["bench", "--config", "{config:schemes_twice}"], 1,
+         "schemes and scenarios repeat the cell biohash_normal, whose two runs would write one "
+         "DET CSV, det_biohash_normal.csv"),
     ],
     ids=["seed-negative", "seed-2**64", "bench-seed-negative", "config-master-seed-str",
          "config-subjects-str", "config-param-str", "config-scenarios-str",
@@ -836,7 +839,7 @@ SEPARATOR = "sep.csv: invalid dataset: features: subject 'a\\x1fb' sample 'c': a
          "config-mi-components-0", "config-synthetic-unknown-key",
          "config-master-seed-inherited", "synth-sigma-1e308", "config-sigma-1e308",
          "perf-one-subject", "unlink-one-subject", "protect-not-utf8", "perf-not-utf8",
-         "unlink-id-holds-key-separator"],
+         "unlink-id-holds-key-separator", "config-scheme-twice"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, code, culprit):
     monkeypatch.chdir(tmp_path)  # relative paths such as t.csv land in tmp_path
@@ -855,6 +858,11 @@ def test_bad_input_exits_without_traceback(tmp_path, monkeypatch, capsys, argv, 
         "{config:output_length_big}": {"params": {"output_length": 300000000}},
         "{config:scenarios}": {"scenarios": "normal"},
         "{config:scheme}": {"schemes": ["nosuch"]},
+        # one scheme at two lengths: both cells' DET points would go to one file
+        "{config:schemes_twice}": {"schemes": [
+            {"name": "biohash", "params": {"output_length": 64}},
+            {"name": "biohash", "params": {"output_length": 256}},
+        ]},
         # the JSON number 1e400 parses to inf, as does this literal
         "{config:noise_sigma}": {"synthetic": {**SMALL_SYNTHETIC, "noise_sigma": 1e400}},
         # finite, but the row norm overflows and every feature would be 0

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -446,6 +447,28 @@ class TestBenchmarkConfig:
                 scenarios=["sample-specific"],
                 templates_path="x.csv",
             )
+
+    @pytest.mark.parametrize("schemes, scenarios, cell", [
+        ([{"name": "biohash", "params": {"output_length": 64}},
+          {"name": "biohash", "params": {"output_length": 256}}],
+         ["normal", "normal"], "biohash_normal"),
+        (["iom-grp", "bloom"], ["stolen", "normal", "stolen"], "iom-grp_stolen"),
+    ], ids=["scheme-twice", "scenario-twice"])
+    def test_repeated_cell_refused(self, tmp_path, schemes, scenarios, cell):
+        # two cells of one (scheme, scenario) once wrote one DET CSV, and the
+        # report pointed both at the curve of whichever was written last
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({
+            "schemes": schemes, "scenarios": scenarios,
+            "synthetic": {"subjects": 3, "samples_per_subject": 2,
+                          "dimension": 8, "noise_sigma": 0.3},
+        }), encoding="utf-8")
+        message = f"schemes and scenarios repeat the cell {cell}, .* det_{cell}.csv;"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(cfg_path))}: {message}"):
+            load_config(cfg_path)
+        specs = [SchemeSpec(SchemeId(s if isinstance(s, str) else s["name"])) for s in schemes]
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            BenchmarkConfig(schemes=specs, scenarios=scenarios, templates_path="x.csv")
 
     def test_standard_config_shape(self):
         cfg = standard_benchmark_config()

@@ -6,7 +6,9 @@ import pytest
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeParams
 from cbbench.errors import InvalidArgumentError
 from cbbench.numerics import derive_stream
-from cbbench.protocol import KeyPolicy, ScoreSet, derive_key, pair_indices, run_scenario
+from cbbench.protocol import (
+    KeyPolicy, ScoreSet, derive_key, pair_indices, protected_matrix, run_scenario,
+)
 from cbbench.synthdata import SynthConfig, generate
 
 from conftest import make_dataset, oracle_pairs, scores_of
@@ -275,7 +277,6 @@ class TestProtectedMatrix:
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_rows_follow_dataset_order(self, cpus, scheme, scenario):
-        from cbbench.metrics import protected_matrix
         from cbbench.schemes import instantiate, protect
 
         ds = self.dataset()
@@ -290,7 +291,6 @@ class TestProtectedMatrix:
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_stolen_key_crosses_block_boundary(self, cpus, scheme):
         # one key for 2 * 64 + 1 rows: protected in blocks of 64, 64 and 1 rows
-        from cbbench.metrics import protected_matrix
         from cbbench.schemes import instantiate, protect
 
         ds = generate(SynthConfig(43, 3, 16, 0.3, 5))
@@ -306,8 +306,6 @@ class TestProtectedMatrix:
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_striped_keys_equal_serial(self, cpus, scheme, keys):
         # covers fewer keys than workers and stripes of unequal length
-        from cbbench.metrics import protected_matrix
-
         feats = derive_stream(4, b"test.stripes").normals(keys * 3 * 16).reshape(keys * 3, 16)
         # subjects interleave, so no key's rows are contiguous
         n = len(feats)
@@ -374,7 +372,6 @@ class TestProtectedMatrix:
         # the matrix
         import sys
 
-        from cbbench.metrics import protected_matrix
         from cbbench.schemes import instantiate, protect_batch
 
         feats = derive_stream(8, b"test.lone-key").normals(rows * 16).reshape(rows, 16)
@@ -462,8 +459,6 @@ class TestProtectedMatrix:
         # more workers than cores, each protecting its own keys' rows; a lost
         # or misplaced row would change the matrix
         import sys
-
-        from cbbench.metrics import protected_matrix
 
         ds = generate(SynthConfig(6, 3, 16, 0.3, 2))
         p = policy(Scenario.SAMPLE_SPECIFIC, scheme=SchemeId.IOM_GRP)
