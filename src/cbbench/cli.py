@@ -177,21 +177,13 @@ def _cell(scheme: SchemeId, scenario: str):
 
 
 def _config_echo(config: BenchmarkConfig) -> dict:
-    echo: dict = {
-        "schemes": [
-            {"name": spec.scheme_id.value, "params": vars(spec.params)}
-            for spec in config.schemes
-        ],
-        "scenarios": list(config.scenarios),
-        "master_seed": config.master_seed,
-        "unlinkability_bins": config.unlinkability_bins,
-        "mi_components": config.mi_components,
-        "output_dir": config.output_dir,
-    }
+    """The config as JSON that ``load_config`` reads back to an equal config."""
+    echo = {("templates" if k == "templates_path" else k): v
+            for k, v in vars(config).items() if v is not None}
+    echo["schemes"] = [{"name": s.scheme_id.value, "params": vars(s.params)}
+                       for s in config.schemes]
     if config.synthetic is not None:
         echo["synthetic"] = vars(config.synthetic)
-    else:
-        echo["templates"] = config.templates_path
     return echo
 
 
@@ -201,8 +193,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> tuple[dict, l
 
     Per scheme: DET/EER/FNMR and mutual information for each configured
     scenario (normal/stolen), plus one sample-specific unlinkability pass.
-    On any failure, the report write included, files written so far are
-    removed and the error is re-raised; a failing cell's error names it.
+    On any failure or interrupt, the report write included, files written so
+    far are removed and the error is re-raised; a failing cell's names it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +204,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> tuple[dict, l
         report_path = out_dir / "report.json"
         written.append(report_path)
         write_report(report, report_path)
-    except Exception:
+    except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise

@@ -55,9 +55,6 @@ class DetCurve:
     fmr: np.ndarray
     fnmr: np.ndarray
 
-    def __len__(self) -> int:
-        return self.thresholds.shape[0]
-
 
 def compute_det(scores: ScoreSet) -> DetCurve:
     """Trace the DET curve over every decision-relevant threshold.

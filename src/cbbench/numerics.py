@@ -32,7 +32,6 @@ from .errors import DegenerateInputError, InvalidArgumentError, NumericError
 __all__ = [
     "RandomStream",
     "derive_stream",
-    "gaussian_matrix",
     "gram_schmidt",
     "PcaModel",
     "pca_fit",
@@ -108,12 +107,6 @@ def derive_stream(seed: int, label: bytes | str) -> RandomStream:
     _check_ranges(RandomStream, origin_seed=seed)
     gen = np.random.Generator(np.random.Philox(key=_keyed_hash(seed, label, 16)))
     return RandomStream(origin_seed=int(seed), label=label, _gen=gen)
-
-
-def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:
-    """Matrix of i.i.d. standard-normal entries, consumed in row-major order."""
-    rows, cols = _number(rows, "rows", int, 1), _number(cols, "cols", int, 1)
-    return stream.normals(rows * cols).reshape(rows, cols)
 
 
 @functools.cache

@@ -182,7 +182,7 @@ def run_scenario(ds: Dataset, policy: KeyPolicy, protected: np.ndarray) -> Score
     float64 matrix is packed to bytes once (bits eight to a byte, codes one to
     a byte, Bloom blocks to bytes with their popcounts), then scored on the
     calling thread in chunks of 4096 pairs by the scorer ``similarities``
-    uses, so scores equal ``compare`` of each pair, bit for bit.
+    uses, so scores equal ``similarities`` of each pair, bit for bit.
     """
     y = _array(protected, "protected", finite=False)  # NaN fails the row-kind check in scoring
     if y.shape[0] != len(ds):

@@ -5,9 +5,8 @@ scheme is one instance class: its ``_draw`` (behind ``instantiate``) draws all
 key-derived randomness up front, and its batch kernel ``rows`` (behind
 ``protect_batch``) never draws randomness.
 ``similarities`` scores protected rows, packed to bytes and counted through
-one popcount table; ``protect`` and ``compare`` are the one-template forms of
-the two. All six constructions are sign/argmax based, so protecting c*x for
-any c > 0 yields exactly the same protected row as protecting x.
+one popcount table. All six transforms are sign/argmax based, so protecting
+c*x for any c > 0 yields exactly the same protected row as protecting x.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .core import SchemeId, SchemeKey, _array, _number
 from .errors import InvalidArgumentError
-from .numerics import derive_stream, gaussian_matrix, gram_schmidt
+from .numerics import derive_stream, gram_schmidt
 
 __all__ = [
     "TransformInstance",
@@ -30,11 +29,8 @@ __all__ = [
     "IomUrpInstance",
     "RandHashInstance",
     "instantiate",
-    "protect",
     "protect_batch",
-    "compare",
     "similarities",
-    "chance_level",
 ]
 
 # slope of the negative branch of the leaky ramp nonlinearity; positively
@@ -47,8 +43,8 @@ def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
     min(n_rows, dim) rows each. When n_rows > dim, full dim x dim blocks are
     orthonormalized independently and the concatenation truncated."""
     size = min(n_rows, dim)
-    blocks = [gram_schmidt(gaussian_matrix(stream, size, dim)) for _ in range(-(-n_rows // size))]
-    return np.vstack(blocks)[:n_rows]
+    draws = (stream.normals(size * dim).reshape(size, dim) for _ in range(-(-n_rows // size)))
+    return np.vstack([gram_schmidt(m) for m in draws])[:n_rows]
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ class RandHashInstance(TransformInstance):
 
 
 # each scheme's instance class, which instantiate draws through and whose row
-# kind similarities, chance_level and the report's length unit read
+# kind similarities and the report's length unit read
 _CLASS_OF_SCHEME = {c.scheme_id: c for c in TransformInstance.__subclasses__()}
 
 
@@ -241,11 +237,6 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     x = _array(x, "x", cols=inst.dim)
     x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1])
     return inst.rows(x).astype(np.float64)
-
-
-def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
-    """The protected row of the one ``(dim,)`` feature row ``x``: ``protect_batch`` of one row."""
-    return protect_batch([x], inst)[0]
 
 
 # set bits of every byte value: the one popcount of packed scoring, on every numpy
@@ -333,6 +324,13 @@ def similarities(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> n
     return _scores(kind, a_shape[-1], pa, pb)
 
 
+# protect and compare are public in no __all__: perfbench's tracer looks them up
+# by name, and they go when it traces protect_batch and similarities instead
+def protect(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
+    """The protected row of the one ``(dim,)`` feature row ``x``: ``protect_batch`` of one row."""
+    return protect_batch([x], inst)[0]
+
+
 def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
     """``similarities`` of the one pair of protected rows ``a`` and ``b``."""
     a, b = np.asarray(a), np.asarray(b)
@@ -342,11 +340,3 @@ def compare(scheme_id: SchemeId, params, a: np.ndarray, b: np.ndarray) -> float:
         )
     return float(similarities(scheme_id, params, a, b))
 
-
-def chance_level(scheme_id: SchemeId, params) -> float | None:
-    """Expected cross-key similarity: 0.5 for bit schemes, 1/k for
-    index-of-max schemes; None for Bloom, whose level depends on fill rate."""
-    kind = _CLASS_OF_SCHEME[scheme_id].kind
-    if kind == "bloom":
-        return None
-    return 0.5 if kind == "bits" else 1.0 / params.iom_k

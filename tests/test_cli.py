@@ -24,9 +24,10 @@ from cbbench.cli import _build_parser, main
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
-    BenchmarkConfig, SchemeSpec, load_config, read_templates, write_templates,
+    BenchmarkConfig, SchemeSpec, load_config, read_templates, standard_benchmark_config,
+    write_templates,
 )
-from cbbench.metrics import eer
+from cbbench.metrics import eer, mutual_information
 from cbbench.numerics import _openblas, derive_stream
 from cbbench.protocol import KeyPolicy, protected_matrix
 from cbbench.synthdata import SynthConfig
@@ -303,6 +304,36 @@ class TestBench:
         assert "No space left" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("det_*.csv"))
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
+        # interrupted in the second cell's MI, after the first cell wrote its DET CSV
+        from cbbench import cli
+
+        calls = []
+
+        def interrupted(x, y, r):
+            calls.append(r)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return mutual_information(x, y, r)
+
+        monkeypatch.setattr(cli, "mutual_information", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--config", str(small_config(tmp_path))])
+        assert len(calls) == 2 and list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["standard", "templates"])
+    def test_config_echo_loads_as_the_config(self, tmp_path, source):
+        from cbbench.cli import _config_echo
+
+        config = standard_benchmark_config() if source == "standard" else BenchmarkConfig(
+            schemes=[SchemeSpec(SchemeId.BIOHASH, SchemeParams(output_length=64)),
+                     SchemeSpec(SchemeId.IOM_URP, SchemeParams(iom_k=4, iom_p=3))],
+            scenarios=["stolen"], master_seed=7, templates_path="t.csv", output_dir="res",
+        )
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(_config_echo(config)), encoding="utf-8")
+        assert load_config(path) == config
 
     def test_faulty_scheme_kernel_names_its_cell(self, tmp_path, monkeypatch, capsys):
         # a biohash kernel that forgets to threshold hands the scorer real

@@ -17,8 +17,7 @@ from cbbench.errors import CbBenchError
 from cbbench.io import write_report
 from cbbench.metrics import compute_det, fnmr_at_fmr, mutual_information
 from cbbench.numerics import (
-    covariance, default_ridge, derive_stream, gaussian_entropy, gaussian_matrix, gram_schmidt,
-    pca_fit,
+    covariance, default_ridge, derive_stream, gaussian_entropy, gram_schmidt, pca_fit,
 )
 from cbbench.protocol import KeyPolicy, ScoreSet, run_scenario
 from cbbench.schemes import compare, instantiate, protect, protect_batch, similarities
@@ -108,7 +107,6 @@ PROBES = {
         "nonmated is empty: a non-mated pair needs at least two subjects"),
     "run_scenario of a 3-D protected": (lambda: scored_with(np.zeros((6, 8, 1))), "protected"),
     "run_scenario of a short protected": (lambda: scored_with(np.zeros((5, 8))), "protected"),
-    "gaussian_matrix with 0 rows": (lambda: gaussian_matrix(stream(), 0, 3), "rows"),
     "integers below 1": (lambda: stream().integers(3, 0), "high"),
     "permutation with a negative count": (lambda: stream().permutation(3, -1), "count"),
     **{f"{draw} of n = {n!r}": ((lambda d=d, n=n: d(stream(), n)), "n")

@@ -1,7 +1,8 @@
 """Every name a module exports exists, so deleting a function without its
 ``__all__`` entries (or the reverse) fails here rather than at a user's
-``from cbbench import *``; and each public name is declared once, in its
-module's ``__all__``, which the package re-exports."""
+``from cbbench import *``; each public name is declared once, in its
+module's ``__all__``, which the package re-exports; and the names kept only
+for the benchmark tracer are public nowhere."""
 
 import importlib
 import pkgutil
@@ -50,10 +51,25 @@ def test_star_import_binds_exactly_the_modules_names():
     assert sorted(set(namespace) - {"__builtins__"}) == DECLARED
 
 
-def test_protected_matrix_is_public_in_protocol_only():
+# names perfbench's tracer looks up by attribute that no pipeline path needs
+# public: each stays an attribute of its module and is in no module's __all__
+TRACER_HOOKS = [("metrics", "protected_matrix"), ("schemes", "protect"),
+                ("schemes", "compare"), ("core", "validate_dataset")]
+
+
+@pytest.mark.parametrize("module, name", TRACER_HOOKS, ids=[".".join(h) for h in TRACER_HOOKS])
+def test_tracer_hook_is_public_in_no_module(module, name):
+    owner = importlib.import_module(f"cbbench.{module}")
+    hook = getattr(owner, name, None)
+    assert callable(hook)
+    public = [n for n in MODULES if name in getattr(importlib.import_module(n), "__all__", [])]
+    # metrics' protected_matrix is protocol's function, public there and in the package
+    assert public == ([] if hook.__module__ == owner.__name__ else ["cbbench", hook.__module__])
+
+
+def test_metrics_protected_matrix_is_protocols():
     # the benchmark tracer times metrics.protected_matrix and the CLI calls
     # protocol's: one function, so the tracer's rebinding reaches both
     from cbbench import cli, metrics, protocol
 
-    assert "protected_matrix" not in metrics.__all__
     assert metrics.protected_matrix is protocol.protected_matrix is cli.protected_matrix

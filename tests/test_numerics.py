@@ -14,7 +14,6 @@ from cbbench.numerics import (
     default_ridge,
     derive_stream,
     gaussian_entropy,
-    gaussian_matrix,
     gram_schmidt,
     pca_fit,
 )
@@ -73,28 +72,6 @@ class TestRandomStream:
         assert np.array_equal(rows, expected)
         # the batch leaves the stream where the sequential calls leave it
         assert np.array_equal(batched.words(4), sequential.words(4))
-
-
-class TestGaussianMatrix:
-    def test_replay(self):
-        m1 = gaussian_matrix(derive_stream(3, b"m"), 5, 7)
-        m2 = gaussian_matrix(derive_stream(3, b"m"), 5, 7)
-        assert np.array_equal(m1, m2)
-
-    def test_entry_mean(self):
-        m = gaussian_matrix(derive_stream(3, b"mm"), 1000, 1000)
-        assert -0.01 < m.mean() < 0.01
-
-    def test_row_major_consumption(self):
-        flat = derive_stream(3, b"rm").normals(6)
-        m = gaussian_matrix(derive_stream(3, b"rm"), 2, 3)
-        assert np.array_equal(m, flat.reshape(2, 3))
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            gaussian_matrix(derive_stream(3, b"m"), 0, 4)
-        with pytest.raises(InvalidArgumentError):
-            gaussian_matrix(derive_stream(3, b"m"), 4, 0)
 
 
 def mgs_oracle(m: np.ndarray) -> np.ndarray:

@@ -217,14 +217,14 @@ class TestRunScenario:
     def test_caching_never_alters_results(self, scheme, scenario):
         # score every pair without any instance/protection reuse and compare
         # against run_scenario on the one protect pass
-        from cbbench.schemes import compare, instantiate, protect
+        from cbbench.schemes import instantiate, protect_batch, similarities
 
         p = policy(scenario, scheme=scheme)
 
         def uncached_score(i, j):
-            pa = protect(ds.features[i], instantiate(key_of(p, ds, i), ds.dimension))
-            pb = protect(ds.features[j], instantiate(key_of(p, ds, j), ds.dimension))
-            return compare(p.scheme_id, p.params, pa, pb)
+            pa = protect_batch([ds.features[i]], instantiate(key_of(p, ds, i), ds.dimension))
+            pb = protect_batch([ds.features[j]], instantiate(key_of(p, ds, j), ds.dimension))
+            return similarities(p.scheme_id, p.params, pa[0], pb[0])
 
         # the second dataset has 78 non-mated pairs, so scoring crosses a 64-pair chunk
         for cfg in (SynthConfig(4, 3, 16, 0.3, 6), SynthConfig(13, 3, 16, 0.3, 6)):
@@ -240,7 +240,7 @@ class TestRunScenario:
     def test_bloom_many_blocks_matches_per_pair_expression(self, scenario):
         # with >= 8 blocks numpy sums the block mean pairwise, not in
         # sequence; the reference is the per-pair 1-D comparator expression
-        from cbbench.schemes import instantiate, protect
+        from cbbench.schemes import instantiate, protect_batch
 
         params = SchemeParams(bloom_word_bits=4, bloom_block_cols=16)
         p = KeyPolicy(7, scenario, SchemeId.BLOOM_FILTER, params)
@@ -248,7 +248,7 @@ class TestRunScenario:
 
         def blocks(i):
             inst = instantiate(key_of(p, ds, i), ds.dimension)
-            return protect(ds.features[i], inst).reshape(-1, 2**params.bloom_word_bits)
+            return protect_batch([ds.features[i]], inst).reshape(-1, 2**params.bloom_word_bits)
 
         def reference(i, j):
             ba, bb = blocks(i), blocks(j)
@@ -277,12 +277,13 @@ class TestProtectedMatrix:
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_rows_follow_dataset_order(self, cpus, scheme, scenario):
-        from cbbench.schemes import instantiate, protect
+        from cbbench.schemes import instantiate, protect_batch
 
         ds = self.dataset()
         p = policy(scenario, scheme=scheme)
         expected = np.vstack([
-            protect(ds.features[i], instantiate(key_of(p, ds, i), 16)) for i in range(len(ds))
+            protect_batch([ds.features[i]], instantiate(key_of(p, ds, i), 16))
+            for i in range(len(ds))
         ])
         for workers in (1, 3):
             cpus(workers)
@@ -291,13 +292,13 @@ class TestProtectedMatrix:
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_stolen_key_crosses_block_boundary(self, cpus, scheme):
         # one key for 2 * 64 + 1 rows: protected in blocks of 64, 64 and 1 rows
-        from cbbench.schemes import instantiate, protect
+        from cbbench.schemes import instantiate, protect_batch
 
         ds = generate(SynthConfig(43, 3, 16, 0.3, 5))
         assert len(ds) == 2 * 64 + 1
         p = policy(Scenario.STOLEN_TOKEN, scheme=scheme)
         inst = instantiate(derive_key(p, "", ""), 16)
-        expected = np.vstack([protect(x, inst) for x in ds.features])
+        expected = np.vstack([protect_batch([x], inst) for x in ds.features])
         for workers in (1, 3):
             cpus(workers)
             assert np.array_equal(protected_matrix(ds, p), expected)

@@ -17,10 +17,8 @@ from cbbench.schemes import (
     MlpHashInstance,
     RandHashInstance,
     TransformInstance,
-    chance_level,
     compare,
     instantiate,
-    protect,
     protect_batch,
     similarities,
 )
@@ -31,6 +29,11 @@ SMALL = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
 
 def random_template(d: int, seed: int = 5) -> np.ndarray:
     return derive_stream(seed, b"test-template").normals(d)
+
+
+def one_row(x, inst: TransformInstance) -> np.ndarray:
+    """The protected row of the one feature row ``x``: ``protect_batch`` of one row."""
+    return protect_batch([x], inst)[0]
 
 
 def blocks_of(row: np.ndarray, inst: BloomInstance) -> np.ndarray:
@@ -75,12 +78,12 @@ class TestInstantiate:
     def test_equals_reference_draws(self, scheme, length, d, layers, k, p, word_bits, cols):
         # the oracle draws each scheme's arrays as one if-ladder over the
         # schemes did: same stream labels, same draws, same order
-        from cbbench.numerics import gaussian_matrix, gram_schmidt
+        from cbbench.numerics import gram_schmidt
 
         def block_orthonormal(stream, n_rows, dim):
             if n_rows <= dim:
-                return gram_schmidt(gaussian_matrix(stream, n_rows, dim))
-            blocks = [gram_schmidt(gaussian_matrix(stream, dim, dim))
+                return gram_schmidt(stream.normals(n_rows * dim).reshape(n_rows, dim))
+            blocks = [gram_schmidt(stream.normals(dim * dim).reshape(dim, dim))
                       for _ in range(-(-n_rows // dim))]
             return np.vstack(blocks)[:n_rows]
 
@@ -143,31 +146,31 @@ class TestInstantiate:
 class TestBioHash:
     def test_forced_identity_projection(self):
         inst = BioHashInstance(2, projection=np.eye(2))
-        bits = protect([1.0, 0.0], inst)
+        bits = one_row([1.0, 0.0], inst)
         assert np.array_equal(bits, [1, 0])  # <x,e1>=1 > 0; <x,e2>=0 is not > 0
 
     def test_zero_vector_gives_zero_bits(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
-        bits = protect(np.zeros(8), inst)
+        bits = one_row(np.zeros(8), inst)
         assert not bits.any()
 
     def test_dimension_mismatch_rejected(self):
         inst = instantiate(SchemeKey(4, SchemeId.BIOHASH, SMALL), 8)
         with pytest.raises(InvalidArgumentError):
-            protect(random_template(9), inst)
+            one_row(random_template(9), inst)
 
 
 class TestMlpHash:
     def test_forced_identity_single_layer(self):
         inst = MlpHashInstance(2, layers=(np.eye(2),))
-        bits = protect([2.0, -1.0], inst)
+        bits = one_row([2.0, -1.0], inst)
         assert np.array_equal(bits, [1, 0])  # activations (2, -0.01)
 
     def test_replay(self):
         inst = instantiate(SchemeKey(9, SchemeId.MLP_HASH, SMALL), 12)
         t = random_template(12)
-        a = protect(t, inst)
-        b = protect(t, inst)
+        a = one_row(t, inst)
+        b = one_row(t, inst)
         assert np.array_equal(a, b)
 
     def test_layer_shapes(self):
@@ -181,26 +184,26 @@ class TestBloom:
         # w=2, two columns in one block, zero masks; binarized input
         # (1,0,1,1) gives column words (1,0)->2 and (1,1)->3
         inst = BloomInstance(4, word_bits=2, block_cols=2, masks=np.zeros(2, dtype=np.int64))
-        blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
+        blocks = blocks_of(one_row([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert blocks.shape == (1, 4)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])
 
     def test_masks_relocate_bits(self):
         inst = BloomInstance(4, word_bits=2, block_cols=2, masks=np.array([1, 1], dtype=np.int64))
-        blocks = blocks_of(protect([1.0, -1.0, 0.5, 2.0], inst), inst)
+        blocks = blocks_of(one_row([1.0, -1.0, 0.5, 2.0], inst), inst)
         assert np.array_equal(blocks[0], [0, 0, 1, 1])  # 2^1=3, 3^1=2: same set
 
     def test_duplicate_columns_idempotent(self):
         # all-positive input: every column word is 3; one bit set per block
         inst = BloomInstance(8, word_bits=2, block_cols=4, masks=np.zeros(4, dtype=np.int64))
-        blocks = blocks_of(protect(np.ones(8), inst), inst)
+        blocks = blocks_of(one_row(np.ones(8), inst), inst)
         assert blocks.sum() == 1 and blocks[0, 3] == 1
 
     def test_determinism_and_padding(self):
         inst = instantiate(SchemeKey(8, SchemeId.BLOOM_FILTER, SMALL), 10)
         t = random_template(10)
-        a = protect(t, inst)
-        b = protect(t, inst)
+        a = one_row(t, inst)
+        b = one_row(t, inst)
         assert np.array_equal(a, b)
         assert blocks_of(a, inst).shape == (1, 16)  # 10 bits pad to 4*4=16
 
@@ -209,12 +212,12 @@ class TestIomGrp:
     def test_forced_directions(self):
         directions = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one hash, k=2, e1/e2
         inst = IomGrpInstance(2, directions=directions)
-        codes = protect([2.0, 1.0], inst)
+        codes = one_row([2.0, 1.0], inst)
         assert np.array_equal(codes, [0])  # projections (2,1): argmax at 0
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(21, SchemeId.IOM_GRP, SMALL), 16)
-        codes = protect(random_template(16), inst)
+        codes = one_row(random_template(16), inst)
         assert inst.directions.shape[1] == SMALL.iom_k
         assert codes.min() >= 0 and codes.max() < SMALL.iom_k
         assert codes.shape == (SMALL.output_length,)
@@ -225,7 +228,7 @@ class TestIomUrp:
         x = np.array([0.1, 0.9, 0.5, 0.3, 0.8])
         perms = np.arange(5).reshape(1, 1, 5)
         inst = IomUrpInstance(5, perms=perms, k=3)
-        codes = protect(x, inst)
+        codes = one_row(x, inst)
         assert np.array_equal(codes, [1])  # argmax of (0.1, 0.9, 0.5)
 
     @pytest.mark.parametrize("d", [16, 128])
@@ -242,7 +245,7 @@ class TestIomUrp:
 
     def test_codes_in_alphabet(self):
         inst = instantiate(SchemeKey(22, SchemeId.IOM_URP, SMALL), 16)
-        codes = protect(random_template(16), inst)
+        codes = one_row(random_template(16), inst)
         assert codes.min() >= 0 and codes.max() < SMALL.iom_k
 
     @pytest.mark.parametrize("c", [1e-300, 1e-190, 1.0, 1e190, 1e300])
@@ -250,7 +253,7 @@ class TestIomUrp:
         # squares c^2 * (1, 4, 1e-20): unscaled they overflow to ties of inf
         # from c = 1e190 and underflow to ties of 0 below c = 1e-162
         inst = IomUrpInstance(3, perms=np.stack([np.arange(3)] * 2)[None], k=3)
-        assert np.array_equal(protect(c * np.array([1.0, 2.0, 1e-10]), inst), [1])
+        assert np.array_equal(one_row(c * np.array([1.0, 2.0, 1e-10]), inst), [1])
 
 
 class TestRandHash:
@@ -262,22 +265,22 @@ class TestRandHash:
             pad_bits=np.zeros(0, dtype=np.uint8),
             output_length=2,
         )
-        bits = protect([3.0, -1.0], inst)
+        bits = one_row([3.0, -1.0], inst)
         assert np.array_equal(bits, [1, 1])  # y = (3, 1)
 
     def test_truncation_when_length_below_dim(self):
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, SchemeParams(output_length=8)), 16)
-        bits = protect(random_template(16), inst)
+        bits = one_row(random_template(16), inst)
         assert bits.shape == (8,)
 
     def test_padding_when_length_above_dim(self):
         params = SchemeParams(output_length=32)
         inst = instantiate(SchemeKey(5, SchemeId.RAND_HASH, params), 16)
         t = random_template(16)
-        bits = protect(t, inst)
+        bits = one_row(t, inst)
         assert bits.shape == (32,)
         # pad bits are key-derived constants, independent of the template
-        other = protect(random_template(16, seed=77), inst)
+        other = one_row(random_template(16, seed=77), inst)
         assert np.array_equal(bits[16:], other[16:])
 
 
@@ -309,7 +312,6 @@ class TestProtectBatch:
         for i in range(n):
             one = protect_batch(x[i : i + 1], inst)[0]
             assert np.array_equal(y[i], one)
-            assert np.array_equal(one, protect(x[i], inst))
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_zero_rows_give_zero_rows_of_the_row_width(self, scheme):
@@ -354,8 +356,7 @@ class TestInstanceClasses:
         assert type(cls._draw(3, SMALL, 16)) is cls
         kind = "bits" if scheme in BIT_SCHEMES else "codes" if scheme in CODE_SCHEMES else "bloom"
         assert cls.kind == kind
-        # chance_level and similarities score rows by that kind
-        assert chance_level(scheme, SMALL) == {"bits": 0.5, "codes": 1 / 8, "bloom": None}[kind]
+        # similarities scores rows by that kind
         a, b = protect_batch(derive_stream(3, b"test.kinds").normals(32).reshape(2, 16), inst)
         if kind == "bloom":
             blocks_a, blocks_b = blocks_of(a, inst), blocks_of(b, inst)
@@ -415,19 +416,19 @@ class TestScaleInvariance:
     def test_positive_scaling_exact(self, scheme, c):
         inst = instantiate(SchemeKey(31, scheme, SMALL), 16)
         t = random_template(16, seed=13)
-        assert np.array_equal(protect(t, inst), protect(c * t, inst))
+        assert np.array_equal(one_row(t, inst), one_row(c * t, inst))
 
 
 class TestCompare:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_self_similarity_is_one(self, scheme):
         inst = instantiate(SchemeKey(41, scheme, SMALL), 16)
-        p = protect(random_template(16), inst)
-        assert compare(scheme, SMALL, p, p) == 1.0
+        p = one_row(random_template(16), inst)
+        assert similarities(scheme, SMALL, p, p) == 1.0
 
     def test_complementary_bitstrings(self):
         a = np.array([1.0, 0.0, 1.0, 0.0] * 8)
-        assert compare(SchemeId.BIOHASH, SMALL, a, 1.0 - a) == 0.0
+        assert similarities(SchemeId.BIOHASH, SMALL, a, 1.0 - a) == 0.0
 
     def test_bloom_hand_example(self):
         params = SchemeParams(bloom_word_bits=3)  # one block of 2**3 bits
@@ -435,27 +436,27 @@ class TestCompare:
         a[[1, 2]] = 1
         b = np.zeros(8)
         b[[2, 3]] = 1
-        assert compare(SchemeId.BLOOM_FILTER, params, a, b) == 0.5  # |xor|=2 over |A|+|B|=4
+        assert similarities(SchemeId.BLOOM_FILTER, params, a, b) == 0.5  # |xor|=2 over |A|+|B|=4
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_symmetry(self, scheme):
         inst = instantiate(SchemeKey(43, scheme, SMALL), 16)
-        pa = protect(random_template(16, seed=1), inst)
-        pb = protect(random_template(16, seed=2), inst)
-        assert compare(scheme, SMALL, pa, pb) == compare(scheme, SMALL, pb, pa)
+        pa = one_row(random_template(16, seed=1), inst)
+        pb = one_row(random_template(16, seed=2), inst)
+        assert similarities(scheme, SMALL, pa, pb) == similarities(scheme, SMALL, pb, pa)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_range(self, scheme):
         inst = instantiate(SchemeKey(44, scheme, SMALL), 16)
         for seed in range(10):
-            pa = protect(random_template(16, seed=seed), inst)
-            pb = protect(random_template(16, seed=seed + 100), inst)
-            assert 0.0 <= compare(scheme, SMALL, pa, pb) <= 1.0
+            pa = one_row(random_template(16, seed=seed), inst)
+            pb = one_row(random_template(16, seed=seed + 100), inst)
+            assert 0.0 <= similarities(scheme, SMALL, pa, pb) <= 1.0
 
     def test_bloom_rows_must_be_whole_blocks(self):
         params = SchemeParams(bloom_word_bits=3)  # blocks of 8 bits
         with pytest.raises(InvalidArgumentError, match=r"^a rows of length 12 .*bloom_word_bits"):
-            compare(SchemeId.BLOOM_FILTER, params, np.zeros(12), np.zeros(12))
+            similarities(SchemeId.BLOOM_FILTER, params, np.zeros(12), np.zeros(12))
         with pytest.raises(InvalidArgumentError, match="^b rows of length 4 "):
             similarities(SchemeId.BLOOM_FILTER, params, np.zeros((2, 8)), np.zeros((2, 4)))
 
@@ -464,7 +465,7 @@ class TestCompare:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match="^a rows are empty"):
-                compare(scheme, SchemeParams(), np.zeros(0), np.zeros(0))
+                similarities(scheme, SchemeParams(), np.zeros(0), np.zeros(0))
             with pytest.raises(InvalidArgumentError, match="^b rows are empty"):
                 similarities(scheme, SchemeParams(), np.zeros((2, 16)), np.zeros((2, 0)))
 
@@ -485,17 +486,17 @@ class TestCompare:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidArgumentError, match="^b rows hold values other than"):
-                    compare(scheme, SMALL, np.zeros(16), row)
+                    similarities(scheme, SMALL, np.zeros(16), row)
         if scheme in CODE_SCHEMES:
-            assert compare(scheme, SMALL, np.full(16, 255.0), np.full(16, 255.0)) == 1.0
+            assert similarities(scheme, SMALL, np.full(16, 255.0), np.full(16, 255.0)) == 1.0
 
     def test_shape_mismatch_rejected(self):
         short = SchemeParams(output_length=16)
-        a = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, SMALL), 16))
-        b = protect(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, short), 16))
-        with pytest.raises(InvalidArgumentError, match="one length"):
-            compare(SchemeId.BIOHASH, SMALL, a, b)
-        # one pair is two rows, not two blocks of rows
+        a = one_row(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, SMALL), 16))
+        b = one_row(random_template(16), instantiate(SchemeKey(1, SchemeId.BIOHASH, short), 16))
+        with pytest.raises(InvalidArgumentError, match="^a rows of length 32 and b .* 16 differ"):
+            similarities(SchemeId.BIOHASH, SMALL, a, b)
+        # compare, kept for the benchmark tracer, takes one pair: two rows, not two blocks
         with pytest.raises(InvalidArgumentError, match="1-D"):
             compare(SchemeId.BIOHASH, SMALL, a[None], a[None])
 
@@ -581,15 +582,7 @@ class TestStatisticalProperties:
             freqs = np.zeros(64)
             for i, row in enumerate(feats):
                 inst = instantiate(SchemeKey(i, scheme, params), d)
-                freqs += protect(row, inst)
+                freqs += one_row(row, inst)
             freqs /= n
             assert np.abs(freqs - 0.5).max() <= 0.02, scheme
 
-    def test_chance_level_constants(self):
-        params = SchemeParams(iom_k=8)
-        assert chance_level(SchemeId.BIOHASH, params) == 0.5
-        assert chance_level(SchemeId.MLP_HASH, params) == 0.5
-        assert chance_level(SchemeId.RAND_HASH, params) == 0.5
-        assert chance_level(SchemeId.IOM_GRP, params) == 0.125
-        assert chance_level(SchemeId.IOM_URP, params) == 0.125
-        assert chance_level(SchemeId.BLOOM_FILTER, params) is None
