@@ -54,10 +54,6 @@ _FLAG_NAMES = {
 }
 
 
-def _flag(field_name: str) -> str:
-    return "--" + _FLAG_NAMES.get(field_name, field_name).replace("_", "-")
-
-
 def _param_arg(cls, name: str, **overrides) -> dict:
     """``add_argument`` keywords of the flag of the ``_param`` field ``name``
     of ``cls``: its default, its help text and a type that parses the value as
@@ -84,19 +80,19 @@ def _param_flags(parser: argparse.ArgumentParser, cls, **defaults) -> None:
     for f in fields(cls):
         name, default = _FLAG_NAMES.get(f.name, f.name), defaults.get(f.name, f.default)
         group.add_argument(
-            _flag(f.name), dest=f.name, metavar=name.upper(), required=default is MISSING,
-            **_param_arg(cls, f.name, default=default),
+            "--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(),
+            required=default is MISSING, **_param_arg(cls, f.name, default=default),
         )
 
 
-def _policy_parser(sub, name: str, help: str, scenarios: list[str], default: str):
+def _policy_parser(sub, name: str, help: str, scenarios: list[str]):
     """Subcommand with the flags a KeyPolicy is built from, bar the scheme
     parameters, which the caller adds last so the usage line keeps its order."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--templates", required=True)
     p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId],
                    metavar="SCHEME")
-    p.add_argument("--scenario", default=default, choices=scenarios)
+    p.add_argument("--scenario", default=scenarios[0], choices=scenarios)
     p.add_argument("--master-seed", **_param_arg(BenchmarkConfig, "master_seed"))
     return p
 
@@ -123,23 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(usage_error=p.error)  # the size bound of three flags, under synth's usage
 
     p = _policy_parser(sub, "protect", "protect a template CSV under one scheme/scenario",
-                       [s.value for s in Scenario], "normal")
+                       [s.value for s in Scenario])
     p.add_argument("--out", required=True)
     _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-perf", "EER / FNMR@FMR / DET for one scheme and scenario",
-                       ["normal", "stolen"], "normal")
+                       ["normal", "stolen"])
     p.add_argument("--out-dir", default=".")
     _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-unlink", "unlinkability for one scheme (sample-specific keys)",
-                       ["sample-specific"], "sample-specific")
+                       ["sample-specific"])
     p.add_argument("--bins", **_param_arg(BenchmarkConfig, "unlinkability_bins"))
     p.add_argument("--out-dir", default=".")
     _param_flags(p, SchemeParams)
 
     p = _policy_parser(sub, "eval-irrev", "mutual information for one scheme and scenario",
-                       ["normal", "stolen"], "normal")
+                       ["normal", "stolen"])
     p.add_argument("--r", **_param_arg(BenchmarkConfig, "mi_components"))
     p.add_argument("--out-dir", default=".")
     _param_flags(p, SchemeParams)
@@ -178,8 +174,7 @@ def _cell(scheme: SchemeId, scenario: str):
 
 def _config_echo(config: BenchmarkConfig) -> dict:
     """The config as JSON that ``load_config`` reads back to an equal config."""
-    echo = {("templates" if k == "templates_path" else k): v
-            for k, v in vars(config).items() if v is not None}
+    echo = {k: v for k, v in vars(config).items() if v is not None}
     echo["schemes"] = [{"name": s.scheme_id.value, "params": vars(s.params)}
                        for s in config.schemes]
     if config.synthetic is not None:
@@ -212,7 +207,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir: str | Path) -> tuple[dict, l
 
 
 def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[Path]) -> dict:
-    ds = generate(config.synthetic) if config.synthetic else read_templates(config.templates_path)
+    ds = generate(config.synthetic) if config.synthetic else read_templates(config.templates)
 
     _, baseline = _perf_block(unprotected_scores(ds))
     cells = []
@@ -269,7 +264,7 @@ def _run_benchmark_cells(config: BenchmarkConfig, out_dir: Path, written: list[P
             "subjects": len(ds.subject_rows()),
             "templates": len(ds),
             "dimension": ds.dimension,
-            "source": "synthetic" if config.synthetic is not None else config.templates_path,
+            "source": "synthetic" if config.synthetic is not None else config.templates,
         },
         "unprotected_baseline": baseline,
         "cells": cells,

@@ -34,13 +34,10 @@ class SchemeId(enum.Enum):
     RAND_HASH = "rand-hash"
 
     @classmethod
-    def from_name(cls, name: str) -> "SchemeId":
-        """The scheme whose value is ``name``, else an error naming it."""
-        try:
-            return cls(name)
-        except ValueError:
-            known = ", ".join(m.value for m in cls)
-            raise InvalidArgumentError(f"unknown scheme name {name!r} (known: {known})") from None
+    def _missing_(cls, name):
+        """Refuse a ``SchemeId(name)`` that no scheme's value matches, naming it."""
+        known = ", ".join(m.value for m in cls)
+        raise InvalidArgumentError(f"unknown scheme name {name!r} (known: {known})")
 
 
 class Scenario(enum.Enum):

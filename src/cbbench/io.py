@@ -265,7 +265,8 @@ class BenchmarkConfig:
 
     ``scenarios`` selects the performance/irreversibility grid (normal and/or
     stolen); the sample-specific unlinkability pass always runs once per
-    scheme. Input is either a synthetic config or a template CSV path.
+    scheme. Input is either ``synthetic``, a synthetic config, or
+    ``templates``, a template CSV path; a config file keys each field by its name.
     """
 
     schemes: list[SchemeSpec]
@@ -274,7 +275,7 @@ class BenchmarkConfig:
     unlinkability_bins: int = _declared_as(_Estimators, "bins")
     mi_components: int = _declared_as(_Estimators, "r")
     synthetic: SynthConfig | None = None
-    templates_path: str | None = None
+    templates: str | None = None
     output_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -293,7 +294,7 @@ class BenchmarkConfig:
                 f"schemes and scenarios repeat the cell {twice}, whose two runs would write one "
                 f"DET CSV, det_{twice}.csv; list each once, one config per parameter set"
             )
-        if (self.synthetic is None) == (self.templates_path is None):
+        if (self.synthetic is None) == (self.templates is None):
             raise InvalidArgumentError(
                 "config needs exactly one input source: 'synthetic' or 'templates'"
             )
@@ -319,9 +320,8 @@ def standard_benchmark_config() -> BenchmarkConfig:
     )
 
 
-# a config names the templates path "templates" and adds default "params"
-_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} - {"templates_path"}
-_CONFIG_KEYS |= {"templates", "params"}
+# a config holds the fields of BenchmarkConfig and the default scheme "params"
+_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} | {"params"}
 # JSON types of the config values that are not dataclass fields
 _KINDS = {list: "a list", dict: "an object"}
 
@@ -361,13 +361,13 @@ def _build(cls, data, where: str, **base):
 def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkConfig:
     """Parse and validate a JSON benchmark config.
 
-    Scheme entries are either a bare name ("biohash") or an object
-    {"name": ..., "params": {...}}; a top-level "params" object supplies
-    defaults for schemes without their own. Settings the file leaves out take
-    their dataclass defaults; the synthetic seed defaults to the master seed.
-    A missing, unknown or ill-typed key, or a value out of range, raises
-    ParseError naming the key. A ``master_seed`` other than None stands in for
-    the file's, as if the file held it (so it also seeds ``synthetic``).
+    The keys are the ``BenchmarkConfig`` fields and "params", the defaults
+    of schemes without their own; a scheme entry is a bare name ("biohash")
+    or an object {"name": ..., "params": {...}}. Keys left out take their
+    dataclass defaults, the synthetic seed the master seed. A missing,
+    unknown or ill-typed key (``templates`` too) or a value out of range
+    raises ParseError naming the key. A ``master_seed`` other than None
+    stands in for the file's, as if the file held it (so it seeds ``synthetic``).
     """
     path = Path(path)
     try:
@@ -385,12 +385,10 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
     if master_seed is not None:
         data["master_seed"] = master_seed
 
-    scalars = ("master_seed", "unlinkability_bins", "mi_components", "output_dir")
+    scalars = ("master_seed", "unlinkability_bins", "mi_components", "templates", "output_dir")
     settings = {k: data[k] for k in scalars if k in data}
     with _naming(path):  # before the synthetic seed, which defaults to master_seed
         _check_ranges(BenchmarkConfig, **settings)
-    if "templates" in data:
-        settings["templates_path"] = data["templates"]
     if "synthetic" in data:
         settings["synthetic"] = _build(
             SynthConfig, data["synthetic"], f"{path}: synthetic",
@@ -408,7 +406,7 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
                 f"optional 'params', got {entry!r}"
             )
         with _naming(f"{path}: schemes"):
-            scheme = SchemeId.from_name(entry["name"])
+            scheme = SchemeId(entry["name"])
         merged = _build(
             SchemeParams, entry.get("params", {}),
             f"{path}: scheme {entry['name']} params", **vars(base_params),

@@ -84,27 +84,20 @@ class RandomStream:
         high = _number(high, "high", int, 1)
         return self._gen.integers(0, high, size=_number(n, "n", int, 0), dtype=np.int64)
 
-    def permutation(self, n: int, count: int | None = None) -> np.ndarray:
-        """Return a uniform permutation of range(n), or a (count, n) array of them.
-
-        With ``count``, row i is what the i-th of ``count`` sequential
-        ``permutation(n)`` calls would return, and the stream is left in the
-        same state: both run the same Fisher-Yates shuffle, row after row.
-        """
+    def permutation(self, n: int, count: int) -> np.ndarray:
+        """Return a (count, n) array of uniform permutations of range(n): row i
+        is what the i-th of ``count`` sequential ``Generator.permutation(n)``
+        calls on the stream's generator would return, and the stream is left
+        in the same state, as both run the same Fisher-Yates shuffle."""
         n = _number(n, "n", int, 0)
-        if count is None:
-            return self._gen.permutation(n)
         count = _number(count, "count", int, 0)
         return self._gen.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
-def derive_stream(seed: int, label: bytes | str) -> RandomStream:
-    """Derive the deterministic stream identified by (seed, label)."""
-    if isinstance(label, str):
-        label = label.encode("utf-8")
-    if not isinstance(label, bytes):  # bytes(5) would silently be five NUL bytes
-        raise InvalidArgumentError(f"label must be bytes or str, got {label!r}")
-    _check_ranges(RandomStream, origin_seed=seed)
+def derive_stream(seed: int, label: bytes) -> RandomStream:
+    """Derive the deterministic stream identified by (seed, label). Both are
+    checked against their ``RandomStream`` fields, so a str label is refused."""
+    _check_ranges(RandomStream, origin_seed=seed, label=label)
     gen = np.random.Generator(np.random.Philox(key=_keyed_hash(seed, label, 16)))
     return RandomStream(origin_seed=int(seed), label=label, _gen=gen)
 

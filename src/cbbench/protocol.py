@@ -94,7 +94,8 @@ def pair_indices(ds: Dataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 @dataclass
 class ScoreSet:
-    """Mated and non-mated similarity scores for one (scheme, scenario) run.
+    """Mated and non-mated similarity scores and the scenario of the keys
+    behind them, None for unprotected scores (``unlinkability`` needs sample-specific).
 
     Score arrays are non-empty, within [0, 1] and stored sorted ascending, so
     that ``compute_det`` counts scores below a threshold by binary search.
@@ -102,8 +103,7 @@ class ScoreSet:
 
     mated: np.ndarray
     nonmated: np.ndarray
-    scheme_id: SchemeId | None
-    scenario: Scenario | None
+    scenario: Scenario | None = None
 
     def __post_init__(self) -> None:
         for name, needs in (("mated", "a mated pair needs a subject with two samples"),
@@ -197,7 +197,4 @@ def run_scenario(ds: Dataset, policy: KeyPolicy, protected: np.ndarray) -> Score
         return out
 
     mated, nonmated = pair_indices(ds)
-    return ScoreSet(
-        mated=scores(*mated), nonmated=scores(*nonmated),
-        scheme_id=policy.scheme_id, scenario=policy.scenario,
-    )
+    return ScoreSet(mated=scores(*mated), nonmated=scores(*nonmated), scenario=policy.scenario)

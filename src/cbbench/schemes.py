@@ -194,7 +194,7 @@ class RandHashInstance(TransformInstance):
     @classmethod
     def _draw(cls, seed, params, d):
         length = params.output_length
-        perm = derive_stream(seed, b"randhash.perm").permutation(d)
+        perm = derive_stream(seed, b"randhash.perm").permutation(d, 1)[0]
         signs = np.where(derive_stream(seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
         pad = derive_stream(seed, b"randhash.pad").uniforms(max(0, length - d)) < 0.5
         return cls(d, perm=perm, signs=signs, pad_bits=pad.astype(np.uint8), output_length=length)

@@ -83,4 +83,4 @@ def unprotected_scores(ds: Dataset) -> ScoreSet:
     (mated_i, mated_j), (nonmated_i, nonmated_j) = pair_indices(ds)
     mated = np.array([score(i, j) for i, j in zip(mated_i.tolist(), mated_j.tolist())])
     nonmated = np.array([score(i, j) for i, j in zip(nonmated_i.tolist(), nonmated_j.tolist())])
-    return ScoreSet(mated=mated, nonmated=nonmated, scheme_id=None, scenario=None)
+    return ScoreSet(mated=mated, nonmated=nonmated)

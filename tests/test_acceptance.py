@@ -60,7 +60,6 @@ def score_set(mated, nonmated, scenario=Scenario.SAMPLE_SPECIFIC):
     return ScoreSet(
         mated=np.asarray(mated, dtype=float),
         nonmated=np.asarray(nonmated, dtype=float),
-        scheme_id=SchemeId.BIOHASH,
         scenario=scenario,
     )
 

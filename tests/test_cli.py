@@ -24,8 +24,8 @@ from cbbench.cli import _build_parser, main
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
-    BenchmarkConfig, SchemeSpec, load_config, read_templates, standard_benchmark_config,
-    write_templates,
+    _CONFIG_KEYS, BenchmarkConfig, SchemeSpec, load_config, read_templates,
+    standard_benchmark_config, write_templates,
 )
 from cbbench.metrics import eer, mutual_information
 from cbbench.numerics import _openblas, derive_stream
@@ -142,7 +142,7 @@ class TestProtect:
         ds = read_templates(templates)
         assert list(zip(ds.subject_ids, ds.sample_ids)) == rows
         y = protected_matrix(
-            ds, KeyPolicy(3, Scenario.NORMAL, SchemeId.from_name(scheme),
+            ds, KeyPolicy(3, Scenario.NORMAL, SchemeId(scheme),
                           SchemeParams(output_length=32))
         )
         ref = tmp_path / "ref.csv"
@@ -329,7 +329,7 @@ class TestBench:
         config = standard_benchmark_config() if source == "standard" else BenchmarkConfig(
             schemes=[SchemeSpec(SchemeId.BIOHASH, SchemeParams(output_length=64)),
                      SchemeSpec(SchemeId.IOM_URP, SchemeParams(iom_k=4, iom_p=3))],
-            scenarios=["stolen"], master_seed=7, templates_path="t.csv", output_dir="res",
+            scenarios=["stolen"], master_seed=7, templates="t.csv", output_dir="res",
         )
         path = tmp_path / "echo.json"
         path.write_text(json.dumps(_config_echo(config)), encoding="utf-8")
@@ -501,13 +501,14 @@ class TestBench:
         assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "bench")]) == 0
         report = json.loads((tmp_path / "bench" / "report.json").read_text(encoding="utf-8"))
 
-        # eval-unlink prints D_sys to 4 places; record the value it computed
-        d_sys = {}
+        # eval-unlink prints D_sys to 4 places; record the value it computed,
+        # one per scheme in SchemeId order, as the loop below runs them
+        d_sys = []
         measure = cli.unlinkability
 
         def recorded(scores, bins):
             result = measure(scores, bins)
-            d_sys[scores.scheme_id.value] = result.d_sys
+            d_sys.append(result.d_sys)
             return result
 
         monkeypatch.setattr(cli, "unlinkability", recorded)
@@ -531,7 +532,8 @@ class TestBench:
             mi_block = {k: v for k, v in irrev.items() if k not in ("scheme", "scenario")}
             assert mi_block == {k: cell[k] for k in mi_block}, cell["scheme"]
         assert len(d_sys) == len(SchemeId)
-        assert {row["scheme"]: row["d_sys"] for row in report["unlinkability"]} == d_sys
+        assert {row["scheme"]: row["d_sys"] for row in report["unlinkability"]} == dict(
+            zip((s.value for s in SchemeId), d_sys))
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -1008,11 +1010,11 @@ def test_typed_field_accepted_exactly_when_of_its_annotated_type(value):
         ("params", lambda: SchemeSpec(SchemeId.BIOHASH, value), isinstance(value, SchemeParams)),
         ("synthetic", lambda: BenchmarkConfig(
             specs, ["normal"], synthetic=value,
-            templates_path=None if isinstance(value, SynthConfig) else "t.csv",
+            templates=None if isinstance(value, SynthConfig) else "t.csv",
         ), value is None or isinstance(value, SynthConfig)),
-        ("templates_path", lambda: BenchmarkConfig(
+        ("templates", lambda: BenchmarkConfig(
             specs, ["normal"], synthetic=None if isinstance(value, str) else synthetic,
-            templates_path=value,
+            templates=value,
         ), value is None or isinstance(value, str)),
         ("output_dir", lambda: BenchmarkConfig(
             specs, ["normal"], synthetic=synthetic, output_dir=value
@@ -1161,3 +1163,15 @@ def test_load_config_names_the_mutated_key(mutation):
             assert key in str(exc).replace(str(path), "")
         else:
             assert not invalid, f"{key}={value!r} in {section or 'the top level'} was accepted"
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_bench_names_the_config_key_of_a_wrong_type(tmp_path, capsys, key):
+    # true is of no key's type; a "templates" config drops "synthetic", its other source
+    data = small_config_data(tmp_path, **{key: True})
+    if key == "templates":
+        del data["synthetic"]
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["bench", "--config", str(path)]) == 1
+    assert f"{path}: {key} must be" in capsys.readouterr().err

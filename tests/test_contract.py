@@ -28,7 +28,7 @@ PARAMS = SchemeParams(output_length=8, iom_k=2, bloom_block_cols=1)
 INSTANCES = [instantiate(SchemeKey(3, scheme, PARAMS), WIDTH) for scheme in SchemeId]
 KEY = SchemeKey(3, SchemeId.BIOHASH, PARAMS)
 GOOD = np.arange(12.0).reshape(3, WIDTH) ** 2
-CURVE = compute_det(ScoreSet([0.2, 0.9], [0.1, 0.5], None, None))
+CURVE = compute_det(ScoreSet([0.2, 0.9], [0.1, 0.5]))
 
 
 def scored_with(protected):
@@ -38,7 +38,7 @@ def scored_with(protected):
 
 
 def stream():
-    return derive_stream(1, "contract")
+    return derive_stream(1, b"contract")
 
 
 DRAWS = {
@@ -46,7 +46,7 @@ DRAWS = {
     "normals": lambda s, n: s.normals(n),
     "uniforms": lambda s, n: s.uniforms(n),
     "integers": lambda s, n: s.integers(n, 3),
-    "permutation": lambda s, n: s.permutation(n),
+    "permutation": lambda s, n: s.permutation(n, 1),
 }
 
 PROBES = {
@@ -97,13 +97,13 @@ PROBES = {
     "mutual_information of a columnless x": (
         lambda: mutual_information(np.ones((5, 0)), np.ones((5, 2))), "x"),
     "mutual_information of a str y": (lambda: mutual_information(GOOD, GOOD.astype(str)), "y"),
-    "ScoreSet of a 2-D nonmated": (lambda: ScoreSet([0.5], [[0.5]], None, None), "nonmated"),
-    "ScoreSet of a complex mated": (lambda: ScoreSet([0.5j], [0.5], None, None), "mated"),
+    "ScoreSet of a 2-D nonmated": (lambda: ScoreSet([0.5], [[0.5]]), "nonmated"),
+    "ScoreSet of a complex mated": (lambda: ScoreSet([0.5j], [0.5]), "mated"),
     "ScoreSet of an empty mated": (
-        lambda: ScoreSet([], [0.5], None, None),
+        lambda: ScoreSet([], [0.5]),
         "mated is empty: a mated pair needs a subject with two samples"),
     "ScoreSet of an empty nonmated": (
-        lambda: ScoreSet([0.5], [], None, None),
+        lambda: ScoreSet([0.5], []),
         "nonmated is empty: a non-mated pair needs at least two subjects"),
     "run_scenario of a 3-D protected": (lambda: scored_with(np.zeros((6, 8, 1))), "protected"),
     "run_scenario of a short protected": (lambda: scored_with(np.zeros((5, 8))), "protected"),
@@ -210,7 +210,7 @@ CONTRACT = {
     "Dataset": (Dataset, lambda a, i: (a, ["s"] * len(np.atleast_1d(a)),
                                        [str(k) for k in range(len(np.atleast_1d(a)))]),
                 lambda ds, a: ds.features.dtype == np.float64 and ds.features.ndim == 2),
-    "ScoreSet": (ScoreSet, lambda a, i: (a, [0.5], None, None),
+    "ScoreSet": (ScoreSet, lambda a, i: (a, [0.5]),
                  lambda s, a: _score_range(s.mated) and (np.diff(s.mated) >= 0).all()),
     "similarities": (lambda a, b, i: similarities(i.scheme_id, PARAMS, a, b),
                      lambda a, i: (a, a, i), lambda s, a: _score_range(s)),

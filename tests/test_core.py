@@ -53,11 +53,11 @@ class TestSchemeParams:
 class TestSchemeNames:
     def test_round_trip(self):
         for scheme in SchemeId:
-            assert SchemeId.from_name(scheme.value) is scheme
+            assert SchemeId(scheme.value) is scheme
 
     def test_unknown_names_name_the_token(self):
         with pytest.raises(InvalidArgumentError, match="triplethash"):
-            SchemeId.from_name("triplethash")
+            SchemeId("triplethash")
 
     def test_key_seed_range(self):
         for seed in (-1, 2**64, 2.5, True):
@@ -114,10 +114,10 @@ class TestPayloads:
 
 class TestScore:
     def test_range_is_error_not_clamp(self):
-        ScoreSet(np.array([0.0, 1.0]), np.array([1.0]), None, None)
+        ScoreSet(np.array([0.0, 1.0]), np.array([1.0]))
         for bad in (1.0000001, -0.0000001, np.nan):
             with pytest.raises(InvalidArgumentError, match="within \\[0, 1\\]"):
-                ScoreSet(np.array([0.5, bad]), np.array([0.5]), None, None)
+                ScoreSet(np.array([0.5, bad]), np.array([0.5]))
 
 
 class TestValidateDataset:

@@ -309,7 +309,7 @@ class TestDetPoints:
     def make_curve(self):
         mated = np.array([0.9, 0.8, 0.62, 0.55])
         nonmated = np.array([0.5, 0.3, 0.21, 0.1])
-        return compute_det(ScoreSet(mated, nonmated, None, None))
+        return compute_det(ScoreSet(mated, nonmated))
 
     def test_separable_contains_perfect_row(self, tmp_path):
         curve = self.make_curve()
@@ -438,14 +438,14 @@ class TestBenchmarkConfig:
     def test_scheme_entries_must_be_scheme_specs(self):
         # a bare name once passed here and failed in run_benchmark, outside any cell
         with pytest.raises(InvalidArgumentError, match="^schemes "):
-            BenchmarkConfig(schemes=["biohash"], scenarios=["normal"], templates_path="x.csv")
+            BenchmarkConfig(schemes=["biohash"], scenarios=["normal"], templates="x.csv")
 
     def test_sample_specific_not_a_grid_scenario(self):
         with pytest.raises(InvalidArgumentError, match="sample-specific"):
             BenchmarkConfig(
                 schemes=[SchemeSpec(SchemeId.BIOHASH)],
                 scenarios=["sample-specific"],
-                templates_path="x.csv",
+                templates="x.csv",
             )
 
     @pytest.mark.parametrize("schemes, scenarios, cell", [
@@ -468,7 +468,7 @@ class TestBenchmarkConfig:
             load_config(cfg_path)
         specs = [SchemeSpec(SchemeId(s if isinstance(s, str) else s["name"])) for s in schemes]
         with pytest.raises(InvalidArgumentError, match=f"^{message}"):
-            BenchmarkConfig(schemes=specs, scenarios=scenarios, templates_path="x.csv")
+            BenchmarkConfig(schemes=specs, scenarios=scenarios, templates="x.csv")
 
     def test_standard_config_shape(self):
         cfg = standard_benchmark_config()

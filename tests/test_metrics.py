@@ -28,7 +28,6 @@ def score_set(mated, nonmated, scenario=Scenario.NORMAL):
     return ScoreSet(
         mated=np.asarray(mated, dtype=float),
         nonmated=np.asarray(nonmated, dtype=float),
-        scheme_id=SchemeId.BIOHASH,
         scenario=scenario,
     )
 

@@ -49,12 +49,9 @@ class TestRandomStream:
         draws = derive_stream(7, b"i").integers(5, 1)
         assert draws.dtype == np.int64 and np.array_equal(draws, np.zeros(5))
 
-    def test_str_label_equivalent_to_bytes(self):
-        assert np.array_equal(derive_stream(7, "a").words(4), derive_stream(7, b"a").words(4))
-
-    @pytest.mark.parametrize("label", [5, 0, None, bytearray(b"a"), [97]])
-    def test_label_neither_bytes_nor_str_rejected(self, label):
-        with pytest.raises(InvalidArgumentError, match="^label must be bytes or str"):
+    @pytest.mark.parametrize("label", ["a", 5, 0, None, bytearray(b"a"), [97]])
+    def test_label_not_bytes_rejected(self, label):
+        with pytest.raises(InvalidArgumentError, match="^label must be bytes"):
             derive_stream(1, label)
 
     def test_seed_out_of_range(self):
@@ -67,7 +64,7 @@ class TestRandomStream:
         batched = derive_stream(9, b"p")
         sequential = derive_stream(9, b"p")
         rows = batched.permutation(n, count)
-        expected = np.stack([sequential.permutation(n) for _ in range(count)])
+        expected = np.stack([sequential._gen.permutation(n) for _ in range(count)])
         assert rows.shape == (count, n) and rows.dtype == expected.dtype
         assert np.array_equal(rows, expected)
         # the batch leaves the stream where the sequential calls leave it

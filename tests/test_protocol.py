@@ -163,7 +163,6 @@ class TestScoreSet:
         s = ScoreSet(
             mated=np.array([0.9, 0.1, 0.5]),
             nonmated=np.array([0.3, 0.2]),
-            scheme_id=SchemeId.BIOHASH,
             scenario=Scenario.NORMAL,
         )
         assert np.array_equal(s.mated, [0.1, 0.5, 0.9])
@@ -171,7 +170,7 @@ class TestScoreSet:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            ScoreSet(np.array([1.5]), np.array([0.5]), None, None)
+            ScoreSet(np.array([1.5]), np.array([0.5]))
 
 
 class TestRunScenario:
@@ -180,7 +179,6 @@ class TestRunScenario:
         scores = scores_of(ds, policy(Scenario.NORMAL))
         assert scores.mated.size == 3  # 3 subjects x C(2,2)=1
         assert scores.nonmated.size == 3  # C(3,2)
-        assert scores.scheme_id is SchemeId.BIOHASH
         assert scores.scenario is Scenario.NORMAL
 
     def test_stolen_single_instance(self):

@@ -107,7 +107,7 @@ class TestInstantiate:
             if scheme is SchemeId.IOM_URP:
                 stream = derive_stream(seed, b"iom-urp.perms")
                 return {"perms": stream.permutation(d, length * p).reshape(length, p, d), "k": k}
-            perm = derive_stream(seed, b"randhash.perm").permutation(d)
+            perm = derive_stream(seed, b"randhash.perm")._gen.permutation(d)
             signs = np.where(derive_stream(seed, b"randhash.sign").uniforms(d) < 0.5, -1.0, 1.0)
             n_pad = max(0, length - d)
             pad_bits = (
@@ -235,12 +235,12 @@ class TestIomUrp:
     def test_perms_equal_one_draw_per_permutation(self, d):
         params = SchemeParams(output_length=64, iom_k=8, iom_p=3)
         inst = instantiate(SchemeKey(23, SchemeId.IOM_URP, params), d)
-        # reference: one permutation(d) call per (code, factor), code-major
+        # reference: one numpy permutation(d) call per (code, factor), code-major
         stream = derive_stream(23, b"iom-urp.perms")
         perms = np.empty((params.output_length, params.iom_p, d), dtype=np.int64)
         for m in range(params.output_length):
             for p in range(params.iom_p):
-                perms[m, p] = stream.permutation(d)
+                perms[m, p] = stream._gen.permutation(d)
         assert np.array_equal(inst.perms, perms)
 
     def test_codes_in_alphabet(self):
