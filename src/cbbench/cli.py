@@ -410,7 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _one_blas_thread():
             return _COMMANDS[args.command](args)
-    except (CbBenchError, OSError) as exc:
+    # each SchemeParams cap bounds one size, so L x k x d can still exceed memory
+    except (CbBenchError, OSError, MemoryError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,9 @@ ctypes, which releases the GIL, and gives the bits of ``np.linalg.qr``, its
 fallback. ``pca_fit`` goes through LAPACK's SVD, so its output, and every
 mutual-information field built on it, is bit-stable only at a fixed BLAS
 thread count and kernel. A tall matrix reaches that SVD as its QR's R, the
-step dgesdd itself takes first, so the bits stay dgesdd's (see ``pca_fit``).
+step dgesdd itself takes first, so the bits stay dgesdd's (see ``pca_fit``);
+that dgeqrf goes through the same ctypes binding, in place on the fit's one
+centered copy.
 """
 
 from __future__ import annotations
@@ -127,30 +129,36 @@ def _openblas() -> SimpleNamespace | None:
     return None
 
 
+def _lapack(routine, a: np.ndarray, tau: np.ndarray, *sizes: int) -> None:
+    """Call the bundled LAPACK's ``routine(*sizes, A, LDA, TAU, WORK, LWORK,
+    INFO)``, dgeqrf or dorgqr, on the Fortran-order float64 ``a`` in place,
+    without the GIL, with numpy's LWORK: the routine's workspace query, at
+    least max(1, a's columns), so its bits are those of ``np.linalg.qr``."""
+    ints = np.array([*sizes, max(1, a.shape[0]), -1, 0], dtype=np.int64)
+    *sizes_, lda, lwork, info = (ints.ctypes.data + 8 * i for i in range(len(ints)))
+    work = np.zeros(1)
+    routine(*sizes_, a.ctypes.data, lda, tau.ctypes.data, work.ctypes.data, lwork, info)
+    ints[-2] = max(work[0], max(1, a.shape[1]))
+    work = np.empty(ints[-2])
+    routine(*sizes_, a.ctypes.data, lda, tau.ctypes.data, work.ctypes.data, lwork, info)
+    if ints[-1]:
+        raise NumericError(f"LAPACK's Householder QR refused its argument {-ints[-1]}")
+
+
 def _householder(a: np.ndarray) -> np.ndarray:
     """Overwrite the C-order float64 ``a`` with the rows of Q of the QR of
-    ``a.T`` and return diag(R), the bits of ``np.linalg.qr``: the bundled
-    LAPACK's dgeqrf and dorgqr, with numpy's workspace sizes, work on ``a`` in
-    place (it is the Fortran layout of ``a.T``) without the GIL."""
+    ``a.T`` and return diag(R), the bits of ``np.linalg.qr``: dgeqrf and
+    dorgqr work on ``a`` in place (it is the Fortran layout of ``a.T``)."""
     blas = _openblas()
     if blas is None:
         q, r = np.linalg.qr(a.T)
         a[...] = q.T
         return np.diag(r)
     rows, cols = a.shape
-    # M, N (= K), LDA, the LWORKs of dgeqrf and dorgqr, INFO: each passed by address
-    ints = np.array([cols, rows, max(1, cols), -1, -1, 0], dtype=np.int64)
-    m, n, lda, lwork_qrf, lwork_gqr, info = (ints.ctypes.data + 8 * i for i in range(6))
-    a_, tau, work = a.ctypes.data, np.empty(rows), np.zeros(2)
-    blas.dgeqrf(m, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_qrf, info)
-    blas.dorgqr(m, n, n, a_, lda, tau.ctypes.data, work.ctypes.data + 8, lwork_gqr, info)
-    ints[3:5] = np.maximum(work, max(1, rows))
-    work = np.empty(ints[3:5].max())
-    blas.dgeqrf(m, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_qrf, info)
+    tau = np.empty(rows)
+    _lapack(blas.dgeqrf, a.T, tau, cols, rows)
     diag = a.diagonal().copy()
-    blas.dorgqr(m, n, n, a_, lda, tau.ctypes.data, work.ctypes.data, lwork_gqr, info)
-    if ints[5]:  # both check the same arguments, so dorgqr refuses what dgeqrf did
-        raise NumericError(f"m: LAPACK's Householder QR refused its argument {-ints[5]}")
+    _lapack(blas.dorgqr, a.T, tau, cols, rows, rows)
     return diag
 
 
@@ -205,7 +213,7 @@ def _second_moments_of_x():
 def _unscaled_by_dgesdd(a: np.ndarray) -> bool:
     """Whether LAPACK's dgesdd takes ``a`` as it is: it rescales a matrix whose
     largest |value| is nonzero and outside [2**-459, 2**459], or not finite."""
-    peak = np.abs(a).max(initial=0.0)
+    peak = max(a.max(initial=0.0), -a.min(initial=0.0))
     return peak == 0.0 or 2.0**-459 <= peak <= 2.0**459
 
 
@@ -230,11 +238,15 @@ def pca_fit(x: np.ndarray, r: int) -> PcaModel:
     r = _number(r, "r", int, 1, min(rows - 1, cols))
     with _second_moments_of_x():
         mean = x.mean(axis=0)
-        centered = x - mean
+        centered = np.subtract(x, mean, order="F")  # dgeqrf's layout: it factors in place
         if rows >= cols * 11 // 6 and _unscaled_by_dgesdd(centered):
-            upper = np.linalg.qr(centered, mode="r")
-            if _unscaled_by_dgesdd(upper):
-                centered = upper
+            if (blas := _openblas()) is None:
+                upper = np.linalg.qr(centered, mode="r")
+            else:
+                _lapack(blas.dgeqrf, centered, np.empty(cols), rows, cols)
+                upper = np.triu(centered[:cols])
+            # where dgesdd would rescale R it takes the centered matrix, which the QR overwrote
+            centered = upper if _unscaled_by_dgesdd(upper) else x - mean
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
         if not np.isfinite(singular).all():  # LAPACK overflows without a numpy flag
             raise FloatingPointError

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 _STOLEN_LABEL = b"stolen-token"
-_BLOCK_ROWS = 64  # rows per protect_batch call (bounds the iom temporaries)
+_BLOCK_ROWS = 64  # rows per protect_batch call, and per job where one key serves all rows
 _SCORE_PAIRS = 4096  # pairs per scoring call: 128 KiB a side of packed 256-bit rows
 
 

@@ -47,6 +47,23 @@ def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
     return np.vstack([gram_schmidt(m) for m in draws])[:n_rows]
 
 
+# float64 values in each of an iom kernel's (n, hashes, k) temporaries: 512 KiB
+_KERNEL_VALUES = 2**16
+
+
+def _codes_by_hash_slices(n: int, m: int, k: int, codes) -> np.ndarray:
+    """The (n, m) codes of an index-of-max kernel, filled over slices of its m
+    hashes: ``codes(hashes)`` returns the (n, len(hashes)) codes of the hash
+    slice ``hashes``, whose (n, hashes, k) temporaries then hold at most
+    ``_KERNEL_VALUES`` values (one hash at least). Each hash's gemm or product
+    is the one a whole-block expression computes, so the codes are its bits."""
+    step = max(1, _KERNEL_VALUES // max(1, n * k))
+    out = np.empty((n, m), dtype=np.intp)
+    for s in range(0, m, step):
+        out[:, s : s + step] = codes(slice(s, s + step))
+    return out
+
+
 @dataclass(frozen=True)
 class TransformInstance:
     """Key-derived transform parameters for one scheme at one input dimension.
@@ -154,8 +171,10 @@ class IomGrpInstance(TransformInstance):
     def rows(self, x):
         """For each hash, record which of its k Gaussian projections is largest
         (ties resolve to the lowest index)."""
-        # (m, n, k): k last, so argmax reduces the contiguous axis without a copy
-        return np.argmax(x @ self.directions.transpose(0, 2, 1), axis=2).T
+        m, k, _ = self.directions.shape
+        # (hashes, n, k): k last, so argmax reduces the contiguous axis without a copy
+        return _codes_by_hash_slices(x.shape[0], m, k, lambda h: np.argmax(
+            x @ self.directions[h].transpose(0, 2, 1), axis=2).T)
 
 
 @dataclass(frozen=True)
@@ -177,10 +196,14 @@ class IomUrpInstance(TransformInstance):
         elementwise and record the argmax among the first k entries."""
         # protect_batch hands in rows whose largest |x| is in [0.5, 1): no product overflows
         kept = self.perms[:, :, : self.k]  # (m, p, k): only the entries the argmax reads
-        products = x[:, kept[:, 0]]  # factor by factor, as np.prod: no (n, m, p, k) gather
-        for j in range(1, kept.shape[1]):
-            products *= x[:, kept[:, j]]
-        return np.argmax(products, axis=2)
+
+        def codes(h):
+            products = x[:, kept[h, 0]]  # factor by factor, as np.prod: no (n, h, p, k) gather
+            for j in range(1, kept.shape[1]):
+                products *= x[:, kept[h, j]]
+            return np.argmax(products, axis=2)
+
+        return _codes_by_hash_slices(x.shape[0], kept.shape[0], self.k, codes)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import io
 import itertools
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,16 @@ def oracle_fnmr_at_fmr(mated: np.ndarray, nonmated: np.ndarray, target: float) -
 def read_det_csv(path) -> DetCurve:
     """The DET curve of a ``write_det_points`` CSV, each value parsed as ``float()`` does."""
     return DetCurve(*np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes ``tracemalloc`` traces while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def scores_of(ds: Dataset, policy: KeyPolicy):

@@ -640,6 +640,31 @@ def test_missing_templates_file_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_runtime_error(tmp_path):
+    # each SchemeParams cap bounds one size: iom-grp's 4096 x 256 x 2048
+    # directions are 16 GiB, which a 4 GiB address space refuses at once
+    resource = pytest.importorskip("resource")
+    csv = tmp_path / "t.csv"
+    assert main(["synth", "--subjects", "3", "--samples", "2", "--dim", "2048",
+                 "--sigma", "0.3", "--out", str(csv)]) == 0
+    script = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard))\n"
+        "from cbbench.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cbbench.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval-perf", "--templates", str(csv), "--scheme",
+         "iom-grp", "--length", "4096", "--iom-k", "256", "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: eval-perf: MemoryError: Unable to allocate 16.0 GiB")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "t.csv"
     rc = main(["synth", "--subjects", "2", "--samples", "2", "--dim", "8",

@@ -18,6 +18,8 @@ from cbbench.numerics import (
     pca_fit,
 )
 
+from conftest import traced_peak
+
 H1 = 0.5 * (math.log(2 * math.pi) + 1.0)  # entropy of a 1-D unit Gaussian
 
 
@@ -231,15 +233,15 @@ class TestPca:
         x = PCA_KINDS[kind](rng, (rows, cols))
         r = min(rows - 1, cols)
         expected = svd_only_fit(x, r)
-        qr_calls, linalg_qr = [], np.linalg.qr
+        qr_calls, lapack = [], numerics._lapack
 
-        def counted_qr(*args, **kwargs):
-            qr_calls.append(args)
-            return linalg_qr(*args, **kwargs)
+        def counted_lapack(routine, *args):
+            qr_calls.append(routine)
+            return lapack(routine, *args)
 
-        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(numerics, "_lapack", counted_lapack)
         model = pca_fit(x, r)
-        assert len(qr_calls) == tall
+        assert qr_calls == [_openblas().dgeqrf] * tall
         for got, want in zip((model.mean, model.components, model.explained_variance), expected):
             assert np.array_equal(got, want)
 
@@ -254,6 +256,22 @@ class TestPca:
         for got, want in zip((model.mean, model.components, model.explained_variance),
                              svd_only_fit(x, 16)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e137])
+    def test_fallback_qr_step_keeps_the_svd_bits(self, bundled_openblas, scale, rng,
+                                                  monkeypatch):
+        x = rng.standard_normal((1500, 256)) * scale
+        expected = svd_only_fit(x, 16)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        model = pca_fit(x, 16)
+        for got, want in zip((model.mean, model.components, model.explained_variance), expected):
+            assert np.array_equal(got, want)
+
+    def test_tall_fit_holds_one_centered_copy(self, bundled_openblas, rng):
+        # np.linalg.qr(mode="r") copied the 2.9 MiB centered matrix twice,
+        # one of them traced: the fit's traced peak was 6.4 MiB
+        x = rng.standard_normal((1500, 256))
+        assert traced_peak(pca_fit, x, 16) < x.nbytes + 2**20
 
     def test_rank_one_data(self):
         x = np.array([[t, 2.0 * t] for t in np.linspace(-1, 1, 20)])

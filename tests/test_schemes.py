@@ -10,6 +10,7 @@ from cbbench.core import SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import InvalidArgumentError
 from cbbench.numerics import derive_stream
 from cbbench.schemes import (
+    _KERNEL_VALUES,
     BioHashInstance,
     BloomInstance,
     IomGrpInstance,
@@ -17,11 +18,14 @@ from cbbench.schemes import (
     MlpHashInstance,
     RandHashInstance,
     TransformInstance,
+    _codes_by_hash_slices,
     compare,
     instantiate,
     protect_batch,
     similarities,
 )
+
+from conftest import traced_peak
 
 ALL_SCHEMES = list(SchemeId)
 SMALL = SchemeParams(output_length=32, iom_k=8, bloom_block_cols=4)
@@ -254,6 +258,53 @@ class TestIomUrp:
         # from c = 1e190 and underflow to ties of 0 below c = 1e-162
         inst = IomUrpInstance(3, perms=np.stack([np.arange(3)] * 2)[None], k=3)
         assert np.array_equal(one_row(c * np.array([1.0, 2.0, 1e-10]), inst), [1])
+
+
+def whole_block_codes(inst, x: np.ndarray) -> np.ndarray:
+    """The index-of-max codes of ``x`` as one expression over every hash at
+    once: the kernels before they filled their codes by hash slices."""
+    if isinstance(inst, IomGrpInstance):
+        return np.argmax(x @ inst.directions.transpose(0, 2, 1), axis=2).T
+    kept = inst.perms[:, :, : inst.k]
+    products = x[:, kept[:, 0]]
+    for j in range(1, kept.shape[1]):
+        products *= x[:, kept[:, j]]
+    return np.argmax(products, axis=2)
+
+
+class TestIomHashSlices:
+    # a 64-row block at the default k = 16 fills 64 hashes per slice, so
+    # L = 100 ends in a short slice; p only shapes iom-urp
+    @pytest.mark.parametrize("scheme,p", [(SchemeId.IOM_GRP, 2), (SchemeId.IOM_URP, 1),
+                                          (SchemeId.IOM_URP, 3)])
+    @pytest.mark.parametrize("d", [128, 256])
+    @pytest.mark.parametrize("length", [100, 256])
+    def test_codes_equal_the_whole_block_expression(self, scheme, p, d, length, rng):
+        inst = instantiate(SchemeKey(5, scheme, SchemeParams(output_length=length, iom_p=p)), d)
+        for n in (0, 1, 20, 64):
+            x = rng.standard_normal((n, d))
+            assert np.array_equal(inst.rows(x), whole_block_codes(inst, x)), n
+
+    @pytest.mark.parametrize("n,k", [(0, 16), (1, 16), (20, 16), (64, 16), (64, 256),
+                                     (1000, 100)])
+    def test_slices_are_the_fewest_within_the_budget(self, n, k):
+        m, sizes = 300, []
+
+        def codes(hashes):
+            sizes.append(len(range(m)[hashes]))
+            return np.zeros((n, sizes[-1]), dtype=np.intp)
+
+        assert _codes_by_hash_slices(n, m, k, codes).shape == (n, m)
+        step = sizes[0]
+        assert sum(sizes) == m and all(size == step for size in sizes[:-1])
+        assert step * n * k <= _KERNEL_VALUES or step == 1
+        assert len(sizes) == 1 or (step + 1) * n * k > _KERNEL_VALUES
+
+    # the whole-block expression peaked at 2.25 (iom-grp) and 4.25 MiB (iom-urp)
+    @pytest.mark.parametrize("scheme,mib", [(SchemeId.IOM_GRP, 1.0), (SchemeId.IOM_URP, 1.5)])
+    def test_a_block_traces_a_bounded_peak(self, scheme, mib, rng):
+        inst = instantiate(SchemeKey(5, scheme, SchemeParams()), 256)
+        assert traced_peak(protect_batch, rng.standard_normal((64, 256)), inst) < mib * 2**20
 
 
 class TestRandHash:
