@@ -167,8 +167,7 @@ def _cell(scheme: SchemeId, scenario: str):
         yield
     except Exception as exc:
         raise CbBenchError(
-            f"cell (scheme={scheme.value}, scenario={scenario}): "
-            f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
+            f"cell (scheme={scheme.value}, scenario={scenario}): {type(exc).__name__}: {exc}"
         ) from exc
 
 

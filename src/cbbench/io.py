@@ -320,19 +320,6 @@ def standard_benchmark_config() -> BenchmarkConfig:
     )
 
 
-# a config holds the fields of BenchmarkConfig and the default scheme "params"
-_CONFIG_KEYS = {f.name for f in fields(BenchmarkConfig)} | {"params"}
-# JSON types of the config values that are not dataclass fields
-_KINDS = {list: "a list", dict: "an object"}
-
-
-def _check(value, kind: type, what: str):
-    """Return ``value`` if it is of the JSON kind; else raise ParseError naming ``what``."""
-    if not isinstance(value, kind):
-        raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
 @contextmanager
 def _naming(where):
     """Raise an InvalidArgumentError of a dataclass check, whose message
@@ -347,13 +334,15 @@ def _build(cls, data, where: str, **base):
     """``cls(**{**base, **data})`` for the JSON object ``data``, whose keys must be
     fields of the dataclass ``cls`` and, with ``base``, cover each field without
     a default; a ParseError says ``where`` first."""
-    unknown = set(_check(data, dict, where)) - {f.name for f in fields(cls)}
+    if not isinstance(data, dict):
+        raise ParseError(f"{where} must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
     missing -= set(base) | set(data)
-    if unknown or missing:
-        raise ParseError(
-            f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}"
-        )
+    faults = [f"{kind} key(s) {sorted(keys)}"
+              for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if faults:
+        raise ParseError(f"{where}: {', '.join(faults)}")
     with _naming(where):
         return cls(**{**base, **data})
 
@@ -363,10 +352,13 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
 
     The keys are the ``BenchmarkConfig`` fields and "params", the defaults
     of schemes without their own; a scheme entry is a bare name ("biohash")
-    or an object {"name": ..., "params": {...}}. Keys left out take their
-    dataclass defaults, the synthetic seed the master seed. A missing,
-    unknown or ill-typed key (``templates`` too) or a value out of range
-    raises ParseError naming the key. A ``master_seed`` other than None
+    or an object {"name": ..., "params": {...}}. The top level is checked as
+    each nested object is, by ``_build``: keys left out take their dataclass
+    defaults, the synthetic seed the master seed, and a missing, unknown or
+    ill-typed key (``templates`` too) or a value out of range raises
+    ParseError naming the key. Of two faults the first found is named: a bad
+    ``master_seed``, then ``synthetic``, ``params``, each scheme in turn,
+    and last the rest of the top level. A ``master_seed`` other than None
     stands in for the file's, as if the file held it (so it seeds ``synthetic``).
     """
     path = Path(path)
@@ -379,25 +371,19 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ParseError(f"{path}: unknown config key(s) {sorted(unknown)}")
     if master_seed is not None:
         data["master_seed"] = master_seed
-
-    scalars = ("master_seed", "unlinkability_bins", "mi_components", "templates", "output_dir")
-    settings = {k: data[k] for k in scalars if k in data}
-    with _naming(path):  # before the synthetic seed, which defaults to master_seed
-        _check_ranges(BenchmarkConfig, **settings)
+    seed = data.get("master_seed", BenchmarkConfig.master_seed)
+    with _naming(path):  # before it seeds synthetic, so a bad one is named as itself
+        _check_ranges(BenchmarkConfig, master_seed=seed)
     if "synthetic" in data:
-        settings["synthetic"] = _build(
-            SynthConfig, data["synthetic"], f"{path}: synthetic",
-            seed=settings.get("master_seed", BenchmarkConfig.master_seed),
-        )
+        data["synthetic"] = _build(SynthConfig, data["synthetic"], f"{path}: synthetic", seed=seed)
 
-    base_params = _build(SchemeParams, data.get("params", {}), f"{path}: params")
-    schemes: list[SchemeSpec] = []
-    for entry in _check(data.get("schemes", []), list, f"{path}: schemes"):
+    base_params = _build(SchemeParams, data.pop("params", {}), f"{path}: params")
+    schemes = data.get("schemes", [])  # each entry becomes its SchemeSpec in place
+    if not isinstance(schemes, list):
+        raise ParseError(f"{path}: schemes must be a list, got {schemes!r}")
+    for i, entry in enumerate(schemes):
         entry = {"name": entry} if isinstance(entry, str) else entry
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and set(entry) <= {"name", "params"}):
@@ -411,7 +397,5 @@ def load_config(path: str | Path, master_seed: int | None = None) -> BenchmarkCo
             SchemeParams, entry.get("params", {}),
             f"{path}: scheme {entry['name']} params", **vars(base_params),
         )
-        schemes.append(SchemeSpec(scheme, merged))
-
-    with _naming(path):
-        return BenchmarkConfig(schemes=schemes, scenarios=data.get("scenarios", []), **settings)
+        schemes[i] = SchemeSpec(scheme, merged)
+    return _build(BenchmarkConfig, data, str(path))

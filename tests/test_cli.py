@@ -24,8 +24,8 @@ from cbbench.cli import _build_parser, main
 from cbbench.core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams
 from cbbench.errors import CbBenchError, InvalidArgumentError
 from cbbench.io import (
-    _CONFIG_KEYS, BenchmarkConfig, SchemeSpec, load_config, read_templates,
-    standard_benchmark_config, write_templates,
+    BenchmarkConfig, SchemeSpec, load_config, read_templates, standard_benchmark_config,
+    write_templates,
 )
 from cbbench.metrics import eer, mutual_information
 from cbbench.numerics import _openblas, derive_stream
@@ -344,10 +344,26 @@ class TestBench:
         out_dir = tmp_path / "out"
         assert main(["bench", "--config", str(small_config(tmp_path))]) == 1
         err = capsys.readouterr().err
-        assert "cell (scheme=biohash, scenario=normal)" in err
-        assert "InvalidArgumentError: protected rows hold values other than 0/1 values" in err
-        assert "Traceback" not in err
+        assert err == (
+            "error: bench: CbBenchError: cell (scheme=biohash, scenario=normal): "
+            "InvalidArgumentError: protected rows hold values other than 0/1 values\n"
+        )
         assert not list(out_dir.glob("*.csv")) and not (out_dir / "report.json").exists()
+
+    def test_out_of_memory_in_a_cell_names_the_builtin_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # 2 PiB, which numpy refuses at once without allocating: its MemoryError
+        # subclass lives in a module whose path differs across numpy versions
+        from cbbench import cli
+
+        monkeypatch.setattr(cli, "mutual_information", lambda x, y, r: np.empty((2**24, 2**24)))
+        assert main(["bench", "--config", str(small_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == (
+            "error: bench: CbBenchError: cell (scheme=biohash, scenario=normal): MemoryError: "
+            "Unable to allocate 2.00 PiB for an array with shape (16777216, 16777216) and "
+            "data type float64\n"
+        )
+        assert not list((tmp_path / "out").iterdir())
 
     def test_draw_failing_on_a_pool_thread_names_its_cell(self, tmp_path, monkeypatch, capsys,
                                                           cpus):
@@ -1190,7 +1206,8 @@ def test_load_config_names_the_mutated_key(mutation):
             assert not invalid, f"{key}={value!r} in {section or 'the top level'} was accepted"
 
 
-@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+# a config holds the fields of BenchmarkConfig and the default scheme "params"
+@pytest.mark.parametrize("key", sorted({f.name for f in fields(BenchmarkConfig)} | {"params"}))
 def test_bench_names_the_config_key_of_a_wrong_type(tmp_path, capsys, key):
     # true is of no key's type; a "templates" config drops "synthetic", its other source
     data = small_config_data(tmp_path, **{key: True})
@@ -1200,3 +1217,34 @@ def test_bench_names_the_config_key_of_a_wrong_type(tmp_path, capsys, key):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["bench", "--config", str(path)]) == 1
     assert f"{path}: {key} must be" in capsys.readouterr().err
+
+
+# a value of each BenchmarkConfig field other than its default: as JSON, as loaded
+_FIELD_VALUES = {
+    "schemes": ([{"name": "iom-urp", "params": {"iom_k": 4}}],
+                [SchemeSpec(SchemeId.IOM_URP, SchemeParams(iom_k=4))]),
+    "scenarios": (["stolen", "normal"], ["stolen", "normal"]),
+    "master_seed": (7, 7),
+    "unlinkability_bins": (20, 20),
+    "mi_components": (3, 3),
+    "synthetic": ({**SMALL_SYNTHETIC, "subjects": 5},
+                  SynthConfig(**{**SMALL_SYNTHETIC, "subjects": 5})),
+    "templates": ("t.csv", "t.csv"),
+    "output_dir": ("res", "res"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BenchmarkConfig)])
+def test_config_file_sets_each_field(tmp_path, name):
+    # a field the loader dropped or renamed would load as its default, or not at all
+    text, value = _FIELD_VALUES[name]
+    data = {"schemes": ["biohash"], "scenarios": ["normal"], "synthetic": SMALL_SYNTHETIC,
+            name: text}
+    if name == "templates":
+        del data["synthetic"]
+    default = BenchmarkConfig(schemes=[SchemeSpec(SchemeId.BIOHASH)], scenarios=["normal"],
+                              synthetic=SynthConfig(**SMALL_SYNTHETIC))
+    assert getattr(default, name) != value
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert getattr(load_config(path), name) == value

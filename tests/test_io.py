@@ -418,6 +418,35 @@ class TestBenchmarkConfig:
         with pytest.raises(ParseError, match="scheems"):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"scheems": ["biohash"]}, "unknown key(s) ['scheems']"),
+        ({"schemes": None}, "missing key(s) ['schemes']"),
+        ({"scenarios": None}, "missing key(s) ['scenarios']"),
+        ({"params": {"iom_q": 2}}, "params: unknown key(s) ['iom_q']"),
+        ({"synthetic": {"subjects": 3}},
+         "synthetic: missing key(s) ['dimension', 'noise_sigma', 'samples_per_subject']"),
+        # of two faults, the nested object's is named before the top level's
+        ({"scheems": [], "synthetic": {"dimenson": 8}},
+         "synthetic: unknown key(s) ['dimenson'], missing key(s) ['dimension', "
+         "'noise_sigma', 'samples_per_subject', 'subjects']"),
+        ({"output_dir": 1, "params": {"iom_k": 0}}, "params: iom_k must be int in [2, "),
+        # but a bad master_seed before synthetic, whose seed it is
+        ({"master_seed": -1, "synthetic": {}}, "master_seed must be int in [0, "),
+    ], ids=["unknown", "no-schemes", "no-scenarios", "params-unknown", "synthetic-missing",
+            "synthetic-first", "params-first", "master-seed-first"])
+    def test_key_faults_named_as_found(self, tmp_path, change, message):
+        data = {"schemes": ["biohash"], "scenarios": ["normal"],
+                "synthetic": {"subjects": 3, "samples_per_subject": 2,
+                              "dimension": 8, "noise_sigma": 0.3}}
+        data.update(change)
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}),
+                            encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_config(cfg_path)
+        assert str(info.value).startswith(f"{cfg_path}: {message}")
+        assert "[]" not in str(info.value)
+
     @pytest.mark.parametrize(
         "content", [b'{"master_seed": ' + b"1" * 5000 + b"}", b'{"output_dir": "\xff"}']
     )
