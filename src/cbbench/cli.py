@@ -346,8 +346,8 @@ def _cmd_eval_irrev(args: argparse.Namespace) -> int:
 def _one_malloc_arena() -> None:
     """Cap glibc malloc at one arena, so that pool threads allocate from the
     main arena instead of each growing its own (at two threads, the standard
-    bench peaked at 54-56 MB RSS without the cap and at 52 MB with it); a
-    no-op off glibc."""
+    bench peaked at 49.5-49.8 MB RSS without the cap and at 48.8-48.9 MB with
+    it); a no-op off glibc."""
     if platform.libc_ver()[0] != "glibc":
         return
     import ctypes

@@ -146,7 +146,8 @@ class SchemeParams:
     # documented config fits under it.
     # 4096 keeps mlp-hash's L x L layer at 128 MiB
     output_length: int = _param(256, "protected output length", 8, 4096)
-    # 256 keeps iom-grp's L x k x d directions at 256 MiB for L = 256, d = 512
+    # 256 keeps iom-grp's L x k x d directions at 256 MiB for L = 256, d = 512;
+    # only a shared (stolen) key or one of more than 64 rows holds them whole
     iom_k: int = _param(16, "index-of-max alphabet size", 2, 256)
     # 16 keeps iom-urp's L x p x d permutations at 16 MiB for L = 256, d = 512
     iom_p: int = _param(2, "permutation factors (iom-urp)", 1, 16)

@@ -18,14 +18,16 @@ from .core import Dataset, Scenario, SchemeId, SchemeKey, SchemeParams, _array, 
 from .core import _ID_SEPARATOR, _seed
 from .errors import InvalidArgumentError
 from .numerics import _keyed_hash
-from .schemes import _pair_scorer, instantiate, protect_batch
+from .schemes import _pair_scorer, _protect_one_block, instantiate, protect_batch
 
 __all__ = [
     "KeyPolicy", "ScoreSet", "derive_key", "pair_indices", "protected_matrix", "run_scenario",
 ]
 
 _STOLEN_LABEL = b"stolen-token"
-_BLOCK_ROWS = 64  # rows per protect_batch call, and per job where one key serves all rows
+# rows per protect_batch call and per job of a lone key; among several keys,
+# one of at most this many rows is protected in one _protect_one_block call
+_BLOCK_ROWS = 64
 _SCORE_PAIRS = 4096  # pairs per scoring call: 128 KiB a side of packed 256-bit rows
 
 
@@ -123,9 +125,11 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
     Bloom blocks concatenated): the attacker's view of the protected database.
 
     The work is one list of jobs ``(key, rows, inst)``: one per key, or for a
-    lone key (stolen) one per 64-row block, all sharing its one instance. A job
-    writes its rows straight into the result, 64 per ``protect_batch`` call; a
-    job without an instance instantiates its key and drops it when done, so at
+    lone key (stolen) one per 64-row block, all sharing its one instance. A
+    job writes its rows straight into the result. The job of a key of at most
+    64 rows protects them in one ``schemes._protect_one_block`` call, which
+    holds no iom-grp instance; a larger key's job instantiates it, protects
+    64 rows per ``protect_batch`` call and drops the instance when done, so at
     most ``workers`` instances are alive, one per CPU of the affinity mask
     (else ``os.cpu_count()``). The first job runs alone on the calling thread
     and its first block sizes the result (allocated earlier, it raised the
@@ -149,19 +153,21 @@ def protected_matrix(ds: Dataset, policy: KeyPolicy) -> np.ndarray:
         jobs = [(key, rows[s : s + _BLOCK_ROWS], inst) for s in range(0, len(rows), _BLOCK_ROWS)]
     y = None
 
-    def protect(rows: list[int], inst) -> None:
+    def protect(key: SchemeKey, rows: list[int], inst) -> None:
         nonlocal y
+        if inst is None and len(rows) > _BLOCK_ROWS:
+            inst = instantiate(key, ds.dimension)  # a local, so it dies before the next key's
         for s in range(0, len(rows), _BLOCK_ROWS):
             block = rows[s : s + _BLOCK_ROWS]
-            part = protect_batch(ds.features[block], inst)
+            x = ds.features[block]
+            part = protect_batch(x, inst) if inst else _protect_one_block(x, key, ds.dimension)
             if y is None:
                 y = np.empty((len(ds), part.shape[1]))
             y[block] = part
 
     def run(share) -> None:
-        for key, rows, inst in share:
-            # the instance is an argument, so it dies before the next key's
-            protect(rows, inst or instantiate(key, ds.dimension))
+        for job in share:
+            protect(*job)
 
     run(jobs[:1])
     n = max(1, min(workers, len(jobs) - 1))

@@ -3,7 +3,10 @@
 Every transform is a pure function of (key, input dimension, template). Each
 scheme is one instance class: its ``_draw`` (behind ``instantiate``) draws all
 key-derived randomness up front, and its batch kernel ``rows`` (behind
-``protect_batch``) never draws randomness.
+``protect_batch``) never draws randomness. ``_protect_one_block`` protects the
+rows of a key that protects nothing else: for iom-grp it draws each hash
+slice's directions just before projecting onto them, so the (m, k, dim) array
+is never held; every other scheme goes through ``instantiate``.
 ``similarities`` scores protected rows, packed to bytes and counted through
 one popcount table. All six transforms are sign/argmax based, so protecting
 c*x for any c > 0 yields exactly the same protected row as protecting x.
@@ -51,17 +54,26 @@ def _block_orthonormal(stream, n_rows: int, dim: int) -> np.ndarray:
 _KERNEL_VALUES = 2**16
 
 
-def _codes_by_hash_slices(n: int, m: int, k: int, codes) -> np.ndarray:
+def _codes_by_hash_slices(n: int, m: int, k: int, codes, d: int = 0) -> np.ndarray:
     """The (n, m) codes of an index-of-max kernel, filled over slices of its m
-    hashes: ``codes(hashes)`` returns the (n, len(hashes)) codes of the hash
-    slice ``hashes``, whose (n, hashes, k) temporaries then hold at most
+    hashes in order: ``codes(hashes)`` returns the (n, len(hashes)) codes of
+    the hash slice ``hashes``, whose (n, hashes, k) temporaries, and given
+    ``d`` the (hashes, k, d) directions it draws, then hold at most
     ``_KERNEL_VALUES`` values (one hash at least). Each hash's gemm or product
     is the one a whole-block expression computes, so the codes are its bits."""
-    step = max(1, _KERNEL_VALUES // max(1, n * k))
+    step = max(1, _KERNEL_VALUES // max(1, max(n, d) * k))
     out = np.empty((n, m), dtype=np.intp)
     for s in range(0, m, step):
-        out[:, s : s + step] = codes(slice(s, s + step))
+        out[:, s : s + step] = codes(slice(s, min(s + step, m)))
     return out
+
+
+def _index_of_max(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The (n, hashes) index of the largest of each hash's k projections of
+    the rows of ``x`` onto its (hashes, k, dim) ``directions`` (ties resolve
+    to the lowest index)."""
+    # (hashes, n, k): k last, so argmax reduces the contiguous axis without a copy
+    return np.argmax(x @ directions.transpose(0, 2, 1), axis=2).T
 
 
 @dataclass(frozen=True)
@@ -172,9 +184,20 @@ class IomGrpInstance(TransformInstance):
         """For each hash, record which of its k Gaussian projections is largest
         (ties resolve to the lowest index)."""
         m, k, _ = self.directions.shape
-        # (hashes, n, k): k last, so argmax reduces the contiguous axis without a copy
-        return _codes_by_hash_slices(x.shape[0], m, k, lambda h: np.argmax(
-            x @ self.directions[h].transpose(0, 2, 1), axis=2).T)
+        return _codes_by_hash_slices(x.shape[0], m, k,
+                                     lambda h: _index_of_max(x, self.directions[h]))
+
+    @staticmethod
+    def _drawing_rows(seed, params, x):
+        """``_draw(seed, params, dim).rows(x)`` without the (m, k, dim) array:
+        each hash slice's directions are drawn just before ``x`` is projected
+        onto them, and hold at most ``_KERNEL_VALUES`` values. Consecutive
+        ``normals`` calls consume the stream as one call does, so the
+        directions, and the codes, are the same bits."""
+        (n, d), k = x.shape, params.iom_k
+        stream = derive_stream(seed, b"iom-grp.directions")
+        return _codes_by_hash_slices(n, params.output_length, k, lambda h: _index_of_max(
+            x, stream.normals((h.stop - h.start) * k * d).reshape(-1, k, d)), d)
 
 
 @dataclass(frozen=True)
@@ -257,9 +280,26 @@ def protect_batch(x: np.ndarray, inst: TransformInstance) -> np.ndarray:
     row does not underflow into ties. That scaling may read a value at or below
     2**-1074 times its row's largest |value| as ±0, which can flip a bit of
     rand-hash or Bloom, the schemes that read each feature's sign."""
-    x = _array(x, "x", cols=inst.dim)
-    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1])
-    return inst.rows(x).astype(np.float64)
+    return inst.rows(_scaled(x, inst.dim)).astype(np.float64)
+
+
+def _scaled(x, dim: int) -> np.ndarray:
+    """``x`` checked as a finite real ``(n, dim)`` matrix, each row scaled by
+    the power of two that brings its largest |value| to [0.5, 1)."""
+    x = _array(x, "x", cols=dim)
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True, initial=0.0))[1])
+
+
+def _protect_one_block(x, key: SchemeKey, d: int) -> np.ndarray:
+    """``protect_batch(x, instantiate(key, d))`` for a key that protects only
+    the rows of ``x``. iom-grp draws its directions slice by slice as it
+    projects (``IomGrpInstance._drawing_rows``), so the 4 MiB of a default key
+    at d = 128 are never held at once; the other schemes' instances are small,
+    so they take that expression, and ``instantiate`` stays their one entry."""
+    if key.scheme_id is not SchemeId.IOM_GRP:
+        return protect_batch(x, instantiate(key, d))
+    x = _scaled(x, _number(d, "d", int, 2))
+    return IomGrpInstance._drawing_rows(key.seed, key.params, x).astype(np.float64)
 
 
 # set bits of every byte value: the one popcount of packed scoring, on every numpy

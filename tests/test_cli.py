@@ -394,41 +394,55 @@ class TestBench:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_key_instantiated_once_per_cell(self, tmp_path, monkeypatch, cpus, workers):
-        # wrap instantiate wherever a cbbench module binds it by name
+        # wrap instantiate and derive_stream wherever a cbbench module binds
+        # them by name
         import sys
         import threading
         from collections import Counter
 
-        from cbbench import schemes
+        from cbbench import numerics, schemes
         from cbbench.cli import run_benchmark
         from cbbench.io import load_config
 
-        original = schemes.instantiate
+        instantiate, derive_stream = schemes.instantiate, numerics.derive_stream
         calls = Counter()
         pooled = Counter()
-        lock = threading.Lock()  # pool threads call it too, and += is not atomic
+        directions = Counter()
+        lock = threading.Lock()  # pool threads call them too, and += is not atomic
 
         def counting(key, d):
             with lock:
                 calls[(key.scheme_id, key.seed)] += 1
                 pooled[threading.current_thread() is not threading.main_thread()] += 1
-            return original(key, d)
+            return instantiate(key, d)
+
+        def deriving(seed, label):
+            if label == b"iom-grp.directions":
+                with lock:
+                    directions[seed] += 1
+            return derive_stream(seed, label)
 
         for name, mod in list(sys.modules.items()):
             if name == "cbbench" or name.startswith("cbbench."):
                 for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counting)
+                    for original, wrapper in ((instantiate, counting), (derive_stream, deriving)):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, wrapper)
         cpus(workers)
         run_benchmark(load_config(small_config(tmp_path)), tmp_path / "out")
-        # per scheme: 6 subject keys (normal), 1 shared key (stolen) and
-        # 18 sample keys (sample-specific), each instantiated exactly once
-        assert len(calls) == 2 * (6 + 1 + 18)
+        # biohash's 6 subject keys (normal), 1 shared key (stolen) and 18
+        # sample keys (sample-specific) are each instantiated exactly once;
+        # of iom-grp's only the shared key is: its 24 per-key keys, one block
+        # each, draw their directions while projecting
+        assert Counter(scheme for scheme, _ in calls) == {
+            SchemeId.BIOHASH: 6 + 1 + 18, SchemeId.IOM_GRP: 1}
         assert set(calls.values()) == {1}
+        # every iom-grp key, shared or not, derives its directions stream once
+        assert len(directions) == 6 + 1 + 18 and set(directions.values()) == {1}
         # with 2 workers one pool thread takes every second key after the
-        # first: 2 of the 6 subject keys, 8 of the 18 sample keys, not the
-        # stolen key
-        assert pooled[True] == (0 if workers == 1 else 2 * (2 + 8))
+        # first: 2 of biohash's 6 subject keys and 8 of its 18 sample keys;
+        # no stolen key, and no iom-grp key is instantiated on it
+        assert pooled[True] == (0 if workers == 1 else 2 + 8)
 
     @pytest.mark.parametrize(
         "command", ["protect", "eval-perf", "eval-unlink", "eval-irrev", "bench"]
@@ -658,7 +672,11 @@ def test_missing_templates_file_is_runtime_error(tmp_path, capsys):
 
 def test_out_of_memory_is_runtime_error(tmp_path):
     # each SchemeParams cap bounds one size: iom-grp's 4096 x 256 x 2048
-    # directions are 16 GiB, which a 4 GiB address space refuses at once
+    # directions are 16 GiB, which a 4 GiB address space refuses at once.
+    # The stolen key is shared, so it is still built whole; per-subject keys
+    # draw them slice by slice while projecting, so the normal scenario of
+    # this command ends in bounded memory (exit 0 after 84 s at a 46 MB peak
+    # RSS on a 2-vCPU x86-64 VM)
     resource = pytest.importorskip("resource")
     csv = tmp_path / "t.csv"
     assert main(["synth", "--subjects", "3", "--samples", "2", "--dim", "2048",
@@ -673,7 +691,8 @@ def test_out_of_memory_is_runtime_error(tmp_path):
     src = str(Path(cbbench.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", script, "eval-perf", "--templates", str(csv), "--scheme",
-         "iom-grp", "--length", "4096", "--iom-k", "256", "--out-dir", str(tmp_path / "out")],
+         "iom-grp", "--scenario", "stolen", "--length", "4096", "--iom-k", "256",
+         "--out-dir", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr

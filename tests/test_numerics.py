@@ -72,6 +72,18 @@ class TestRandomStream:
         # the batch leaves the stream where the sequential calls leave it
         assert np.array_equal(batched.words(4), sequential.words(4))
 
+    def test_split_normals_equal_one_call(self):
+        # iom-grp draws its directions hash slice by hash slice; sizes cross
+        # Philox's 4-word buffer at every offset and span more than one slice
+        sizes = [1, 3, 4, 5, 2**16 + 3]
+        sizes.append(10**5 - sum(sizes))
+        whole, split = derive_stream(11, b"n"), derive_stream(11, b"n")
+        expected = whole.normals(10**5)
+        got = np.concatenate([split.normals(size) for size in sizes])
+        assert got.tobytes() == expected.tobytes()
+        # and the stream's next draws are those after the whole call
+        assert np.array_equal(split.words(5), whole.words(5))
+
 
 def mgs_oracle(m: np.ndarray) -> np.ndarray:
     """Two-pass modified Gram-Schmidt over the rows, one row at a time."""

@@ -412,11 +412,15 @@ class TestProtectedMatrix:
         assert np.array_equal(protocol.protected_matrix(ds, p), expected)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("scheme", [SchemeId.MLP_HASH, SchemeId.IOM_GRP])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("scenario", [Scenario.NORMAL, Scenario.SAMPLE_SPECIFIC])
-    def test_at_most_one_live_instance_per_worker(self, monkeypatch, cpus, scenario, workers):
+    def test_at_most_one_live_instance_per_worker(self, monkeypatch, cpus, scenario, workers,
+                                                  scheme):
         # each thread drops a key's instance before it instantiates its next
-        # key; wrap instantiate wherever a cbbench module binds it by name
+        # key, and an iom-grp key of one block draws its directions as it
+        # projects, holding none; wrap instantiate wherever a cbbench module
+        # binds it by name
         import sys
         import threading
         import weakref
@@ -442,7 +446,7 @@ class TestProtectedMatrix:
             return inst
 
         ds = generate(SynthConfig(8, 3, 16, 0.3, 5))  # 8 subject keys, 24 sample keys
-        p = policy(scenario, scheme=SchemeId.IOM_GRP)
+        p = policy(scenario, scheme=scheme)
         expected = protocol.protected_matrix(ds, p)
         for name, mod in list(sys.modules.items()):
             if name == "cbbench" or name.startswith("cbbench."):
@@ -452,7 +456,53 @@ class TestProtectedMatrix:
         cpus(workers)
         assert np.array_equal(protocol.protected_matrix(ds, p), expected)
         assert alive == 0
-        assert 1 <= most <= workers
+        if scheme is SchemeId.IOM_GRP:
+            assert most == 0
+        else:
+            assert 1 <= most <= workers
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scenario, instantiated", [
+        (Scenario.NORMAL, ["big"]), (Scenario.SAMPLE_SPECIFIC, []),
+        (Scenario.STOLEN_TOKEN, ["stolen"]),
+    ])
+    def test_only_keys_of_more_than_one_block_instantiate(self, monkeypatch, cpus, scenario,
+                                                          instantiated, workers):
+        # subject "big" has 65 samples, "full" 64 and four others 3 each:
+        # 141 rows. A key of at most 64 rows draws iom-grp's directions as it
+        # projects; the 65-row subject key and the stolen key each build one
+        # instance
+        import sys
+        import threading
+
+        from cbbench import protocol, schemes
+
+        feats = derive_stream(12, b"test.big-subject").normals(141 * 16).reshape(141, 16)
+        subjects = ["big"] * 65 + ["full"] * 64 + [f"s{i % 4}" for i in range(12)]
+        ds = Dataset(feats, subjects, [str(i) for i in range(141)])
+        p = policy(scenario, scheme=SchemeId.IOM_GRP)
+        expected = np.vstack([schemes.protect_batch(feats[i : i + 1],
+                                                    schemes.instantiate(key_of(p, ds, i), 16))
+                              for i in range(len(ds))])
+        # the stolen key is every identity's, so it overwrites "big" there
+        seeds = {derive_key(p, "big").seed: "big", derive_key(p, "", "").seed: "stolen"}
+        original = schemes.instantiate
+        lock = threading.Lock()
+        calls = []
+
+        def counting(key, d):
+            with lock:
+                calls.append(seeds.get(key.seed))
+            return original(key, d)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "cbbench" or name.startswith("cbbench."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        cpus(workers)
+        assert np.array_equal(protocol.protected_matrix(ds, p), expected)
+        assert calls == instantiated
 
     def test_threaded_pass_under_fast_switching(self, cpus):
         # more workers than cores, each protecting its own keys' rows; a lost

@@ -19,6 +19,7 @@ from cbbench.schemes import (
     RandHashInstance,
     TransformInstance,
     _codes_by_hash_slices,
+    _protect_one_block,
     compare,
     instantiate,
     protect_batch,
@@ -305,6 +306,45 @@ class TestIomHashSlices:
     def test_a_block_traces_a_bounded_peak(self, scheme, mib, rng):
         inst = instantiate(SchemeKey(5, scheme, SchemeParams()), 256)
         assert traced_peak(protect_batch, rng.standard_normal((64, 256)), inst) < mib * 2**20
+
+
+class TestProtectOneBlock:
+    @pytest.mark.parametrize("d", [2, 16, 128, 256])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_equals_protect_batch_of_the_instance(self, scheme, d, rng):
+        key = SchemeKey(6, scheme, SchemeParams(iom_k=min(SchemeParams().iom_k, d)))
+        inst = instantiate(key, d)
+        for n in (1, 20, 64):
+            x = rng.standard_normal((n, d))
+            assert protect_batch(x, inst).tobytes() == _protect_one_block(x, key, d).tobytes()
+
+    # L = 100 ends in a short slice; k = 256 at d = 256 draws one hash per slice
+    @pytest.mark.parametrize("d", [2, 16, 128, 256])
+    @pytest.mark.parametrize("k", [2, 3, 16, 256])
+    @pytest.mark.parametrize("length", [8, 100, 256])
+    def test_iom_grp_draws_the_instance_bits(self, length, k, d, rng):
+        key = SchemeKey(7, SchemeId.IOM_GRP, SchemeParams(output_length=length, iom_k=k))
+        inst = instantiate(key, d)
+        for n in (1, 20, 64):
+            x = rng.standard_normal((n, d))
+            assert protect_batch(x, inst).tobytes() == _protect_one_block(x, key, d).tobytes()
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_refuses_as_the_expression_does(self, scheme):
+        key = SchemeKey(8, scheme, SMALL)
+        for x, d, name in (([[1.0, 2.0]], 1, "^d "), (np.ones((2, 3)), 8, "^x "),
+                           ([[1.0] * 7 + [np.nan]], 8, "^x ")):
+            with pytest.raises(InvalidArgumentError, match=name):
+                protect_batch(x, instantiate(key, d))
+            with pytest.raises(InvalidArgumentError, match=name):
+                _protect_one_block(x, key, d)
+
+    def test_iom_grp_holds_no_instance(self, rng):
+        # a default key's (256, 16, 128) directions are 4 MiB
+        key = SchemeKey(9, SchemeId.IOM_GRP, SchemeParams())
+        x = rng.standard_normal((20, 128))
+        assert traced_peak(_protect_one_block, x, key, 128) < 2**20
+        assert traced_peak(lambda: protect_batch(x, instantiate(key, 128))) > 4 * 2**20
 
 
 class TestRandHash:
